@@ -12,6 +12,7 @@ document re-parses to an equal expression."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -30,6 +31,7 @@ from .linearize import (Rejection, augmented_identity, build_mapping,
                         verify_linearization)
 from .mapping import (apply_transformation, check_contact_condition,
                       equations_match_up_to_factor)
+from .probe import set_default_probe_seed
 from .wsfile import load_workspace_text
 
 EXIT_OK = 0
@@ -102,75 +104,68 @@ def _resolve_family(wf, args, doc):
     """The family from the file, or one derived by reducing the determining
     system; first-order constraint blocks of a provided family are
     integrated by characteristics."""
-    sysm = wf.system
     if wf.family is not None:
-        fam, steps = reduce_family_constraints(wf.family, sysm)
-        if steps:
-            doc["constraint-integration"] = steps
-        doc["multipliers"] = dict(_family_doc(fam), source="file")
-        return fam
-    ansatz = wf.ansatz or MultiplierAnsatz()
-    if args.ansatz_order is not None:
-        ansatz = MultiplierAnsatz(order=args.ansatz_order, shape=ansatz.shape)
-    if args.preset:
-        ansatz = MultiplierAnsatz(order=ansatz.order, shape=args.preset)
-    det = determining_system(sysm, ansatz)
-    doc["determining-system"] = _detsys_doc(det)
-    res = reduce_determining_system(det)
-    doc["reduction"] = {"case": res.case, "steps": res.steps}
-    if res.residual_equations:
-        doc["reduction"]["residual-equations"] = [
-            to_text(e) + " = 0" for e in res.residual_equations]
-    if res.case != "II":
+        return _file_family(wf, doc)
+    res = _reduce(_determining_system(wf, args, doc), doc)
+    if res.family is None:
         raise CliFailure(EXIT_REJECTED,
                          "no multiplier family of the arbitrary-function form "
                          f"was derived (case {res.case}); the given system "
                          "does not linearize along this route")
-    doc["multipliers"] = dict(_family_doc(res.family),
-                              source="determining-system")
     return res.family
 
 
-def _detsys_doc(det):
-    deps = det.system.workspace.dependents
-    return {
+def _determining_system(wf, args, doc):
+    """The determining system of the file's [ansatz] (or the default one),
+    with --ansatz-order overriding its order."""
+    ansatz = wf.ansatz or MultiplierAnsatz()
+    if args.ansatz_order is not None:
+        ansatz = dataclasses.replace(ansatz, order=args.ansatz_order)
+    det = determining_system(wf.system, ansatz)
+    deps = wf.workspace.dependents
+    doc["determining-system"] = {
         "unknowns": {nm: "function of (" + ", ".join(to_text(a) for a in det.arguments) + ")"
                      for nm in det.unknowns},
         "equations": [{"euler": deps[sigma], "monomial": sig,
                        "equation": to_text(eq) + " = 0"}
                       for sigma, sig, eq in det.equations],
     }
+    return det
+
+
+def _reduce(det, doc):
+    """Reduce the determining system; in case II the result carries the
+    derived family."""
+    res = reduce_determining_system(det)
+    doc["reduction"] = {"case": res.case, "steps": res.steps}
+    if res.residual_equations:
+        doc["reduction"]["residual-equations"] = [
+            to_text(e) + " = 0" for e in res.residual_equations]
+    if res.family is not None:
+        doc["multipliers"] = dict(_family_doc(res.family),
+                                  source="determining-system")
+    return res
+
+
+def _file_family(wf, doc):
+    fam, steps = reduce_family_constraints(wf.family, wf.system)
+    if steps:
+        doc["constraint-integration"] = steps
+    doc["multipliers"] = dict(_family_doc(fam), source="file")
+    return fam
 
 
 def cmd_detsys(wf, args, doc):
     sysm = wf.system
-    ansatz = wf.ansatz or MultiplierAnsatz()
-    if args.ansatz_order is not None:
-        ansatz = MultiplierAnsatz(order=args.ansatz_order, shape=ansatz.shape,
-                                  restrict_to=ansatz.restrict_to)
-    if args.preset:
-        ansatz = MultiplierAnsatz(order=ansatz.order, shape=args.preset,
-                                  restrict_to=ansatz.restrict_to)
-    det = determining_system(sysm, ansatz)
-    doc["determining-system"] = _detsys_doc(det)
+    det = _determining_system(wf, args, doc)
     if wf.family is not None:
-        fam, steps = reduce_family_constraints(wf.family, sysm)
-        if steps:
-            doc["constraint-integration"] = steps
-        doc["multipliers"] = dict(_family_doc(fam), source="file")
+        fam = _file_family(wf, doc)
     else:
-        res = reduce_determining_system(det)
-        doc["reduction"] = {"case": res.case, "steps": res.steps}
-        if res.residual_equations:
-            doc["reduction"]["residual-equations"] = [
-                to_text(e) + " = 0" for e in res.residual_equations]
-        if res.family is None:
+        fam = _reduce(det, doc).family
+        if fam is None:
             # Case I or undetermined: the document carries the residual
             # system; nothing further to verify
             return EXIT_OK
-        doc["multipliers"] = dict(_family_doc(res.family),
-                                  source="determining-system")
-        fam = res.family
     rep = verify_multipliers(sysm, fam, with_fluxes=False)
     doc["family-verification"] = {
         "euler-residuals": [to_text(r) for r in rep.residuals],
@@ -327,9 +322,6 @@ def main(argv=None):
                                      "burgers, pipeline, telegraph)")
     parser.add_argument("--ansatz-order", type=int, default=None,
                         help="multiplier jet order for the determining system")
-    parser.add_argument("--preset", choices=("general", "fixed-independents",
-                                             "integrating-factor"),
-                        default=None)
     parser.add_argument("--json", action="store_true",
                         help="emit the result document as JSON")
     parser.add_argument("--max-terms", type=int, default=200000,
@@ -338,11 +330,12 @@ def main(argv=None):
                         help="seed for numeric probe points")
     try:
         args = parser.parse_args(argv)
+        if args.ansatz_order is not None and args.ansatz_order < 0:
+            parser.error("--ansatz-order must be nonnegative")
     except SystemExit as exc:
         # keep exit code 2 reserved for rejected linearizations
         raise SystemExit(EXIT_INPUT if exc.code not in (0, None) else 0)
     set_max_terms(args.max_terms)
-    from .probe import set_default_probe_seed
     set_default_probe_seed(args.seed)
 
     doc = {"command": args.command, "status": "ok"}

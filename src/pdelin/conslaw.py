@@ -7,30 +7,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .constraints import LinearConstraints
 from .errors import ExprError, NotADivergenceError
-from .expr import (Add, Fun, Jet, Sym, add, atoms_of, diff_atom, div,
-                   exp_, fun_kernels_of, is_zero, jets_of, log_,
-                   max_jet_order, mul, neg, pow_int, rat, sub, substitute,
-                   substitute_kernels, walk)
-from .expr import _monos_of  # monomial views for splitting
+from .expr import (ExpF, Fun, Jet, Rat, Sym, add, atoms_of, derive_multi,
+                   diff_atom, div, exp_, from_monomial, fun_kernels_of,
+                   is_zero, jets_of, log_, max_jet_order, monomials,
+                   mul, multi_indices, neg, normalize_equation, pow_int, rat,
+                   sub, substitute, substitute_kernels, total_derivative, walk)
+from .grammar import to_text
 from .jets import PdeSystem, euler_operator, jet_rank
 
 PLACEHOLDERS = [Sym(f"_pos{i}", "coordinate") for i in range(12)]
 
-PRESET_GENERAL = "general"
-PRESET_FIXED_INDEPENDENTS = "fixed-independents"
-PRESET_INTEGRATING_FACTOR = "integrating-factor"
-
 
 @dataclass
 class MultiplierAnsatz:
-    """Shape and jet order of the unknown multipliers; `restrict_to` can pin
-    the argument list to a subset of the default atoms."""
+    """Jet order of the unknown multipliers; `restrict_to` can pin the
+    argument list to a subset of the default atoms."""
 
     order: int = None
-    shape: str = PRESET_GENERAL
     restrict_to: tuple = None
 
     def resolve_order(self, sys):
@@ -52,20 +49,11 @@ class MultiplierAnsatz:
         names = [s.name for s in ws.independents]
         for dep in ws.dependents:
             for total in range(ell + 1):
-                for midx in _orders(names, total):
-                    jets.append(Jet(dep, midx))
+                for vec in multi_indices((total,) * len(names), total,
+                                         exact=True):
+                    jets.append(Jet(dep, tuple(zip(names, vec))))
         jets.sort(key=lambda j: jet_rank(ws, j))
         return tuple(args + jets)
-
-
-def _orders(names, total):
-    if not names:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _orders(names[1:], total - first):
-            yield ((names[0], first),) + rest if first else rest
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +139,6 @@ def verify_multipliers(sys, fam, with_fluxes=True):
 
 
 def _divergence(fluxes, ws):
-    from .expr import total_derivative
-
     return add(*[total_derivative(f, s) for f, s in zip(fluxes, ws.independents)])
 
 
@@ -188,12 +174,8 @@ def _instantiate_unknowns(e, names, args, candidates):
     repl = {}
     for k in fun_kernels_of(e):
         if k.name in names:
-            base = candidates[k.name]
-            d = base
-            for pos, o in enumerate(k.dmidx):
-                for _ in range(o):
-                    d = diff_atom(d, args[pos])
-            repl[k] = d
+            repl[k] = derive_multi(candidates[k.name], zip(args, k.dmidx),
+                                   diff_atom)
     return substitute_kernels(e, repl)
 
 
@@ -231,11 +213,8 @@ def determining_system(sys, ansatz):
 def _split_parametric(e, arg_jets):
     """Collect coefficients of each monomial in jets outside the ansatz
     arguments.  The expression must be polynomial in those jets."""
-    from .grammar import to_text
-    from .expr import _build_mono
-
     groups = {}
-    for coeff, fmap in _monos_of(e):
+    for coeff, fmap in monomials(e):
         par = {}
         rest = {}
         for k, n in fmap.items():
@@ -250,12 +229,12 @@ def _split_parametric(e, arg_jets):
                             f"parametric jet {a!r} occurs inside kernel {k!r}")
                 rest[k] = n
         sig = tuple(sorted(((k.key, n) for k, n in par.items())))
-        mono = _build_mono(coeff, rest)
+        mono = from_monomial(coeff, rest)
         groups.setdefault(sig, []).append(mono)
     out = []
     for sig, monos in groups.items():
         label = "1" if not sig else to_text(
-            _build_mono(Fraction(1), {k: n for k, n in
+            from_monomial(Fraction(1), {k: n for k, n in
                                       [(_key_jet(kk), n) for kk, n in sig]}))
         out.append((label, add(*monos)))
     return out
@@ -270,70 +249,6 @@ def _key_jet(key):
         j = Jet(key[1], key[3])
         _JET_CACHE[key] = j
     return j
-
-
-def normalize_equation(eq):
-    """Strip a common invertible monomial factor and rational content; fix
-    the sign so the leading coefficient is positive."""
-    if is_zero(eq) or not isinstance(eq, Add):
-        monos = _monos_of(eq)
-        if len(monos) == 1 and not is_zero(eq):
-            c, fmap = monos[0]
-            keep = {k: n for k, n in fmap.items()
-                    if isinstance(k, Fun) or _contains_fun(k)}
-            from .expr import _build_mono
-            return _build_mono(Fraction(1), keep)
-        return eq
-    monos = _monos_of(eq)
-    common = None
-    for _, fmap in monos:
-        if common is None:
-            common = dict(fmap)
-        else:
-            for k in list(common):
-                n = fmap.get(k, 0)
-                if n == 0 or (n > 0) != (common[k] > 0):
-                    del common[k]
-                else:
-                    common[k] = min(common[k], n, key=abs)
-    common = {k: n for k, n in (common or {}).items()
-              if not (isinstance(k, Fun) or _contains_fun(k))}
-    parts = []
-    gcd_c = None
-    from .expr import _build_mono
-    for c, fmap in monos:
-        fm = dict(fmap)
-        for k, n in common.items():
-            m = fm.get(k, 0) - n
-            if m == 0:
-                fm.pop(k, None)
-            else:
-                fm[k] = m
-        gcd_c = c if gcd_c is None else _frac_gcd(gcd_c, c)
-        parts.append((c, fm))
-    lead = min(parts, key=lambda m: _mono_key_for_sort(m))
-    scale = abs(gcd_c) if gcd_c else Fraction(1)
-    if lead[0] < 0:
-        scale = -scale
-    return add(*[_build_mono(c / scale, fm) for c, fm in parts])
-
-
-def _mono_key_for_sort(m):
-    from .expr import _mono_sort_key
-
-    return _mono_sort_key(m[0], m[1])
-
-
-def _frac_gcd(a, b):
-    from math import gcd
-
-    num = gcd(abs(a.numerator), abs(b.numerator))
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
-def _contains_fun(k):
-    return any(isinstance(n, Fun) for n in walk(k))
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +276,13 @@ def reduce_determining_system(det, coordinate_names=("X", "T", "Y", "Z")):
     or undetermined with the irreducible residual system."""
     state = _ReducerState(det.unknowns, det.arguments, det.equations_only())
     state.run()
-    ws = det.system.workspace
-    live = state.live_equations()
     components = [state.component(nm) for nm in det.unknowns]
-    names = sorted({k.name for e in live for k in fun_kernels_of(e)} |
-                   {k.name for c in components for k in fun_kernels_of(c)})
     if not any(fun_kernels_of(c) for c in components):
-        return ReducerResult("I", None, live, state.steps)
-    if len(names) == 1 and len(live) == 1 and state.arity(names[0]) == ws.n:
-        fam = _package_family(state, components, names[0], live[0],
-                              coordinate_names, ws)
-        if fam is not None:
-            return ReducerResult("II", fam, live, state.steps)
+        return ReducerResult("I", None, state.live_equations(), state.steps)
+    live, fam = _package_result(state, components, coordinate_names,
+                                det.system.workspace)
+    if fam is not None:
+        return ReducerResult("II", fam, live, state.steps)
     return ReducerResult("undetermined", None, live, state.steps)
 
 
@@ -391,17 +301,23 @@ def reduce_family_constraints(fam, sys, coordinate_names=("X", "T", "Y", "Z")):
     state = _ReducerState([name], defs, inst_rows)
     state.args[name] = defs
     state.run()
-    live = state.live_equations()
     components = [state.rewrite_instance(c) for c in fam.components]
+    _, packed = _package_result(state, components, coordinate_names,
+                                sys.workspace)
+    return (fam if packed is None else packed), state.steps
+
+
+def _package_result(state, components, coordinate_names, ws):
+    """The live equations after a reducer run, and the multiplier family
+    they define when exactly one function of n arguments survives under a
+    single constraint (None otherwise)."""
+    live = state.live_equations()
     names = sorted({k.name for e in live for k in fun_kernels_of(e)} |
                    {k.name for c in components for k in fun_kernels_of(c)})
-    ws = sys.workspace
     if len(names) == 1 and len(live) == 1 and state.arity(names[0]) == ws.n:
-        packed = _package_family(state, components, names[0], live[0],
-                                 coordinate_names, ws)
-        if packed is not None:
-            return packed, state.steps
-    return fam, state.steps
+        return live, _package_family(state, components, names[0], live[0],
+                                     coordinate_names, ws)
+    return live, None
 
 
 class _ReducerState:
@@ -449,10 +365,7 @@ class _ReducerState:
     def _instance(self, kernel):
         body = self.subs[kernel.name]
         ph = PLACEHOLDERS[:len(kernel.args)]
-        d = body
-        for pos, o in enumerate(kernel.dmidx):
-            for _ in range(o):
-                d = diff_atom(d, ph[pos])
+        d = derive_multi(body, zip(ph, kernel.dmidx), diff_atom)
         return substitute(d, dict(zip(ph, kernel.args)))
 
     def component(self, name):
@@ -694,7 +607,6 @@ class _ReducerState:
         placeholders.  Catalog: a a nonzero rational, and a = c * arg_pk."""
         ph = PLACEHOLDERS[:len(args)]
         # a rational constant
-        from .expr import Rat
         if isinstance(a, Rat) and a.value != 0:
             return sub(ph[pj], div(ph[pk], a))
         # a = c * arg_pk with rational c
@@ -809,12 +721,9 @@ def reconstruct_fluxes(e, ws):
 
 def higher_euler(e, dep, K, ws):
     """E^(K): sum over jets J >= K of binom(J, K) (-D)^(J-K) d e/d u_J."""
-    from math import comb
-
-    names = [s.name for s in ws.independents]
     terms = []
     for j in jets_of(e, dep):
-        jv = tuple(dict(j.midx).get(nm, 0) for nm in names)
+        jv = ws.jet_vector(j)
         if not all(a >= b for a, b in zip(jv, K)):
             continue
         d = diff_atom(e, j)
@@ -825,10 +734,7 @@ def higher_euler(e, dep, K, ws):
             binom *= comb(a, b)
         delta = tuple(a - b for a, b in zip(jv, K))
         sign = rat(-1) if sum(delta) % 2 else rat(1)
-        from .expr import total_derivative
-        for i, o in enumerate(delta):
-            for _ in range(o):
-                d = total_derivative(d, ws.independents[i])
+        d = derive_multi(d, zip(ws.independents, delta), total_derivative)
         terms.append(mul(rat(binom), sign, d))
     return add(*terms) if terms else rat(0)
 
@@ -838,22 +744,18 @@ def _homotopy_fluxes(e, ws):
     Upsilon_i = sum_sigma sum_{K, K_i >= 1} (K_i/|K|)
                 D^(K - e_i)[ u^sigma E^(K)(e) ], followed by the exact
     lambda-integration (each monomial divided by its jet degree)."""
-    from .expr import total_derivative, _build_mono
-
-    for _, fmap in _monos_of(e):
+    for _, fmap in monomials(e):
         for k in fmap.keys():
             if not isinstance(k, Jet) and any(isinstance(a, Jet) for a in walk(k)):
                 return None
     jet_zero = {j: rat(0) for j in jets_of(e)}
     base = substitute(e, jet_zero)
     work = sub(e, base)
-    names = [s.name for s in ws.independents]
     n = ws.n
     raw = [rat(0)] * n
     kset = set()
     for j in jets_of(work):
-        jv = tuple(dict(j.midx).get(nm, 0) for nm in names)
-        for K in _sub_multis_upto(jv):
+        for K in multi_indices(ws.jet_vector(j)):
             if sum(K) >= 1:
                 kset.add(K)
     for dep in ws.dependents:
@@ -866,20 +768,18 @@ def _homotopy_fluxes(e, ws):
             for i in range(n):
                 if K[i] < 1:
                     continue
-                d = body
                 J = K[:i] + (K[i] - 1,) + K[i + 1:]
-                for ii, o in enumerate(J):
-                    for _ in range(o):
-                        d = total_derivative(d, ws.independents[ii])
+                d = derive_multi(body, zip(ws.independents, J),
+                                 total_derivative)
                 raw[i] = add(raw[i], mul(rat(K[i], sum(K)), d))
     fluxes = []
     for r in raw:
         parts = []
-        for coeff, fmap in _monos_of(r):
+        for coeff, fmap in monomials(r):
             deg = sum(nn for kk, nn in fmap.items() if isinstance(kk, Jet))
             if deg <= 0:
                 return None
-            parts.append(_build_mono(coeff / deg, dict(fmap)))
+            parts.append(from_monomial(coeff / deg, dict(fmap)))
         fluxes.append(add(*parts) if parts else rat(0))
     if not is_zero(base):
         extra = [rat(0)] * n
@@ -890,15 +790,6 @@ def _homotopy_fluxes(e, ws):
             return None
         fluxes = [add(f, x) for f, x in zip(fluxes, extra)]
     return fluxes
-
-
-def _sub_multis_upto(jv):
-    if not jv:
-        yield ()
-        return
-    for first in range(jv[0] + 1):
-        for rest in _sub_multis_upto(jv[1:]):
-            yield (first,) + rest
 
 
 def _absorb(s, m, fluxes, ws):
@@ -927,7 +818,6 @@ def _absorb(s, m, fluxes, ws):
         return None
     _, i, terms, rest, mp = best
     sym = ws.independents[i]
-    from .expr import total_derivative
     new_terms = [rest]
     for c, a in terms:
         theta = mul(c, pow_int(mp, a + 1), rat(1, a + 1))
@@ -940,17 +830,15 @@ def _absorb(s, m, fluxes, ws):
 def _power_split(s, m, mp):
     """Split s = sum_a c_a * mp^a * m + rest, with each c_a free of m and mp.
     Returns None when m occurs nonlinearly or inside another kernel."""
-    from .expr import _build_mono
-
     terms = {}
     rest = []
-    for coeff, fmap in _monos_of(s):
+    for coeff, fmap in monomials(s):
         n_m = fmap.get(m, 0)
         if n_m == 0:
             for k in fmap:
                 if any(j == m for j in jets_of(k)):
                     return None
-            rest.append(_build_mono(coeff, dict(fmap)))
+            rest.append(from_monomial(coeff, dict(fmap)))
             continue
         if n_m != 1:
             return None
@@ -961,7 +849,7 @@ def _power_split(s, m, mp):
         for k in fm:
             if any(j == m or j == mp for j in jets_of(k)):
                 return None
-        c = _build_mono(coeff, fm)
+        c = from_monomial(coeff, fm)
         terms.setdefault(a, []).append(c)
     out = [(add(*cs), a) for a, cs in sorted(terms.items())]
     return out, add(*rest) if rest else rat(0)
@@ -970,8 +858,6 @@ def _power_split(s, m, mp):
 def _absorb_jet_free(s, fluxes, ws):
     """Remainder without derivative jets: integrate explicitly in the first
     variable admitting a closed-form antiderivative."""
-    from .expr import total_derivative
-
     for i, v in enumerate(ws.independents):
         theta = _antiderivative(s, v)
         if theta is not None:
@@ -983,10 +869,8 @@ def _absorb_jet_free(s, fluxes, ws):
 def _antiderivative(s, x):
     """Exact antiderivative for sums of monomials x^n * exp(a*x + b) * rest
     with `rest` free of x; None when any monomial falls outside that class."""
-    from .expr import ExpF, _build_mono
-
     parts = []
-    for coeff, fmap in _monos_of(s):
+    for coeff, fmap in monomials(s):
         n = fmap.get(x, 0)
         if n < 0:
             return None
@@ -1002,7 +886,7 @@ def _antiderivative(s, x):
         fm = {k: v for k, v in fmap.items() if k != x}
         if expk is None:
             fm[x] = n + 1
-            parts.append(_build_mono(coeff / (n + 1), fm))
+            parts.append(from_monomial(coeff / (n + 1), fm))
             continue
         a = diff_atom(expk.arg, x)
         if is_zero(a) or not is_zero(diff_atom(a, x)) or jets_of(a) \
@@ -1010,7 +894,7 @@ def _antiderivative(s, x):
             return None
         # integrate g(x) * e^{a x + ...} by parts, descending in deg(g)
         fm.pop(expk)
-        g = _build_mono(coeff, fm)
+        g = from_monomial(coeff, fm)
         acc = rat(0)
         factor = div(rat(1), a)
         for _ in range(n + 2):

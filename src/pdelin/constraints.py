@@ -11,8 +11,8 @@ constraints, for kernels instantiated at arbitrary argument expressions.
 from __future__ import annotations
 
 from .errors import ExprError
-from .expr import (diff_atom, div, fun_kernels_of, is_zero, mul, neg, sub,
-                   substitute, substitute_kernels)
+from .expr import (diff_atom, div, fun_kernels_of, mul, neg, sub, substitute,
+                   substitute_kernels)
 
 
 def _kernel_rank(fn_names, k):
@@ -123,22 +123,3 @@ class LinearConstraints:
             inst = substitute(rhs, dict(zip(self.coords, target.args)))
             e = substitute_kernels(e, {target: inst})
         raise ExprError("constraint reduction did not terminate")
-
-    def reduces_to_zero(self, e):
-        return is_zero(self.reduce(e))
-
-    def row_residuals(self, candidates):
-        """Substitute candidate expressions {name: Expr} for the functions'
-        kernels into every row (formal level) and canonicalize."""
-        out = []
-        for row in self.rows:
-            repl = {}
-            for k in self._formal_kernels(row):
-                base = candidates[k.name]
-                d = base
-                for pos, o in enumerate(k.dmidx):
-                    for _ in range(o):
-                        d = diff_atom(d, self.coords[pos])
-                repl[k] = d
-            out.append(substitute_kernels(row, repl))
-        return out

@@ -242,7 +242,8 @@ def _mono_of(e):
     return Fraction(1), {e: 1}
 
 
-def _monos_of(e):
+def monomials(e):
+    """The monomial view of a canonical expression: a list of (coeff, fmap)."""
     if isinstance(e, Add):
         return [_mono_of(t) for t in e.terms]
     return [_mono_of(e)]
@@ -260,7 +261,12 @@ def _mono_sort_key(coeff, fmap):
     return (-_mono_degree(fmap), _fsig(fmap), coeff)
 
 
-def _build_mono(coeff, fmap):
+def _leading_monomial(monos):
+    """The first of a list of monomials in the canonical term order."""
+    return min(monos, key=lambda m: _mono_sort_key(*m))
+
+
+def from_monomial(coeff, fmap):
     """Assemble a canonical expression from one monomial."""
     if coeff == 0:
         return ZERO
@@ -373,7 +379,7 @@ def _normalize_fmap(coeff, fmap):
     c2, f2 = _mono_of(extra) if not isinstance(extra, Add) else (None, None)
     if f2 is None:
         # extremely unlikely: merged factor expanded into a sum; fold via mul
-        res = mul(_build_mono(coeff, plain), extra)
+        res = mul(from_monomial(coeff, plain), extra)
         return _mono_of(res) if not isinstance(res, Add) else (Fraction(1), {res: 1})
     for k, n in f2.items():
         plain[k] = plain.get(k, 0) + n
@@ -438,20 +444,16 @@ def _cleared_is_zero(monos):
 def add(*terms):
     monos = []
     for t in terms:
-        monos.extend(_monos_of(t))
+        monos.extend(monomials(t))
     acc = _collect(monos)
     if not acc:
         return ZERO
     out = sorted(acc.values(), key=lambda m: _mono_sort_key(*m))
     if len(out) == 1:
-        return _build_mono(*out[0])
+        return from_monomial(*out[0])
     if any(_clearable(f) for _, f in out) and _cleared_is_zero(out):
         return ZERO
-    return Add(tuple(_build_mono(c, f) for c, f in out))
-
-
-def add_all(terms):
-    return add(*terms)
+    return Add(tuple(from_monomial(c, f) for c, f in out))
 
 
 def sub(a, b):
@@ -528,19 +530,19 @@ def mul(*factors):
     for k in [k for k, n in fmap.items() if isinstance(k, Add) and n > 0]:
         add_kernels.append((k, fmap.pop(k)))
     if not polys and not add_kernels:
-        return _build_mono(coeff, {k: n for k, n in fmap.items() if n != 0})
+        return from_monomial(coeff, {k: n for k, n in fmap.items() if n != 0})
     out = [(coeff, {k: n for k, n in fmap.items() if n != 0})]
     for p in polys:
         out = _poly_mul(out, p)
     for k, n in add_kernels:
         for _ in range(n):
             out = _poly_mul_kernel(out, k)
-    return add(*[_build_mono(c, f) for c, f in out])
+    return add(*[from_monomial(c, f) for c, f in out])
 
 
 def _extract_content(e):
     """Rational content (with the sign of the leading term) of a sum."""
-    monos = _monos_of(e)
+    monos = monomials(e)
     nums = [abs(c.numerator) for c, _ in monos]
     dens = [c.denominator for c, _ in monos]
     g = 0
@@ -550,12 +552,12 @@ def _extract_content(e):
     for d in dens:
         l = l * d // gcd(l, d)
     content = Fraction(g, l)
-    lead = min(monos, key=lambda m: _mono_sort_key(*m))
+    lead = _leading_monomial(monos)
     if lead[0] < 0:
         content = -content
     if content == 1:
         return Fraction(1), e
-    prim = add(*[_build_mono(c / content, dict(f)) for c, f in monos])
+    prim = add(*[from_monomial(c / content, dict(f)) for c, f in monos])
     return content, prim
 
 
@@ -583,11 +585,11 @@ def pow_int(base, n):
             p = [_mono_of(t) for t in base.terms]
             for _ in range(n):
                 out = _poly_mul(out, p)
-            return add(*[_build_mono(c, f) for c, f in out])
+            return add(*[from_monomial(c, f) for c, f in out])
         c, prim = _extract_content(base)
         if is_zero(prim):
             raise ExprError("division by zero")
-        return _build_mono(c ** n, {prim: n})
+        return from_monomial(c ** n, {prim: n})
     return Pow(base, n)
 
 
@@ -611,13 +613,13 @@ def sym_pow(base, expo):
     # shed the integer-constant additive part of the exponent
     const = Fraction(0)
     rest = []
-    for c, f in _monos_of(expo):
+    for c, f in monomials(expo):
         if not f and c.denominator == 1:
             const += c
         else:
             rest.append((c, f))
     if const and rest:
-        residual = add(*[_build_mono(c, dict(f)) for c, f in rest])
+        residual = add(*[from_monomial(c, dict(f)) for c, f in rest])
         return mul(pow_int(base, int(const)), SPow(base, residual))
     return SPow(base, expo)
 
@@ -630,7 +632,7 @@ def exp_(arg):
     if isinstance(arg, Add):
         keep = []
         factors = []
-        for c, f in _monos_of(arg):
+        for c, f in monomials(arg):
             if len(f) == 1 and c.denominator == 1:
                 (k, n), = f.items()
                 if isinstance(k, LogF) and n == 1:
@@ -638,10 +640,10 @@ def exp_(arg):
                     continue
             keep.append((c, dict(f)))
         if factors:
-            rest = add(*[_build_mono(c, f) for c, f in keep])
+            rest = add(*[from_monomial(c, f) for c, f in keep])
             return mul(*factors, exp_(rest) if not is_zero(rest) else ONE)
     elif isinstance(arg, Mul):
-        for c, f in _monos_of(arg):
+        for c, f in monomials(arg):
             if len(f) == 1 and c.denominator == 1:
                 (k, n), = f.items()
                 if isinstance(k, LogF) and n == 1:
@@ -664,25 +666,34 @@ def log_(arg):
 # ---------------------------------------------------------------------------
 
 
-def canonicalize(e):
-    """Rebuild an expression through the smart constructors (idempotent)."""
+def _rebuild(e, rules):
+    """Rebuild an expression through the smart constructors, replacing every
+    node found in `rules` (simultaneously; replacements are not revisited)."""
+    r = rules.get(e)
+    if r is not None:
+        return r
     if isinstance(e, (Rat, Sym, Jet)):
         return e
     if isinstance(e, Fun):
-        return Fun(e.name, tuple(canonicalize(a) for a in e.args), e.dmidx)
+        return Fun(e.name, tuple(_rebuild(a, rules) for a in e.args), e.dmidx)
     if isinstance(e, ExpF):
-        return exp_(canonicalize(e.arg))
+        return exp_(_rebuild(e.arg, rules))
     if isinstance(e, LogF):
-        return log_(canonicalize(e.arg))
+        return log_(_rebuild(e.arg, rules))
     if isinstance(e, SPow):
-        return sym_pow(canonicalize(e.base), canonicalize(e.expo))
+        return sym_pow(_rebuild(e.base, rules), _rebuild(e.expo, rules))
     if isinstance(e, Pow):
-        return pow_int(canonicalize(e.base), e.exponent)
+        return pow_int(_rebuild(e.base, rules), e.exponent)
     if isinstance(e, Mul):
-        return mul(*[canonicalize(f) for f in e.factors])
+        return mul(*[_rebuild(f, rules) for f in e.factors])
     if isinstance(e, Add):
-        return add(*[canonicalize(t) for t in e.terms])
+        return add(*[_rebuild(t, rules) for t in e.terms])
     raise ExprError(f"unknown node {type(e).__name__}")
+
+
+def canonicalize(e):
+    """Rebuild an expression through the smart constructors (idempotent)."""
+    return _rebuild(e, {})
 
 
 def equal(a, b):
@@ -757,33 +768,86 @@ def substitute(e, rules):
 
 
 def substitute_kernels(e, rules):
-    """Internal: simultaneous structural replacement of arbitrary kernels."""
-    if not rules:
-        return e
+    """Simultaneous structural replacement of arbitrary kernels."""
+    return _rebuild(e, rules) if rules else e
 
-    def go(n):
-        r = rules.get(n)
-        if r is not None:
-            return r
-        if isinstance(n, (Rat, Sym, Jet)):
-            return n
-        if isinstance(n, Fun):
-            return Fun(n.name, tuple(go(a) for a in n.args), n.dmidx)
-        if isinstance(n, ExpF):
-            return exp_(go(n.arg))
-        if isinstance(n, LogF):
-            return log_(go(n.arg))
-        if isinstance(n, SPow):
-            return sym_pow(go(n.base), go(n.expo))
-        if isinstance(n, Pow):
-            return pow_int(go(n.base), n.exponent)
-        if isinstance(n, Mul):
-            return mul(*[go(f) for f in n.factors])
-        if isinstance(n, Add):
-            return add(*[go(t) for t in n.terms])
-        raise ExprError(f"unknown node {type(n).__name__}")
 
-    return go(e)
+# ---------------------------------------------------------------------------
+# equation normal form
+# ---------------------------------------------------------------------------
+
+
+def _contains_fun(k):
+    return any(isinstance(n, Fun) for n in walk(k))
+
+
+def _frac_gcd(a, b):
+    num = gcd(abs(a.numerator), abs(b.numerator))
+    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    return Fraction(num, den)
+
+
+def normalize_equation(eq):
+    """Strip a common invertible monomial factor and rational content; fix
+    the sign so the leading coefficient is positive."""
+    if is_zero(eq) or not isinstance(eq, Add):
+        monos = monomials(eq)
+        if len(monos) == 1 and not is_zero(eq):
+            _, fmap = monos[0]
+            keep = {k: n for k, n in fmap.items()
+                    if isinstance(k, Fun) or _contains_fun(k)}
+            return from_monomial(Fraction(1), keep)
+        return eq
+    monos = monomials(eq)
+    common = None
+    for _, fmap in monos:
+        if common is None:
+            common = dict(fmap)
+        else:
+            for k in list(common):
+                n = fmap.get(k, 0)
+                if n == 0 or (n > 0) != (common[k] > 0):
+                    del common[k]
+                else:
+                    common[k] = min(common[k], n, key=abs)
+    common = {k: n for k, n in (common or {}).items()
+              if not (isinstance(k, Fun) or _contains_fun(k))}
+    parts = []
+    gcd_c = None
+    for c, fmap in monos:
+        fm = dict(fmap)
+        for k, n in common.items():
+            m = fm.get(k, 0) - n
+            if m == 0:
+                fm.pop(k, None)
+            else:
+                fm[k] = m
+        gcd_c = c if gcd_c is None else _frac_gcd(gcd_c, c)
+        parts.append((c, fm))
+    lead = _leading_monomial(parts)
+    scale = abs(gcd_c) if gcd_c else Fraction(1)
+    if lead[0] < 0:
+        scale = -scale
+    return add(*[from_monomial(c / scale, fm) for c, fm in parts])
+
+
+def clear_equation(e):
+    """Multiply away denominators (iterating: expanding a sum kernel can
+    expose further denominators) and strip a common monomial factor.
+    Returns (normalized equation, the factor e / normalized)."""
+    cleared = e
+    for _ in range(32):
+        shifts = {}
+        for _, fmap in monomials(cleared):
+            for k, n in fmap.items():
+                if n < 0:
+                    shifts[k] = max(shifts.get(k, 0), -n)
+        if not shifts:
+            break
+        cleared = mul(cleared, *[pow_int(k, n) for k, n in shifts.items()])
+    normalized = normalize_equation(cleared)
+    ratio = div(e, normalized) if not is_zero(normalized) else rat(1)
+    return normalized, ratio
 
 
 # ---------------------------------------------------------------------------
@@ -791,11 +855,13 @@ def substitute_kernels(e, rules):
 # ---------------------------------------------------------------------------
 
 
-def _derive(e, leaf):
+def _derive(e, leaf, kernel=None):
     """Generic derivation: `leaf` maps an atom (Sym/Jet/Fun) to its
     derivative, or returns None to request default handling (zero for
     symbols and jets, the chain rule through arguments for function
-    kernels)."""
+    kernels).  A node equal to `kernel`, when given, is the variable."""
+    if kernel is not None and e == kernel:
+        return ONE
     if isinstance(e, Rat):
         return ZERO
     if isinstance(e, (Sym, Jet)):
@@ -807,25 +873,25 @@ def _derive(e, leaf):
             return r
         parts = []
         for i, a in enumerate(e.args):
-            da = _derive(a, leaf)
+            da = _derive(a, leaf, kernel)
             if not is_zero(da):
                 parts.append(mul(da, e.bump(i)))
         return add(*parts) if parts else ZERO
     if isinstance(e, ExpF):
-        return mul(_derive(e.arg, leaf), e)
+        return mul(_derive(e.arg, leaf, kernel), e)
     if isinstance(e, LogF):
-        return mul(_derive(e.arg, leaf), pow_int(e.arg, -1))
+        return mul(_derive(e.arg, leaf, kernel), pow_int(e.arg, -1))
     if isinstance(e, SPow):
-        db = _derive(e.base, leaf)
+        db = _derive(e.base, leaf, kernel)
         terms = []
         if not is_zero(db):
             terms.append(mul(e.expo, sym_pow(e.base, sub(e.expo, ONE)), db))
-        dq = _derive(e.expo, leaf)
+        dq = _derive(e.expo, leaf, kernel)
         if not is_zero(dq):
             terms.append(mul(dq, log_(e.base), e))
         return add(*terms) if terms else ZERO
     if isinstance(e, Pow):
-        db = _derive(e.base, leaf)
+        db = _derive(e.base, leaf, kernel)
         if is_zero(db):
             return ZERO
         return mul(rat(e.exponent), pow_int(e.base, e.exponent - 1), db)
@@ -833,12 +899,12 @@ def _derive(e, leaf):
         terms = []
         fs = e.factors
         for i, f in enumerate(fs):
-            df = _derive(f, leaf)
+            df = _derive(f, leaf, kernel)
             if not is_zero(df):
                 terms.append(mul(df, *fs[:i], *fs[i + 1:]))
         return add(*terms) if terms else ZERO
     if isinstance(e, Add):
-        return add(*[_derive(t, leaf) for t in e.terms])
+        return add(*[_derive(t, leaf, kernel) for t in e.terms])
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
@@ -883,57 +949,30 @@ def diff_kernel(e, kernel):
     nodes equal to the kernel are the variable, everything else chains."""
     if isinstance(kernel, (Sym, Jet, Fun)):
         return diff_atom(e, kernel)
-
-    def go(n):
-        if n == kernel:
-            return ONE
-        if isinstance(n, (Rat, Sym, Jet)):
-            return ZERO
-        if isinstance(n, Fun):
-            parts = []
-            for i, a in enumerate(n.args):
-                da = go(a)
-                if not is_zero(da):
-                    parts.append(mul(da, n.bump(i)))
-            return add(*parts) if parts else ZERO
-        if isinstance(n, ExpF):
-            return mul(go(n.arg), n)
-        if isinstance(n, LogF):
-            return mul(go(n.arg), pow_int(n.arg, -1))
-        if isinstance(n, SPow):
-            db = go(n.base)
-            out = []
-            if not is_zero(db):
-                out.append(mul(n.expo, sym_pow(n.base, sub(n.expo, ONE)), db))
-            dq = go(n.expo)
-            if not is_zero(dq):
-                out.append(mul(dq, log_(n.base), n))
-            return add(*out) if out else ZERO
-        if isinstance(n, Pow):
-            db = go(n.base)
-            if is_zero(db):
-                return ZERO
-            return mul(rat(n.exponent), pow_int(n.base, n.exponent - 1), db)
-        if isinstance(n, Mul):
-            terms = []
-            fs = n.factors
-            for i, f in enumerate(fs):
-                df = go(f)
-                if not is_zero(df):
-                    terms.append(mul(df, *fs[:i], *fs[i + 1:]))
-            return add(*terms) if terms else ZERO
-        if isinstance(n, Add):
-            return add(*[go(t) for t in n.terms])
-        raise ExprError(f"unknown node {type(n).__name__}")
-
-    return go(e)
+    return _derive(e, lambda a: None, kernel)
 
 
-def total_derivative_multi(e, vars_orders):
-    for x, n in vars_orders:
+def derive_multi(e, steps, derive):
+    """Apply `derive(e, direction)` `count` times for each (direction, count)
+    of `steps`, in the order given."""
+    for x, n in steps:
         for _ in range(n):
-            e = total_derivative(e, x)
+            e = derive(e, x)
     return e
+
+
+def multi_indices(bounds, max_total=None, exact=False):
+    """Integer vectors J with 0 <= J[i] <= bounds[i] and |J| <= max_total
+    (|J| == max_total when `exact`), in lexicographic order."""
+    if max_total is None:
+        max_total = sum(bounds)
+    if not bounds:
+        if not exact or max_total == 0:
+            yield ()
+        return
+    for first in range(min(bounds[0], max_total) + 1):
+        for rest in multi_indices(bounds[1:], max_total - first, exact):
+            yield (first,) + rest
 
 
 def clear_caches():

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from .errors import ParseError, UndeclaredIdentifierError
 from .expr import (Add, ExpF, Fun, Jet, LogF, Rat, SPow, Sym, add, div,
-                   exp_, is_integer, log_, mul, neg, pow_int, rat, sym_pow)
+                   exp_, is_integer, log_, monomials, mul, neg, pow_int, rat,
+                   sym_pow)
 
 _LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _DIGITS = set("0123456789")
@@ -225,7 +226,7 @@ class _Parser:
                     raise ParseError("empty derivative-position list", pos)
                 for part in body.split(","):
                     part = part.strip()
-                    if not part.isdigit():
+                    if not part.isdecimal():
                         raise ParseError(f"bad derivative position '{part}'", pos)
                     p = int(part)
                     if not 1 <= p <= len(a):
@@ -263,10 +264,6 @@ def _fmt_fraction(q):
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _needs_parens_in_product(e):
-    return isinstance(e, Add)
-
-
 def _fmt_kernel(e):
     if isinstance(e, Sym):
         return e.name
@@ -298,11 +295,9 @@ def _fmt_power(base, n):
     return f"{s}^{n}" if n > 0 else f"{s}^({n})"
 
 
-def _fmt_monomial(e, lead_sign=False):
+def _fmt_monomial(e):
     """Format a non-Add canonical node; returns (sign_str, body)."""
-    from .expr import _mono_of
-
-    coeff, fmap = _mono_of(e)
+    (coeff, fmap), = monomials(e)
     sign = "-" if coeff < 0 else ""
     coeff = abs(coeff)
     parts = []

@@ -8,14 +8,13 @@ from dataclasses import dataclass, field
 
 from .constraints import LinearConstraints
 from .errors import CyclicRuleError, ExprError, WorkspaceError
-from .expr import (Jet, add, diff_atom, div, is_zero, jets_of,
-                   max_jet_order, mul, neg, rat, sub, substitute,
-                   total_derivative)
+from .expr import (Jet, add, derive_multi, diff_atom, div, is_zero, jets_of,
+                   max_jet_order, mul, multi_indices, neg, rat, sub,
+                   substitute, total_derivative)
 
 
 def jet_rank(ws, j):
-    vec = tuple(dict(j.midx).get(s.name, 0) for s in ws.independents)
-    return (j.order, ws.dep_index(j.dep), vec)
+    return (j.order, ws.dep_index(j.dep), ws.jet_vector(j))
 
 
 def leading_solve(ws, equation):
@@ -105,9 +104,7 @@ def prolong_rules(rules, order, ws, complete=False):
 
 
 def _close_rules(rules, order, ws, complete):
-    def vec(j):
-        return tuple(dict(j.midx).get(s.name, 0) for s in ws.independents)
-
+    vec = ws.jet_vector
     names = [s.name for s in ws.independents]
     out = dict(rules)
     targets = {}
@@ -116,7 +113,7 @@ def _close_rules(rules, order, ws, complete):
         free = order - j.order
         if free < 0:
             continue
-        for delta in _multi_indices(len(names), free):
+        for delta in multi_indices((free,) * len(names), free):
             tv = tuple(b + d for b, d in zip(base, delta))
             t = Jet(j.dep, tuple(zip(names, tv)))
             if t in out or sum(tv) == sum(base):
@@ -124,11 +121,9 @@ def _close_rules(rules, order, ws, complete):
             targets.setdefault(t, []).append(j)
 
     def derive(base, t):
-        d = out[base]
-        bvec, tvec = vec(base), vec(t)
-        for i, name in enumerate(names):
-            for _ in range(tvec[i] - bvec[i]):
-                d = total_derivative(d, ws.independent(name))
+        steps = zip(ws.independents, vec(t), vec(base))
+        d = derive_multi(out[base], ((s, ti - bi) for s, ti, bi in steps),
+                         total_derivative)
         for _ in range(16):
             d2 = substitute(d, out)
             if d2 == d:
@@ -148,15 +143,6 @@ def _close_rules(rules, order, ws, complete):
     return out, None
 
 
-def _multi_indices(n, total_max):
-    if n == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in _multi_indices(n - 1, total_max - first):
-            yield (first,) + rest
-
-
 def euler_operator(e, dep, ws):
     """Variational derivative with respect to one dependent:
     sum over jets J of (-D)^J (d e / d U_J)."""
@@ -166,10 +152,7 @@ def euler_operator(e, dep, ws):
         if is_zero(d):
             continue
         sign = rat(-1) if j.order % 2 else rat(1)
-        for v, o in j.midx:
-            s = ws.independent(v)
-            for _ in range(o):
-                d = total_derivative(d, s)
+        d = derive_multi(d, ws.derivative_steps(j.midx), total_derivative)
         terms.append(mul(sign, d))
     return add(*terms) if terms else rat(0)
 
@@ -216,11 +199,8 @@ def verify_point_symmetry(sys, gen):
                 coeff = diff_atom(g, j)
                 if is_zero(coeff):
                     continue
-                d = chars[tau]
-                for v, o in j.midx:
-                    s = ws.independent(v)
-                    for _ in range(o):
-                        d = total_derivative(d, s)
+                d = derive_multi(chars[tau], ws.derivative_steps(j.midx),
+                                 total_derivative)
                 action_terms.append(mul(d, coeff))
         action = add(*action_terms) if action_terms else rat(0)
         need = max(max_jet_order(action), sys.order)

@@ -13,16 +13,18 @@ from fractions import Fraction
 from .conslaw import MultiplierFamily, multiplier_combination
 from .constraints import LinearConstraints
 from .errors import DegenerateError, ExprError, ExtractionError
-from .expr import (Add, Fun, Jet, Sym, add, diff_atom, diff_kernel, div,
-                   fun_kernels_of, is_zero, jets_of, mul, neg, pow_int, rat,
-                   sub, substitute, substitute_kernels, total_derivative,
-                   walk)
-from .expr import _monos_of
-from .linalg import adjugate, det
-from .linops import LinearOperator, bilinear_identity
+from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, Sym, add,
+                   clear_equation, derive_multi, diff_atom, diff_kernel, div,
+                   fun_kernels_of, is_zero, jets_of, monomials, mul, neg,
+                   normalize_equation, pow_int, rat, sub, substitute,
+                   substitute_kernels, total_derivative, walk)
+from .jets import PdeSystem
+from .linalg import adjugate, det, solve
+from .linops import DerivativeTable, LinearOperator, bilinear_identity
 from .mapping import (Transformation, apply_transformation,
-                      equations_match_up_to_factor, _probe_nonzero_robust)
-from .probe import DomainError, probe_is_zero, random_assignment
+                      equations_match_up_to_factor, jacobian_matrix)
+from .probe import (DomainError, default_probe_seed, probe_is_zero,
+                    probe_nonzero_robust, random_assignment)
 from .workspace import Workspace
 
 
@@ -53,19 +55,39 @@ class LinearizationCandidate:
         return self.system.m == 1 and any(j.order >= 1
                                           for x in self.X for j in jets_of(x))
 
+    def compose(self, e):
+        """Substitute the formal coordinates by their definitions X(x, U)."""
+        return substitute(e, dict(zip(self.coords, self.X)))
+
+    def dx_operator(self):
+        """Formal d/dX_i realized on jet expressions through the chain rule,
+        DX(h, X_i) = sum_j adj[i][j] D_{x_j}(h) / J.  Returns (DX, adj)."""
+        ws = self.system.workspace
+        cof = adjugate(jacobian_matrix(self.X, ws.independents))
+        index = {c: i for i, c in enumerate(self.coords)}
+
+        def DX(h, coord):
+            i = index[coord]
+            num = add(*[mul(cof[i][j], total_derivative(h, ws.independents[j]))
+                        for j in range(ws.n)])
+            return div(num, self.J)
+
+        return DX, cof
+
+    def adjoint_rows(self, W):
+        """(L~* W)^mu composed with X(x,U): coefficients b(X) -> b(X(x,U))
+        and each d/dX_i realized through the chain rule."""
+        DX, _ = self.dx_operator()
+        return self.constraint_op.adjoint().apply(W, derive=DX,
+                                                  coefficient=self.compose)
+
 
 def jacobian(X, sys):
     """det(D X_i / D x_j) with total derivatives."""
     ws = sys.workspace
     if len(X) != ws.n:
         raise ExprError("coordinate count does not match the system")
-    mat = [[total_derivative(xi, xj) for xi in X] for xj in ws.independents]
-    return det(mat)
-
-
-def _jacobian_matrix(X, sys):
-    ws = sys.workspace
-    return [[total_derivative(xi, xj) for xi in X] for xj in ws.independents]
+    return det(jacobian_matrix(X, ws.independents))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +173,6 @@ def to_first_order_system(fam, sys):
             row = sub(lhs, rhs)
             if is_zero(row):
                 continue
-            from .conslaw import normalize_equation
             canon = normalize_equation(row)
             if canon.key in seen:
                 continue
@@ -207,7 +228,7 @@ def match_multiplier_form(fam, sys):
                          "equations; Q cannot be square")
     args = fam.instantiated_args()
     J = jacobian(X, sys)
-    if is_zero(J) or not _probe_nonzero_robust(J):
+    if is_zero(J) or not probe_nonzero_robust(J):
         return Rejection("coordinate definitions are functionally dependent "
                          "(Jacobian vanishes)")
     Q = []
@@ -230,7 +251,7 @@ def match_multiplier_form(fam, sys):
                              "or a function-free part; not of the required form")
         Q.append(row)
     detq = det(Q)
-    if is_zero(detq) or not _probe_nonzero_robust(detq):
+    if is_zero(detq) or not probe_nonzero_robust(detq):
         return Rejection("factor matrix Q is degenerate")
     if fam.constraints is None or len(fam.constraints.rows) != ws.m:
         have = 0 if fam.constraints is None else len(fam.constraints.rows)
@@ -244,55 +265,6 @@ def match_multiplier_form(fam, sys):
 # ---------------------------------------------------------------------------
 # the augmented identity and W extraction
 # ---------------------------------------------------------------------------
-
-
-def _dx_operator(cand):
-    """Formal d/dX_i realized on jet expressions through the chain rule:
-    DX_i(h) = sum_j adj[i][j] D_{x_j}(h) / J."""
-    ws = cand.system.workspace
-    amat = _jacobian_matrix(cand.X, cand.system)
-    cof = adjugate(amat)
-
-    def DX(i, h):
-        num = add(*[mul(cof[i][j], total_derivative(h, ws.independents[j]))
-                    for j in range(ws.n)])
-        return div(num, cand.J)
-
-    return DX, cof
-
-
-def _compose_coordinates(cand, e):
-    """Substitute formal coordinates by their definitions."""
-    return substitute(e, dict(zip(cand.coords, cand.X)))
-
-
-def _adjoint_rows_on(cand, W):
-    """(L~* W)^mu composed with X(x,U): coefficients b(X) -> b(X(x,U)) and
-    each d/dX_i realized through the chain rule."""
-    DX, _ = _dx_operator(cand)
-    Lstar = cand.constraint_op.adjoint()
-    cache = {}
-
-    def dW(alpha, K):
-        if (alpha, K) in cache:
-            return cache[(alpha, K)]
-        if sum(K) == 0:
-            val = W[alpha]
-        else:
-            i = next(i for i, o in enumerate(K) if o)
-            val = DX(i, dW(alpha, K[:i] + (K[i] - 1,) + K[i + 1:]))
-        cache[(alpha, K)] = val
-        return val
-
-    out = []
-    for mu in range(Lstar.rows):
-        terms = []
-        for (r, alpha, K), b in Lstar.coeffs.items():
-            if r != mu:
-                continue
-            terms.append(mul(_compose_coordinates(cand, b), dW(alpha, K)))
-        out.append(add(*terms) if terms else rat(0))
-    return out
 
 
 def _qg_rows(cand):
@@ -314,8 +286,6 @@ def _candidate_basis(cand, degree):
         if max_order >= 1:
             for nm in names:
                 atoms.append(Jet(dep, ((nm, 1),)))
-    from .expr import ExpF, LogF, Pow, SPow
-
     kernels = []
     seen = set()
     sources = list(cand.family.components) + list(cand.X) + \
@@ -352,7 +322,7 @@ def _candidate_basis(cand, degree):
     def struct(m):
         if jets_of(m):
             return 0
-        return 0 if any(k.key in kernel_keys for k in _monos_of(m)[0][1]) else 1
+        return 0 if any(k.key in kernel_keys for k in monomials(m)[0][1]) else 1
     basis.sort(key=lambda m: (struct(m), m.key))
     return basis
 
@@ -384,14 +354,15 @@ def _extract_at_degree(cand, degree):
             names.append(c.name)
             comps.append(mul(c, b))
         W.append(add(*comps))
-    rows = _adjoint_rows_on(cand, W)
+    rows = cand.adjoint_rows(W)
     residuals = [sub(t, r) for t, r in zip(targets, rows)]
     equations = []
     grouped = {}
     for resid in residuals:
-        cleared = _clear_for_solve(resid)
+        # multiply by the denominators, all nonzero in the kernel algebra
+        cleared, _ = clear_equation(resid)
         local = {}
-        for coeff, fmap in _monos_of(cleared):
+        for coeff, fmap in monomials(cleared):
             cpart = None
             sig = {}
             for kk, n in fmap.items():
@@ -415,20 +386,11 @@ def _extract_at_degree(cand, degree):
     repl = {Sym(nm, "parameter"): rat(sol[nm]) for nm in names}
     out = [substitute(w, repl) for w in W]
     # exact confirmation of the identity with the concrete W
-    final = _adjoint_rows_on(cand, out)
+    final = cand.adjoint_rows(out)
     for t, r in zip(targets, final):
         if not is_zero(sub(t, r)):
             raise ExtractionError("candidate solve left a nonzero residual")
     return out
-
-
-def _clear_for_solve(e):
-    """Multiply an extraction residual by its denominators (all nonzero in
-    the kernel algebra)."""
-    from .mapping import _clear_equation
-
-    cleared, _ = _clear_equation(e)
-    return cleared
 
 
 def _solve_linear_system(equations, var_order):
@@ -505,34 +467,22 @@ def augmented_identity(cand):
 
     # row terms: W_alpha * J * (L~ v)_alpha composed
     rows_formal = cand.constraint_op.to_rows(cand.vnames)
-    rows_inst = [_compose_coordinates(cand, r) for r in rows_formal]
+    rows_inst = [cand.compose(r) for r in rows_formal]
     row_terms = [mul(W[a], cand.J, rows_inst[a]) for a in range(len(rows_inst))]
 
     # fluxes: delta-v (L~* W~) = delta-W~ (L~ v) + Div_X Upsilon, composed
     Lstar = cand.constraint_op.adjoint()
     wtilde = [f"_W{a+1}" for a in range(len(W))]
     upsilon = bilinear_identity(Lstar, vnames=cand.vnames, wnames=wtilde)
-    DX, cof = _dx_operator(cand)
-    cacheW = {}
-
-    def dW(alpha, K):
-        if (alpha, K) in cacheW:
-            return cacheW[(alpha, K)]
-        if sum(K) == 0:
-            val = W[alpha]
-        else:
-            i = next(i for i, o in enumerate(K) if o)
-            val = DX(i, dW(alpha, K[:i] + (K[i] - 1,) + K[i + 1:]))
-        cacheW[(alpha, K)] = val
-        return val
+    DX, cof = cand.dx_operator()
+    dW = DerivativeTable(W, cand.coords, DX)
 
     def compose_upsilon(u):
         repl = {}
         for k in fun_kernels_of(u):
             if k.name in wtilde:
                 repl[k] = dW(wtilde.index(k.name), k.dmidx)
-        u = substitute_kernels(u, repl)
-        return _compose_coordinates(cand, u)
+        return cand.compose(substitute_kernels(u, repl))
 
     ups = [compose_upsilon(u) for u in upsilon]
     n = ws.n
@@ -587,15 +537,14 @@ def build_mapping(cand):
     contact = sys.m == 1 and any(
         j.order >= 1 for e in list(cand.X) + list(cand.W) for j in jets_of(e))
     detq = det(cand.Q)
-    if is_zero(detq) or not _probe_nonzero_robust(detq):
+    if is_zero(detq) or not probe_nonzero_robust(detq):
         raise DegenerateError("factor matrix Q is degenerate")
-    if is_zero(cand.J) or not _probe_nonzero_robust(cand.J):
+    if is_zero(cand.J) or not probe_nonzero_robust(cand.J):
         raise DegenerateError("coordinate definitions are functionally dependent")
     if not contact:
         return Transformation("point", sys.workspace, tgt,
                               tuple(cand.X), tuple(cand.W))
-    amat = _jacobian_matrix(cand.X, sys)
-    from .linalg import solve
+    amat = jacobian_matrix(cand.X, sys.workspace.independents)
     rhs = [total_derivative(cand.W[0], xj) for xj in sys.workspace.independents]
     rho = solve(amat, rhs)
     for r in rho:
@@ -611,8 +560,6 @@ def build_mapping(cand):
 def target_system(cand):
     """The linear target: the adjoint of the constraint operator, with the
     coordinates renamed to independent variables."""
-    from .jets import PdeSystem
-
     tgt = _target_workspace(cand)
     Lstar = cand.constraint_op.adjoint()
     rename = {c: tgt.independent(c.name) for c in cand.coords}
@@ -639,13 +586,13 @@ def verify_linearization(sys, cand):
     if cand.W is None:
         cand.W = extract_dependent_part(cand)
     targets = _qg_rows(cand)
-    rows = _adjoint_rows_on(cand, cand.W)
+    rows = cand.adjoint_rows(cand.W)
     residuals = [sub(t, r) for t, r in zip(targets, rows)]
     ok43 = all(is_zero(r) for r in residuals)
     messages = []
     if not ok43:
         messages.append("identity Q.G == L~*W fails; mismatch residual recorded")
-    rng = random.Random(23)
+    rng = random.Random(default_probe_seed() + 23)
     for r in residuals:
         if is_zero(r):
             try:
@@ -682,17 +629,14 @@ def verify_linearization(sys, cand):
 def euler_wrt_function(cand, e, mu):
     """E_{V^mu} in the X-coordinates, realized on composite expressions:
     sum_K (-1)^|K| DX^K (d e / d V^mu_K)."""
-    DX, _ = _dx_operator(cand)
+    DX, _ = cand.dx_operator()
     args = cand.family.instantiated_args()
     name = cand.vnames[mu]
     out = []
     for k in fun_kernels_of(e, name):
         if k.args != args:
             continue
-        d = diff_kernel(e, k)
         sign = rat(-1) if sum(k.dmidx) % 2 else rat(1)
-        for pos, o in enumerate(k.dmidx):
-            for _ in range(o):
-                d = DX(pos, d)
+        d = derive_multi(diff_kernel(e, k), zip(cand.coords, k.dmidx), DX)
         out.append(mul(sign, d))
     return add(*out) if out else rat(0)

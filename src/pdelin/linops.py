@@ -13,14 +13,10 @@ from __future__ import annotations
 from math import comb
 
 from .errors import ExprError
-from .expr import (Fun, add, atoms_of, diff_atom, fun_kernels_of, is_zero,
-                   mul, neg, rat, sub)
+from .expr import (Fun, add, atoms_of, derive_multi, diff_atom,
+                   fun_kernels_of, is_zero, mul, multi_indices, neg, rat, sub)
 
 KIND_PARAM = "parameter"
-
-
-def _multi_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _multi_sub(a, b):
@@ -89,32 +85,21 @@ class LinearOperator:
 
     # -- application --------------------------------------------------------
 
-    def apply(self, W, derive=None):
-        """Apply to m component expressions.  `derive` defaults to formal
-        partial differentiation with respect to the coordinates; pass
-        `total_derivative` when the components are jet expressions over
-        independent variables."""
+    def apply(self, W, derive=None, coefficient=None):
+        """Apply to m component expressions.  `derive(e, variable)` defaults
+        to formal partial differentiation with respect to the coordinates;
+        pass `total_derivative` when the components are jet expressions over
+        independent variables.  `coefficient`, when given, maps each
+        coefficient before it multiplies (e.g. to compose it with coordinate
+        definitions)."""
         if len(W) != self.cols:
             raise ExprError(f"operator expects {self.cols} components, got {len(W)}")
-        if derive is None:
-            derive = diff_atom
-        cache = {}
-
-        def dW(alpha, K):
-            if (alpha, K) in cache:
-                return cache[(alpha, K)]
-            if sum(K) == 0:
-                val = W[alpha]
-            else:
-                i = next(i for i, o in enumerate(K) if o)
-                prev = dW(alpha, K[:i] + (K[i] - 1,) + K[i + 1:])
-                val = derive(prev, self.variables[i])
-            cache[(alpha, K)] = val
-            return val
-
+        dW = DerivativeTable(W, self.variables,
+                             diff_atom if derive is None else derive)
         out = []
         for nu in range(self.rows):
-            terms = [mul(c, dW(alpha, K))
+            terms = [mul(c if coefficient is None else coefficient(c),
+                         dW(alpha, K))
                      for (r, alpha, K), c in self.coeffs.items() if r == nu]
             out.append(add(*terms) if terms else rat(0))
         return out
@@ -127,24 +112,38 @@ class LinearOperator:
         coeffs = {}
         for (nu, alpha, K), b in self.coeffs.items():
             sign = -1 if sum(K) % 2 else 1
-            for J in _sub_multis(K):
-                d = b
-                for i, o in enumerate(_multi_sub(K, J)):
-                    for _ in range(o):
-                        d = diff_atom(d, self.variables[i])
+            for J in multi_indices(K):
+                d = derive_multi(b, zip(self.variables, _multi_sub(K, J)),
+                                 diff_atom)
                 term = mul(rat(sign * _multi_binom(K, J)), d)
                 key = (alpha, nu, J)
                 coeffs[key] = add(coeffs.get(key, rat(0)), term)
         return LinearOperator(self.variables, self.cols, self.rows, coeffs)
 
 
-def _sub_multis(K):
-    if not K:
-        yield ()
-        return
-    for first in range(K[0] + 1):
-        for rest in _sub_multis(K[1:]):
-            yield (first,) + rest
+class DerivativeTable:
+    """d^K of each component, for derivative multi-indices K over the given
+    variables: `table(alpha, K)`.  Each entry is one `derive(e, variable)`
+    step from its predecessor, lowered in the first nonzero direction of K,
+    and is computed once."""
+
+    def __init__(self, components, variables, derive):
+        self.components = components
+        self.variables = variables
+        self.derive = derive
+        self.cache = {}
+
+    def __call__(self, alpha, K):
+        val = self.cache.get((alpha, K))
+        if val is None:
+            if sum(K) == 0:
+                val = self.components[alpha]
+            else:
+                i = next(i for i, o in enumerate(K) if o)
+                prev = self(alpha, K[:i] + (K[i] - 1,) + K[i + 1:])
+                val = self.derive(prev, self.variables[i])
+            self.cache[(alpha, K)] = val
+        return val
 
 
 def bilinear_identity(L, vnames=None, wnames=None):
@@ -154,28 +153,15 @@ def bilinear_identity(L, vnames=None, wnames=None):
     vnames = vnames or [f"V{n+1}" for n in range(L.rows)]
     wnames = wnames or [f"W{n+1}" for n in range(L.cols)]
     coords = L.variables
-    n = len(coords)
-    fluxes = [rat(0)] * n
-
-    def wk(alpha, K):
-        return Fun(wnames[alpha], coords, K)
-
-    def transfer(c, alpha, K):
-        """c * d^K(W_alpha): peel derivatives onto c, collecting fluxes."""
-        nonlocal fluxes
+    fluxes = [rat(0)] * len(coords)
+    for (nu, alpha, K), b in sorted(L.coeffs.items(), key=lambda kv: kv[0]):
+        # c * d^K(W_alpha): peel the derivatives onto c, collecting fluxes
+        c = mul(Fun(vnames[nu], coords), b)
         while sum(K) > 0:
             i = next(i for i, o in enumerate(K) if o)
-            K2 = K[:i] + (K[i] - 1,) + K[i + 1:]
-            fluxes[i] = add(fluxes[i], mul(c, wk(alpha, K2)))
+            K = K[:i] + (K[i] - 1,) + K[i + 1:]
+            fluxes[i] = add(fluxes[i], mul(c, Fun(wnames[alpha], coords, K)))
             c = neg(diff_atom(c, coords[i]))
-            K = K2
-        return mul(c, wk(alpha, K))
-
-    residual_terms = []
-    for (nu, alpha, K), b in sorted(L.coeffs.items(), key=lambda kv: kv[0]):
-        c = mul(Fun(vnames[nu], coords), b)
-        residual_terms.append(transfer(c, alpha, K))
-    # residual_terms now reads  δW . (L* V); the caller checks the identity.
     return fluxes
 
 

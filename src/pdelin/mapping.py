@@ -6,16 +6,21 @@ systems up to nonzero factors."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import random
 
 from .errors import DegenerateError, ExprError
-from .expr import (ExpF, Jet, Sym, add, atoms_of, diff_atom, diff_kernel,
-                   div, exp_, is_zero, jets_of, log_, mul, neg, pow_int, rat,
+from .expr import (ExpF, Jet, LogF, Sym, add, atoms_of, clear_equation,
+                   derive_multi, diff_atom, diff_kernel, div, exp_,
+                   from_monomial, is_zero, jets_of, log_, monomials, mul, neg,
                    sub, substitute, total_derivative, walk)
 from .jets import PdeSystem, jet_rank
-from .linalg import adjugate, det
-from .probe import DomainError, probe_nonzero, random_assignment
+from .linalg import adjugate, det, solve
+from .probe import default_probe_seed, probe_nonzero_robust
 from .workspace import Workspace
+
+
+def jacobian_matrix(phi, independents):
+    """[[D_{x_j} phi_i for phi_i in phi] for x_j in independents]."""
+    return [[total_derivative(p, xj) for p in phi] for xj in independents]
 
 
 @dataclass
@@ -46,8 +51,7 @@ class Transformation:
                         f"{self.kind} transformation component depends on {j!r}")
 
     def jacobian_matrix(self):
-        return [[total_derivative(p, xj) for p in self.phi]
-                for xj in self.source.independents]
+        return jacobian_matrix(self.phi, self.source.independents)
 
     def jacobian(self):
         return det(self.jacobian_matrix())
@@ -73,8 +77,6 @@ def lift_point_to_contact(tr):
     amat = tr.jacobian_matrix()
     psi = tr.psi[0]
     rhs = [total_derivative(psi, xj) for xj in tr.source.independents]
-    from .linalg import solve
-
     rho = solve(amat, rhs)
     return Transformation("contact", tr.source, tr.target, tr.phi, tr.psi,
                           tuple(rho))
@@ -83,20 +85,6 @@ def lift_point_to_contact(tr):
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------
-
-
-def _probe_nonzero_robust(e, seed=None):
-    if is_zero(e):
-        return False
-    from .probe import default_probe_seed
-    rng = random.Random(default_probe_seed() + 5 if seed is None else seed)
-    for _ in range(12):
-        try:
-            if probe_nonzero(e, random_assignment(e, rng)):
-                return True
-        except DomainError:
-            continue
-    return False
 
 
 def invert_transformation(tr):
@@ -180,11 +168,9 @@ def _solve_for(e, y, unsolved):
         rest = sub(e, mul(c, y))
         if _free_of(rest, unsolved):
             val = neg(div(rest, c))
-            if _probe_nonzero_robust(c) or not _contains_jets_or_deps(c):
+            if probe_nonzero_robust(c) or not jets_of(c):
                 return val
     # c*exp(a*y + d) + r == 0   or   c*log(a*y + d) + r == 0
-    from .expr import LogF
-
     for k in walk(e):
         if not isinstance(k, (ExpF, LogF)):
             continue
@@ -208,10 +194,6 @@ def _solve_for(e, y, unsolved):
         except ExprError:
             continue
     return None
-
-
-def _contains_jets_or_deps(e):
-    return bool(jets_of(e))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +220,7 @@ def apply_transformation(sys, tr, build_system=True):
     if sys.workspace is not tr.source:
         raise ExprError("transformation source workspace differs from the system's")
     jac = tr.jacobian()
-    if is_zero(jac) or not _probe_nonzero_robust(jac):
+    if is_zero(jac) or not probe_nonzero_robust(jac):
         raise DegenerateError("transformation Jacobian vanishes")
     if tr.kind == "contact" and not check_contact_condition(tr):
         raise ExprError("contact condition violated")
@@ -289,7 +271,7 @@ def apply_transformation(sys, tr, build_system=True):
             elif isinstance(a, Jet):
                 rules[a] = old_jet(a)
         moved = substitute(g, rules)
-        cleared, factor = _clear_equation(moved)
+        cleared, factor = clear_equation(moved)
         raw_eqs.append(cleared)
         factors.append(factor)
     new_eqs, messages = _triangularize(raw_eqs, tgt)
@@ -307,9 +289,6 @@ def _triangularize(eqs, ws):
     """Fraction-free reduction of each transformed equation modulo the
     previous ones; change of variables mixes target rows by the invertible
     factor matrix, and this restores a row-per-row presentation."""
-    from .jets import jet_rank
-    from .expr import total_derivative
-
     messages = []
     out = []
     pivots = []  # (leading jet, equation)
@@ -326,18 +305,15 @@ def _triangularize(eqs, ws):
             if target is None:
                 break
             j, lead, red = target
-            r = red
-            for v, o in _midx_diff(j, lead):
-                s = ws.independent(v)
-                for _ in range(o):
-                    r = total_derivative(r, s)
+            r = derive_multi(red, ws.derivative_steps(_midx_diff(j, lead)),
+                             total_derivative)
             ce = diff_atom(eq, j)
             cr = diff_atom(r, j)
             if not is_zero(diff_atom(ce, j)) or not is_zero(diff_atom(cr, j)):
                 messages.append(f"equation {idx + 1}: nonlinear pivot, reduction skipped")
                 break
             eq = sub(mul(cr, eq), mul(ce, r))
-        eq, _ = _clear_equation(eq)
+        eq, _ = clear_equation(eq)
         if is_zero(eq):
             messages.append(f"equation {idx + 1} is a consequence of the others")
             out.append(eq)
@@ -366,37 +342,19 @@ def _midx_diff(a, b):
     return out
 
 
-def _clear_equation(e):
-    """Multiply away denominators (iterating: expanding a sum kernel can
-    expose further denominators) and strip a common monomial factor."""
-    from .conslaw import normalize_equation
-    from .expr import _monos_of
-
-    cleared = e
-    for _ in range(32):
-        shifts = {}
-        for _, fmap in _monos_of(cleared):
-            for k, n in fmap.items():
-                if n < 0:
-                    shifts[k] = max(shifts.get(k, 0), -n)
-        if not shifts:
-            break
-        cleared = mul(cleared, *[pow_int(k, n) for k, n in shifts.items()])
-    normalized = normalize_equation(cleared)
-    ratio = div(e, normalized) if not is_zero(normalized) else rat(1)
-    return normalized, ratio
-
-
 # ---------------------------------------------------------------------------
 # comparison up to nonzero factors
 # ---------------------------------------------------------------------------
 
 
-def equations_match_up_to_factor(got, want, seed=17):
+def equations_match_up_to_factor(got, want, seed=None):
     """Bijective matching: each produced equation is a jet-free nonzero
-    multiple of one expected equation."""
+    multiple of one expected equation.  Factors are probed from `seed`
+    (default: the base probe seed + 17)."""
     if len(got) != len(want):
         return False
+    if seed is None:
+        seed = default_probe_seed() + 17
     used = set()
     for g in got:
         hit = None
@@ -416,14 +374,11 @@ def equations_match_up_to_factor(got, want, seed=17):
 def _factor_ratio(a, b, seed):
     """A jet-free nonzero r with a == r*b, tried from monomial ratios of
     leading terms (sums do not cancel in quotient-free canonical form)."""
-    from .expr import _monos_of, _build_mono
-    from fractions import Fraction
-
     if is_zero(a) or is_zero(b):
         return None
-    cb, fb = _monos_of(b)[0]
+    cb, fb = monomials(b)[0]
     candidates = []
-    for ca, fa in _monos_of(a):
+    for ca, fa in monomials(a):
         fm = dict(fa)
         for k, n in fb.items():
             m = fm.get(k, 0) - n
@@ -431,11 +386,11 @@ def _factor_ratio(a, b, seed):
                 fm.pop(k, None)
             else:
                 fm[k] = m
-        candidates.append(_build_mono(ca / cb, fm))
+        candidates.append(from_monomial(ca / cb, fm))
     for r in candidates:
         if jets_of(r):
             continue
-        if is_zero(sub(mul(r, b), a)) and _probe_nonzero_robust(r, seed):
+        if is_zero(sub(mul(r, b), a)) and probe_nonzero_robust(r, seed):
             return r
     return None
 
@@ -458,12 +413,9 @@ def push_solution(sys, tr, solution):
     def rules_for(e):
         out = {}
         for j in jets_of(e):
-            d = solution[j.dep]
-            for v, o in j.midx:
-                s = src.independent(v)
-                for _ in range(o):
-                    d = total_derivative(d, s)
-            out[j] = d
+            out[j] = derive_multi(solution[j.dep],
+                                  src.derivative_steps(j.midx),
+                                  total_derivative)
         return out
 
     for name, g in zip(sys.names, sys.equations):

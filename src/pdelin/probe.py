@@ -17,7 +17,8 @@ from fractions import Fraction
 import mpmath
 
 from .errors import DomainError, UncoveredKernelError
-from .expr import (Add, ExpF, LogF, Mul, Pow, Rat, SPow, atoms_of, is_atom)
+from .expr import (Add, ExpF, LogF, Mul, Pow, Rat, SPow, atoms_of, is_atom,
+                   is_zero, walk)
 
 TARGET_WIDTH = Fraction(1, 10 ** 40)
 
@@ -201,7 +202,6 @@ def random_assignment(e, rng, lo=-6, hi=6, avoid_zero=True):
     power bases; exact zeros are avoided for atoms raised to negative powers.
     """
     need_positive = set()
-    from .expr import walk
 
     def mark_positive(sub):
         for a in atoms_of(sub):
@@ -228,17 +228,16 @@ def random_assignment(e, rng, lo=-6, hi=6, avoid_zero=True):
     return asg
 
 
-def agree_at_random_points(e1, e2, npoints=20, seed=0):
-    """Probe e1 - e2 at random assignments; True when all enclose zero."""
-    from .expr import sub
-
-    d = sub(e1, e2)
-    rng = random.Random(seed)
-    for _ in range(npoints):
-        asg = random_assignment(d, rng)
+def probe_nonzero_robust(e, seed=None):
+    """True when `e` probes nonzero at one of up to 12 random points drawn
+    from `seed` (default: the base probe seed + 5)."""
+    if is_zero(e):
+        return False
+    rng = random.Random(default_probe_seed() + 5 if seed is None else seed)
+    for _ in range(12):
         try:
-            if not probe_is_zero(d, asg):
-                return False
+            if probe_nonzero(e, random_assignment(e, rng)):
+                return True
         except DomainError:
             continue
-    return True
+    return False

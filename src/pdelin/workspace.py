@@ -77,6 +77,16 @@ class Workspace:
             return s
         raise WorkspaceError(f"'{name}' is not an independent variable")
 
+    def jet_vector(self, j):
+        """The derivative orders of a jet along the independents, in
+        declaration order."""
+        return tuple(dict(j.midx).get(s.name, 0) for s in self.independents)
+
+    def derivative_steps(self, midx):
+        """(independent symbol, order) for each (name, order) of a jet
+        multi-index, the steps `expr.derive_multi` takes."""
+        return [(self.independent(v), o) for v, o in midx]
+
     def jet(self, dep, **orders):
         if dep not in self.dependents:
             raise WorkspaceError(f"'{dep}' is not a dependent variable")

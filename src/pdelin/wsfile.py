@@ -109,12 +109,14 @@ def load_workspace_text(text):
 
     if "ansatz" in sections:
         order = None
-        preset = "general"
         restrict = None
         for key, value, lineno in sections["ansatz"]:
             if key not in _ANSATZ_KEYS:
                 raise WorkspaceError(f"line {lineno}: unknown [ansatz] key '{key}'")
             if key == "order":
+                if not value.isdecimal():
+                    raise WorkspaceError(f"line {lineno}: ansatz order must be "
+                                         f"a nonnegative integer, not '{value}'")
                 order = int(value)
             elif key == "arguments":
                 restrict = []
@@ -126,12 +128,9 @@ def load_workspace_text(text):
                             "a declared variable")
                     restrict.append(atom)
                 restrict = tuple(restrict)
-            else:
-                if value not in _PRESETS:
-                    raise WorkspaceError(f"line {lineno}: unknown preset '{value}'")
-                preset = value
-        out.ansatz = MultiplierAnsatz(order=order, shape=preset,
-                                      restrict_to=restrict)
+            elif value not in _PRESETS:  # a preset is checked but selects nothing
+                raise WorkspaceError(f"line {lineno}: unknown preset '{value}'")
+        out.ansatz = MultiplierAnsatz(order=order, restrict_to=restrict)
 
     if "multipliers" in sections:
         out.family = _load_family(sections["multipliers"], ws, system)
@@ -153,9 +152,9 @@ def _load_family(entries, ws, system):
     defs = {}
     rows = []
     for key, value, lineno in entries:
-        if key.startswith("L") and key[1:].isdigit():
+        if key.startswith("L") and key[1:].isdecimal():
             comps[int(key[1:])] = parse(value, ws)
-        elif key.startswith("row") and key[3:].isdigit():
+        elif key.startswith("row") and key[3:].isdecimal():
             rows.append(parse(value, ws))
         elif ws.lookup(key) is not None and isinstance(ws.lookup(key), Sym) \
                 and ws.lookup(key).kind == "coordinate":
@@ -214,11 +213,11 @@ def _load_transformation(entries, ws):
             tvars = _names(value)
         elif key == "deps":
             tdeps = _names(value)
-        elif key.startswith("z") and key[1:].isdigit():
+        elif key.startswith("z") and key[1:].isdecimal():
             z[int(key[1:])] = value
-        elif key.startswith("w") and key[1:].isdigit():
+        elif key.startswith("w") and key[1:].isdecimal():
             w[int(key[1:])] = value
-        elif key.startswith("rho") and key[3:].isdigit():
+        elif key.startswith("rho") and key[3:].isdecimal():
             rho[int(key[3:])] = value
         else:
             raise WorkspaceError(f"line {lineno}: unknown [transformation] "

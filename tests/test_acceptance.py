@@ -18,8 +18,8 @@ from pdelin.grammar import parse, to_text
 from pdelin.jets import (PdeSystem, SymmetryGenerator, euler_operator,
                          prolong_rules, verify_point_symmetry)
 from pdelin.linearize import (Rejection, augmented_identity, build_mapping,
-                              extract_dependent_part, match_multiplier_form,
-                              target_system)
+                              euler_wrt_function, extract_dependent_part,
+                              match_multiplier_form, target_system)
 from pdelin.linops import LinearOperator, identity_residual
 from pdelin.mapping import (Transformation, apply_transformation,
                             check_contact_condition,
@@ -319,8 +319,6 @@ def test_criterion_5_property_suites():
         assert canonicalize(c) == c
 
     # Euler-extraction equivalence on all three corpora
-    from pdelin.linearize import (_adjoint_rows_on, _compose_coordinates,
-                                  euler_wrt_function)
     for make_sys, make_fam in ((corpus.burgers, corpus.burgers_family_v),
                                (corpus.pipeline, corpus.pipeline_family),
                                (corpus.telegraph, corpus.telegraph_family)):
@@ -330,9 +328,11 @@ def test_criterion_5_property_suites():
         W = extract_dependent_part(cand)
         cand.W = W
         rows_formal = cand.constraint_op.to_rows(cand.vnames)
-        combo = add(*[mul(W[a], _compose_coordinates(cand, r))
+        combo = add(*[mul(W[a], cand.compose(r))
                       for a, r in enumerate(rows_formal)])
-        want = _adjoint_rows_on(cand, W)
+        DX, _ = cand.dx_operator()
+        want = cand.constraint_op.adjoint().apply(W, derive=DX,
+                                                  coefficient=cand.compose)
         for mu in range(len(cand.vnames)):
             assert is_zero(sub(euler_wrt_function(cand, combo, mu), want[mu]))
     _passline(5, "property suites")

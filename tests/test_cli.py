@@ -2,10 +2,13 @@
 round-trips, and the documented rejection paths."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from pdelin.cli import main
+from pdelin.cli import bundled_path, main
 from pdelin.grammar import parse
 from pdelin.wsfile import load_workspace_text
 from pdelin.errors import WorkspaceError
@@ -263,5 +266,56 @@ def test_usage_errors_exit_3():
         main(["bogus", "x"])
     assert ei.value.code == 3
     with pytest.raises(SystemExit) as ei:
+        main(["detsys", "burgers", "--ansatz-order", "-1"])
+    assert ei.value.code == 3
+    with pytest.raises(SystemExit) as ei:
         main(["--help"])
     assert ei.value.code == 0
+
+
+def _bundled(name):
+    return bundled_path(name).read_text(encoding="utf-8")
+
+
+# each input once raised an uncaught ValueError from int() in the loader
+BAD_INPUTS = {
+    "ansatz-order-letter": BURGERS.replace("order = 0", "order = X"),
+    "ansatz-order-plus": BURGERS.replace("order = 0", "order = 0+"),
+    "ansatz-order-empty": BURGERS.replace("order = 0", "order ="),
+    "multiplier-key-superscript": _bundled("telegraph").replace(
+        "L1 = f_{4}", "L\u00b2 = f_{4}"),
+    "transformation-key-superscript": _bundled("burgers").replace(
+        "z1 = x", "z\u00b2 = x"),
+    "derivative-position-superscript": _bundled("telegraph").replace(
+        "f_{3,3}", "f_{\u00b2,3}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_3_without_traceback(tmp_path, case):
+    f = tmp_path / "case.ws"
+    f.write_text(BAD_INPUTS[case], encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from pdelin.cli import main; sys.exit(main())",
+         "linearize", str(f)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 3, proc.stdout
+
+
+def test_ansatz_order_keeps_ansatz_arguments(tmp_path, capsys):
+    # --ansatz-order overrides the order only; the [ansatz] arguments stay,
+    # for detsys and linearize alike
+    text = BURGERS.replace("order = 0", "order = 0\narguments = x, u1, u2")
+    unknowns = {}
+    for command in ("detsys", "linearize"):
+        run(tmp_path, text, command, "--ansatz-order", "0", "--json")
+        doc = json.loads(capsys.readouterr().out)
+        unknowns[command] = doc["determining-system"]["unknowns"]
+    assert unknowns["detsys"] == unknowns["linearize"]
+    assert set(unknowns["detsys"].values()) == {"function of (x, u1, u2)"}

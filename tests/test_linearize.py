@@ -2,6 +2,8 @@
 (including the three displayed identities, frozen from their sources),
 mapping construction, target systems, and verification."""
 
+import sys
+
 import pytest
 
 import corpus
@@ -19,7 +21,8 @@ from pdelin.linearize import (Rejection, augmented_identity, build_mapping,
                               jacobian, match_multiplier_form, target_system,
                               verify_linearization)
 from pdelin.mapping import equations_match_up_to_factor
-from pdelin.probe import probe_is_zero, random_assignment
+from pdelin.probe import (probe_is_zero, random_assignment,
+                          set_default_probe_seed)
 from pdelin.workspace import Workspace
 
 
@@ -317,7 +320,6 @@ def test_verify_rejects_corrupted_w():
 def test_euler_extraction_equivalence():
     # E_{V^mu} of delta-W (L~ V) reproduces the adjoint rows through the
     # composite chain rule, for all three corpora
-    from pdelin.linearize import _adjoint_rows_on, _compose_coordinates
     for make_sys, make_fam in ((corpus.burgers, corpus.burgers_family_v),
                                (corpus.pipeline, corpus.pipeline_family),
                                (corpus.telegraph, corpus.telegraph_family)):
@@ -325,9 +327,11 @@ def test_euler_extraction_equivalence():
         W = extract_dependent_part(cand)
         cand.W = W
         rows_formal = cand.constraint_op.to_rows(cand.vnames)
-        combo = add(*[mul(W[a], _compose_coordinates(cand, r))
+        combo = add(*[mul(W[a], cand.compose(r))
                       for a, r in enumerate(rows_formal)])
-        want = _adjoint_rows_on(cand, W)
+        DX, _ = cand.dx_operator()
+        want = cand.constraint_op.adjoint().apply(W, derive=DX,
+                                                  coefficient=cand.compose)
         for mu in range(len(cand.vnames)):
             got = euler_wrt_function(cand, combo, mu)
             assert is_zero(sub(got, want[mu]))
@@ -370,3 +374,63 @@ def test_end_to_end_from_determining_system():
     assert is_zero(rec.residual)
     rep = verify_linearization(sys, cand)
     assert rep.ok and rep.mapping_ok
+
+
+# -- the base probe seed (CLI --seed) ------------------------------------------
+
+
+def _record_draws(monkeypatch, modules):
+    """Record every probe point drawn through `random_assignment` as bound
+    in the given pdelin modules, with the state of the generator it is
+    drawn from (a literal-zero residual has no atoms to draw)."""
+    drawn = []
+
+    def recording(e, rng, *args, **kwargs):
+        state = rng.getstate()
+        asg = random_assignment(e, rng, *args, **kwargs)
+        drawn.append((state, sorted((to_text(a), v) for a, v in asg.items())))
+        return asg
+
+    for module in modules:
+        if hasattr(module, "random_assignment"):
+            monkeypatch.setattr(module, "random_assignment", recording)
+    return drawn
+
+
+def _draws_under_seed(monkeypatch, seed, modules, run):
+    drawn = _record_draws(monkeypatch, modules)
+    set_default_probe_seed(seed)
+    try:
+        run()
+    finally:
+        set_default_probe_seed(0)
+    return drawn
+
+
+def test_seed_reaches_verify_linearization(monkeypatch):
+    ws, sys_, cand = matched(corpus.burgers, corpus.burgers_family_v)
+    linearize = sys.modules["pdelin.linearize"]
+    draws = [_draws_under_seed(monkeypatch, seed, [linearize],
+                               lambda: verify_linearization(sys_, cand))
+             for seed in (0, 1)]
+    assert draws[0] and draws[1]
+    assert draws[0] != draws[1]
+
+
+def test_seed_reaches_equations_match_up_to_factor(monkeypatch):
+    ws = Workspace("xt", ["u1", "u2"])
+    want = [parse("u1_x - u2", ws)]
+    got = [parse("3*x^2*t^3*(u1_x - u2)", ws)]
+    pdelin_modules = [m for name, m in sys.modules.items()
+                      if name.startswith("pdelin.")]
+
+    def run(**kwargs):
+        return lambda: equations_match_up_to_factor(got, want, **kwargs)
+
+    draws = [_draws_under_seed(monkeypatch, seed, pdelin_modules, run())
+             for seed in (0, 1)]
+    assert draws[0] and draws[1]
+    assert draws[0] != draws[1]
+    # seed 0 draws the points of the former fixed probe seed
+    assert draws[0] == _draws_under_seed(monkeypatch, 0, pdelin_modules,
+                                         run(seed=17))

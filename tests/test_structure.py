@@ -1,0 +1,44 @@
+"""Import discipline of the package: no function-level relative imports (they
+hide import cycles), and no module reaches into the expression kernel's
+private helpers."""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "pdelin"
+
+# (module, enclosing function, imported module): the printer is needed by
+# Expr.__repr__ while grammar imports expr, and conslaw.verify_multipliers
+# reaches the linearization pipeline for family fluxes
+ALLOWED_LOCAL = {("expr", "__repr__", "grammar"),
+                 ("conslaw", "verify_multipliers", "linearize")}
+
+
+def _imports():
+    """(module, enclosing function or None, ImportFrom node) per import."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, func):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from visit(child, child.name)
+                elif isinstance(child, ast.ImportFrom):
+                    yield path.stem, func, child
+                else:
+                    yield from visit(child, func)
+
+        yield from visit(tree, None)
+
+
+def test_no_function_level_relative_imports():
+    local = {(mod, func, node.module) for mod, func, node in _imports()
+             if func is not None and node.level > 0}
+    assert local <= ALLOWED_LOCAL, sorted(local - ALLOWED_LOCAL)
+
+
+def test_no_private_expr_names_imported_elsewhere():
+    bad = [(mod, alias.name) for mod, _, node in _imports()
+           if mod != "expr" and node.module in ("expr", "pdelin.expr")
+           for alias in node.names if alias.name.startswith("_")]
+    assert not bad, bad
