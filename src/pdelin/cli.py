@@ -26,8 +26,7 @@ from .conslaw import (MultiplierAnsatz, determining_system,
 from .errors import ExtractionError, ParseError, PdelinError, WorkspaceError
 from .expr import is_zero, set_max_terms
 from .grammar import to_text
-from .linearize import (Rejection, augmented_identity, build_mapping,
-                        match_multiplier_form, target_system,
+from .linearize import (Rejection, augmented_identity, match_multiplier_form,
                         verify_linearization)
 from .mapping import (apply_transformation, check_contact_condition,
                       equations_match_up_to_factor)
@@ -121,7 +120,10 @@ def _determining_system(wf, args, doc):
     ansatz = wf.ansatz or MultiplierAnsatz()
     if args.ansatz_order is not None:
         ansatz = dataclasses.replace(ansatz, order=args.ansatz_order)
-    det = determining_system(wf.system, ansatz)
+    try:
+        det = determining_system(wf.system, ansatz)
+    except WorkspaceError as exc:  # an ansatz order above the maximum
+        raise CliFailure(EXIT_INPUT, str(exc))
     deps = wf.workspace.dependents
     doc["determining-system"] = {
         "unknowns": {nm: "function of (" + ", ".join(to_text(a) for a in det.arguments) + ")"
@@ -202,10 +204,8 @@ def cmd_linearize(wf, args, doc):
     }
     if not is_zero(rec.residual):
         raise CliFailure(EXIT_RESIDUAL, "augmented identity residual is nonzero")
-    tr = build_mapping(cand)
-    doc["transformation"] = _transformation_doc(tr)
-    tsys = target_system(cand)
-    doc["target-system"] = [to_text(e) + " = 0" for e in tsys.equations]
+    doc["transformation"] = _transformation_doc(cand.mapping)
+    doc["target-system"] = [to_text(e) + " = 0" for e in cand.target.equations]
     rep = verify_linearization(wf.system, cand)
     doc["verification"] = {
         "identity-residuals": [to_text(r) for r in rep.identity_residuals],

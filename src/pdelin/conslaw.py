@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from .constraints import LinearConstraints
-from .errors import ExprError, NotADivergenceError
+from .errors import ExprError, NotADivergenceError, WorkspaceError
 from .expr import (ExpF, Fun, Jet, Rat, Sym, add, atoms_of, derive_multi,
                    diff_atom, div, exp_, from_monomial, fun_kernels_of,
                    is_zero, jets_of, log_, max_jet_order, monomials,
@@ -25,7 +25,8 @@ PLACEHOLDERS = [Sym(f"_pos{i}", "coordinate") for i in range(12)]
 @dataclass
 class MultiplierAnsatz:
     """Jet order of the unknown multipliers; `restrict_to` can pin the
-    argument list to a subset of the default atoms."""
+    argument list to a subset of the default atoms.  An order above the
+    supported maximum is an input error (WorkspaceError)."""
 
     order: int = None
     restrict_to: tuple = None
@@ -41,9 +42,11 @@ class MultiplierAnsatz:
         ws = sys.workspace
         ell = self.resolve_order(sys)
         if sys.m == 1 and ell > 2:
-            raise ExprError("scalar contact case allows multiplier order at most 2")
+            raise WorkspaceError(
+                "scalar contact case allows multiplier order at most 2")
         if sys.m >= 2 and ell > 1:
-            raise ExprError("multicomponent point case allows multiplier order at most 1")
+            raise WorkspaceError(
+                "multicomponent point case allows multiplier order at most 1")
         args = list(ws.independents)
         jets = []
         names = [s.name for s in ws.independents]
@@ -154,9 +157,6 @@ class DeterminingSystem:
     unknowns: list
     arguments: tuple
     equations: list  # (dependent index, parametric signature text, Expr)
-
-    def equations_only(self):
-        return [e for (_, _, e) in self.equations]
 
     def check_family(self, candidates, constraints=None):
         """Substitute candidate expressions for the unknown multipliers into
@@ -274,7 +274,8 @@ def reduce_determining_system(det, coordinate_names=("X", "T", "Y", "Z")):
     A single surviving linear PDE in one function of n variables is packaged
     as a multiplier family (Case II); everything else is reported as Case I
     or undetermined with the irreducible residual system."""
-    state = _ReducerState(det.unknowns, det.arguments, det.equations_only())
+    state = _ReducerState(det.unknowns, det.arguments,
+                          [e for (_, _, e) in det.equations])
     state.run()
     components = [state.component(nm) for nm in det.unknowns]
     if not any(fun_kernels_of(c) for c in components):

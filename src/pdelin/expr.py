@@ -834,7 +834,7 @@ def normalize_equation(eq):
 def clear_equation(e):
     """Multiply away denominators (iterating: expanding a sum kernel can
     expose further denominators) and strip a common monomial factor.
-    Returns (normalized equation, the factor e / normalized)."""
+    Returns the normalized equation."""
     cleared = e
     for _ in range(32):
         shifts = {}
@@ -845,9 +845,7 @@ def clear_equation(e):
         if not shifts:
             break
         cleared = mul(cleared, *[pow_int(k, n) for k, n in shifts.items()])
-    normalized = normalize_equation(cleared)
-    ratio = div(e, normalized) if not is_zero(normalized) else rat(1)
-    return normalized, ratio
+    return normalize_equation(cleared)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .conslaw import MultiplierFamily, multiplier_combination
 from .constraints import LinearConstraints
@@ -23,7 +24,7 @@ from .linalg import adjugate, det, solve
 from .linops import DerivativeTable, LinearOperator, bilinear_identity
 from .mapping import (Transformation, apply_transformation,
                       equations_match_up_to_factor, jacobian_matrix)
-from .probe import (DomainError, default_probe_seed, probe_is_zero,
+from .probe import (DomainError, default_probe_seed, probe_agree,
                     probe_nonzero_robust, random_assignment)
 from .workspace import Workspace
 
@@ -39,6 +40,9 @@ class Rejection:
 
 @dataclass
 class LinearizationCandidate:
+    """A matched family.  W, the mapping and the target are computed on
+    first use, once per candidate."""
+
     family: MultiplierFamily          # in arbitrary-function (v) form
     system: object                    # the source PdeSystem
     coords: tuple                     # formal coordinate symbols X_i
@@ -47,8 +51,25 @@ class LinearizationCandidate:
     J: object                         # Jacobian expression
     constraint_op: LinearOperator     # L~ (m rows, M cols) over coords
     vnames: list
-    W: list | None = None
-    fluxes: list | None = None
+
+    @cached_property
+    def W(self):
+        return extract_dependent_part(self)
+
+    @cached_property
+    def mapping(self):
+        return build_mapping(self)
+
+    @cached_property
+    def target(self):
+        return target_system(self)
+
+    @cached_property
+    def target_workspace(self):
+        """Coordinates as independents, w1..wm as dependents."""
+        return Workspace([c.name for c in self.coords],
+                         [f"w{i+1}" for i in range(self.constraint_op.rows)],
+                         [p.name for p in self.system.workspace.parameters])
 
     @property
     def contact(self):
@@ -357,12 +378,10 @@ def _extract_at_degree(cand, degree):
     rows = cand.adjoint_rows(W)
     residuals = [sub(t, r) for t, r in zip(targets, rows)]
     equations = []
-    grouped = {}
     for resid in residuals:
         # multiply by the denominators, all nonzero in the kernel algebra
-        cleared, _ = clear_equation(resid)
         local = {}
-        for coeff, fmap in monomials(cleared):
+        for coeff, fmap in monomials(clear_equation(resid)):
             cpart = None
             sig = {}
             for kk, n in fmap.items():
@@ -450,8 +469,8 @@ def _solve_linear_system(equations, var_order):
 class AugmentedIdentity:
     W: list
     fluxes: list
-    row_terms: list
-    residual: object
+    remainder: object                 # multiplier combination - Div Gamma
+    residual: object                  # remainder - the constraint-row terms
 
 
 def augmented_identity(cand):
@@ -460,15 +479,12 @@ def augmented_identity(cand):
     operator composed through X(x, U)."""
     sys = cand.system
     ws = sys.workspace
-    if cand.W is None:
-        cand.W = extract_dependent_part(cand)
     W = cand.W
     A = multiplier_combination(sys, cand.family)
 
-    # row terms: W_alpha * J * (L~ v)_alpha composed
-    rows_formal = cand.constraint_op.to_rows(cand.vnames)
-    rows_inst = [cand.compose(r) for r in rows_formal]
-    row_terms = [mul(W[a], cand.J, rows_inst[a]) for a in range(len(rows_inst))]
+    # sum_alpha W_alpha * J * (L~ v)_alpha, composed
+    rows = add(*[mul(w, cand.J, cand.compose(r))
+                 for w, r in zip(W, cand.constraint_op.to_rows(cand.vnames))])
 
     # fluxes: delta-v (L~* W~) = delta-W~ (L~ v) + Div_X Upsilon, composed
     Lstar = cand.constraint_op.adjoint()
@@ -489,10 +505,9 @@ def augmented_identity(cand):
     fluxes = [add(*[mul(cof[i][j], ups[i]) for i in range(n)]) for j in range(n)]
     divergence = add(*[total_derivative(fluxes[j], ws.independents[j])
                        for j in range(n)])
-    residual = sub(sub(A, add(*row_terms)), divergence)
-    cand.fluxes = fluxes
-    return AugmentedIdentity(W=W, fluxes=fluxes, row_terms=row_terms,
-                             residual=residual)
+    remainder = sub(A, divergence)
+    return AugmentedIdentity(W=W, fluxes=fluxes, remainder=remainder,
+                             residual=sub(remainder, rows))
 
 
 def family_fluxes(sys, fam):
@@ -505,13 +520,8 @@ def family_fluxes(sys, fam):
     rec = augmented_identity(cand)
     if not is_zero(rec.residual):
         raise ExprError("augmented identity residual is nonzero")
-    fam2 = cand.family  # possibly converted to component form
-    combo = multiplier_combination(sys, fam2)
-    ws = sys.workspace
-    divergence = add(*[total_derivative(rec.fluxes[j], ws.independents[j])
-                       for j in range(ws.n)])
-    reduced = fam2.reduce(sub(combo, divergence))
-    return rec.fluxes, reduced
+    # the family possibly converted to component form
+    return rec.fluxes, cand.family.reduce(rec.remainder)
 
 
 # ---------------------------------------------------------------------------
@@ -519,28 +529,14 @@ def family_fluxes(sys, fam):
 # ---------------------------------------------------------------------------
 
 
-def _target_workspace(cand):
-    names = [c.name for c in cand.coords]
-    deps = [f"w{i+1}" for i in range(len(cand.W or []) or cand.constraint_op.rows)]
-    params = [p.name for p in cand.system.workspace.parameters]
-    return Workspace(names, deps, params)
-
-
 def build_mapping(cand):
     """The transformation z = X(x,u), w = W(x,u); contact when the scalar
     case depends on first derivatives, with rho solved from the contact
     condition."""
-    if cand.W is None:
-        cand.W = extract_dependent_part(cand)
     sys = cand.system
-    tgt = _target_workspace(cand)
+    tgt = cand.target_workspace
     contact = sys.m == 1 and any(
         j.order >= 1 for e in list(cand.X) + list(cand.W) for j in jets_of(e))
-    detq = det(cand.Q)
-    if is_zero(detq) or not probe_nonzero_robust(detq):
-        raise DegenerateError("factor matrix Q is degenerate")
-    if is_zero(cand.J) or not probe_nonzero_robust(cand.J):
-        raise DegenerateError("coordinate definitions are functionally dependent")
     if not contact:
         return Transformation("point", sys.workspace, tgt,
                               tuple(cand.X), tuple(cand.W))
@@ -560,7 +556,7 @@ def build_mapping(cand):
 def target_system(cand):
     """The linear target: the adjoint of the constraint operator, with the
     coordinates renamed to independent variables."""
-    tgt = _target_workspace(cand)
+    tgt = cand.target_workspace
     Lstar = cand.constraint_op.adjoint()
     rename = {c: tgt.independent(c.name) for c in cand.coords}
     coeffs = {k: substitute(v, rename) for k, v in Lstar.coeffs.items()}
@@ -582,9 +578,8 @@ class LinearizationReport:
 def verify_linearization(sys, cand):
     """Check Q G == L~* W identically in U, then cross-check by applying the
     built transformation and comparing with the target system up to nonzero
-    row factors."""
-    if cand.W is None:
-        cand.W = extract_dependent_part(cand)
+    row factors.  Each row found identically zero is cross-checked by
+    probing its two sides at a random point."""
     targets = _qg_rows(cand)
     rows = cand.adjoint_rows(cand.W)
     residuals = [sub(t, r) for t, r in zip(targets, rows)]
@@ -593,23 +588,22 @@ def verify_linearization(sys, cand):
     if not ok43:
         messages.append("identity Q.G == L~*W fails; mismatch residual recorded")
     rng = random.Random(default_probe_seed() + 23)
-    for r in residuals:
-        if is_zero(r):
-            try:
-                if not probe_is_zero(r, random_assignment(r, rng)):
-                    ok43 = False
-                    messages.append("probe contradicts a symbolic zero")
-            except DomainError:
-                pass
+    for t, r, resid in zip(targets, rows, residuals):
+        if not is_zero(resid):
+            continue
+        try:
+            if not probe_agree(t, r, random_assignment((t, r), rng)):
+                ok43 = False
+                messages.append("probe contradicts a symbolic zero")
+        except DomainError:
+            pass
     mapping_checked = False
     mapping_ok = None
     if ok43:
         try:
-            tr = build_mapping(cand)
-            rep = apply_transformation(sys, tr)
-            want = target_system(cand)
+            rep = apply_transformation(sys, cand.mapping)
             mapping_ok = equations_match_up_to_factor(rep.equations,
-                                                      want.equations)
+                                                      cand.target.equations)
             mapping_checked = True
             if not mapping_ok:
                 messages.append("transformed system does not match the target")

@@ -205,18 +205,17 @@ def _solve_for(e, y, unsolved):
 class MappingReport:
     equations: list
     system: PdeSystem | None
-    stripped_factors: list
     messages: list = field(default_factory=list)
 
 
-def apply_transformation(sys, tr, build_system=True):
+def apply_transformation(sys, tr):
     """Rewrite a system in the transformation's target variables.
 
     Needs the closed-form inverse: old independents/dependents (and, for
     contact maps, first-order jets) as expressions of the new ones.  Old
     jets lift through D_{x_i} = (Dz/Dx-inverse chain) D_{z_j}; each
-    transformed equation is cleared of an overall nonzero factor, recorded
-    in the report."""
+    transformed equation is cleared of its denominators and of an overall
+    nonzero monomial factor."""
     if sys.workspace is not tr.source:
         raise ExprError("transformation source workspace differs from the system's")
     jac = tr.jacobian()
@@ -262,7 +261,6 @@ def apply_transformation(sys, tr, build_system=True):
         return val
 
     raw_eqs = []
-    factors = []
     for g in sys.equations:
         rules = {}
         for a in atoms_of(g):
@@ -270,19 +268,14 @@ def apply_transformation(sys, tr, build_system=True):
                 rules[a] = cache[a]
             elif isinstance(a, Jet):
                 rules[a] = old_jet(a)
-        moved = substitute(g, rules)
-        cleared, factor = clear_equation(moved)
-        raw_eqs.append(cleared)
-        factors.append(factor)
+        raw_eqs.append(clear_equation(substitute(g, rules)))
     new_eqs, messages = _triangularize(raw_eqs, tgt)
     system = None
-    if build_system:
-        try:
-            system = PdeSystem(tgt, new_eqs)
-        except ExprError as exc:
-            messages.append(f"transformed equations do not close: {exc}")
-    return MappingReport(equations=new_eqs, system=system,
-                         stripped_factors=factors, messages=messages)
+    try:
+        system = PdeSystem(tgt, new_eqs)
+    except ExprError as exc:
+        messages.append(f"transformed equations do not close: {exc}")
+    return MappingReport(equations=new_eqs, system=system, messages=messages)
 
 
 def _triangularize(eqs, ws):
@@ -313,7 +306,7 @@ def _triangularize(eqs, ws):
                 messages.append(f"equation {idx + 1}: nonlinear pivot, reduction skipped")
                 break
             eq = sub(mul(cr, eq), mul(ce, r))
-        eq, _ = clear_equation(eq)
+        eq = clear_equation(eq)
         if is_zero(eq):
             messages.append(f"equation {idx + 1} is a consequence of the others")
             out.append(eq)

@@ -17,8 +17,8 @@ from fractions import Fraction
 import mpmath
 
 from .errors import DomainError, UncoveredKernelError
-from .expr import (Add, ExpF, LogF, Mul, Pow, Rat, SPow, atoms_of, is_atom,
-                   is_zero, walk)
+from .expr import (Add, ExpF, Expr, LogF, Mul, Pow, Rat, SPow, atoms_of,
+                   is_atom, is_zero, walk)
 
 TARGET_WIDTH = Fraction(1, 10 ** 40)
 
@@ -188,6 +188,14 @@ def probe_is_zero(e, assignment):
     return v.includes_zero()
 
 
+def probe_agree(a, b, assignment):
+    """False when `a` and `b` certainly differ at the assignment: exact
+    values that differ, or enclosures that do not intersect."""
+    va = _as_interval(numeric_probe(a, assignment))
+    vb = _as_interval(numeric_probe(b, assignment))
+    return va.lo <= vb.hi and vb.lo <= va.hi
+
+
 def probe_nonzero(e, assignment):
     v = numeric_probe(e, assignment)
     if isinstance(v, Fraction):
@@ -196,25 +204,29 @@ def probe_nonzero(e, assignment):
 
 
 def random_assignment(e, rng, lo=-6, hi=6, avoid_zero=True):
-    """Small random rationals for every kernel atom of `e`.
+    """Small random rationals for every kernel atom of `e`, an expression or
+    a sequence of expressions.
 
     Values are kept positive for atoms that occur inside log or as symbolic
     power bases; exact zeros are avoided for atoms raised to negative powers.
     """
+    exprs = (e,) if isinstance(e, Expr) else tuple(e)
     need_positive = set()
 
     def mark_positive(sub):
         for a in atoms_of(sub):
             need_positive.add(a)
 
-    for n in walk(e):
-        if isinstance(n, LogF):
-            mark_positive(n.arg)
-        elif isinstance(n, SPow):
-            mark_positive(n.base)
+    for x in exprs:
+        for n in walk(x):
+            if isinstance(n, LogF):
+                mark_positive(n.arg)
+            elif isinstance(n, SPow):
+                mark_positive(n.base)
 
     asg = {}
-    for a in atoms_of(e):
+    for a in sorted({a for x in exprs for a in atoms_of(x)},
+                    key=lambda a: a.key):
         while True:
             num = rng.randint(lo, hi)
             den = rng.randint(1, 4)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from pdelin import linearize
 from pdelin.cli import bundled_path, main
 from pdelin.grammar import parse
 from pdelin.wsfile import load_workspace_text
@@ -277,11 +278,14 @@ def _bundled(name):
     return bundled_path(name).read_text(encoding="utf-8")
 
 
-# each input once raised an uncaught ValueError from int() in the loader
+# each input once raised an uncaught ValueError from int() in the loader,
+# unless marked otherwise
 BAD_INPUTS = {
     "ansatz-order-letter": BURGERS.replace("order = 0", "order = X"),
     "ansatz-order-plus": BURGERS.replace("order = 0", "order = 0+"),
     "ansatz-order-empty": BURGERS.replace("order = 0", "order ="),
+    # once exited 4 with the ExprError of the order cap
+    "ansatz-order-above-cap": BURGERS.replace("order = 0", "order = 2"),
     "multiplier-key-superscript": _bundled("telegraph").replace(
         "L1 = f_{4}", "L\u00b2 = f_{4}"),
     "transformation-key-superscript": _bundled("burgers").replace(
@@ -319,3 +323,27 @@ def test_ansatz_order_keeps_ansatz_arguments(tmp_path, capsys):
         unknowns[command] = doc["determining-system"]["unknowns"]
     assert unknowns["detsys"] == unknowns["linearize"]
     assert set(unknowns["detsys"].values()) == {"function of (x, u1, u2)"}
+
+
+STAGES = ("extract_dependent_part", "build_mapping", "target_system")
+
+
+@pytest.mark.parametrize("system", ("burgers", "pipeline", "telegraph"))
+def test_linearize_runs_each_stage_once(monkeypatch, capsys, system):
+    # rebind every binding of each stage in the loaded pdelin modules, the
+    # way an outside tracer wraps them, and count the calls
+    calls = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
+        original = getattr(linearize, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("pdelin") and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    assert main(["linearize", system]) == 0
+    capsys.readouterr()
+    assert calls == dict.fromkeys(STAGES, 1)

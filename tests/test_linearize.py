@@ -317,6 +317,18 @@ def test_verify_rejects_corrupted_w():
     assert any(not is_zero(r) for r in rep.identity_residuals)
 
 
+def test_probe_catches_a_false_symbolic_zero(monkeypatch):
+    # with every residual forced to the literal 0, the probe of the two
+    # sides of each row must still see the sign-corrupted W
+    ws, sys_, cand = matched(corpus.burgers, corpus.burgers_family_v)
+    W = extract_dependent_part(cand)
+    cand.W = [neg(W[0]), W[1]]
+    monkeypatch.setattr("pdelin.linearize.sub", lambda a, b: rat(0))
+    rep = verify_linearization(sys_, cand)
+    assert not rep.ok
+    assert "probe contradicts a symbolic zero" in rep.messages
+
+
 def test_euler_extraction_equivalence():
     # E_{V^mu} of delta-W (L~ V) reproduces the adjoint rows through the
     # composite chain rule, for all three corpora
@@ -414,6 +426,7 @@ def test_seed_reaches_verify_linearization(monkeypatch):
                                lambda: verify_linearization(sys_, cand))
              for seed in (0, 1)]
     assert draws[0] and draws[1]
+    assert all(asg for run in draws for _, asg in run)
     assert draws[0] != draws[1]
 
 

@@ -1,6 +1,6 @@
 """Import discipline of the package: no function-level relative imports (they
-hide import cycles), and no module reaches into the expression kernel's
-private helpers."""
+hide import cycles), no module reaches into the expression kernel's private
+helpers, and no module-level import is left unused."""
 
 import ast
 import pathlib
@@ -42,3 +42,31 @@ def test_no_private_expr_names_imported_elsewhere():
            if mod != "expr" and node.module in ("expr", "pdelin.expr")
            for alias in node.names if alias.name.startswith("_")]
     assert not bad, bad
+
+
+def _exported(tree):
+    """The names listed in a module's `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_module_level_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update(a.asname or a.name.split(".")[0]
+                             for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [(path.stem, name)
+                   for name in sorted(bound - used - _exported(tree))]
+    assert not unused, unused
