@@ -229,31 +229,19 @@ def _split_parametric(e, arg_jets):
                             f"parametric jet {a!r} occurs inside kernel {k!r}")
                 rest[k] = n
         sig = tuple(sorted(((k.key, n) for k, n in par.items())))
-        mono = from_monomial(coeff, rest)
-        groups.setdefault(sig, []).append(mono)
-    out = []
-    for sig, monos in groups.items():
-        label = "1" if not sig else to_text(
-            from_monomial(Fraction(1), {k: n for k, n in
-                                      [(_key_jet(kk), n) for kk, n in sig]}))
-        out.append((label, add(*monos)))
-    return out
-
-
-_JET_CACHE = {}
-
-
-def _key_jet(key):
-    j = _JET_CACHE.get(key)
-    if j is None:
-        j = Jet(key[1], key[3])
-        _JET_CACHE[key] = j
-    return j
+        group = groups.setdefault(sig, (par, []))
+        group[1].append(from_monomial(coeff, rest))
+    return [("1" if not par else to_text(from_monomial(Fraction(1), par)),
+             add(*monos)) for par, monos in groups.values()]
 
 
 # ---------------------------------------------------------------------------
 # heuristic reducer
 # ---------------------------------------------------------------------------
+
+
+# names tried, in order, for the coordinates of a packaged family
+COORDINATE_NAMES = ("X", "T", "Y", "Z")
 
 
 @dataclass
@@ -264,7 +252,7 @@ class ReducerResult:
     steps: list
 
 
-def reduce_determining_system(det, coordinate_names=("X", "T", "Y", "Z")):
+def reduce_determining_system(det):
     """Heuristic integration of the split determining system.
 
     Handles, iteratively: algebraic elimination, removal of absent
@@ -280,14 +268,13 @@ def reduce_determining_system(det, coordinate_names=("X", "T", "Y", "Z")):
     components = [state.component(nm) for nm in det.unknowns]
     if not any(fun_kernels_of(c) for c in components):
         return ReducerResult("I", None, state.live_equations(), state.steps)
-    live, fam = _package_result(state, components, coordinate_names,
-                                det.system.workspace)
+    live, fam = _package_result(state, components, det.system.workspace)
     if fam is not None:
         return ReducerResult("II", fam, live, state.steps)
     return ReducerResult("undetermined", None, live, state.steps)
 
 
-def reduce_family_constraints(fam, sys, coordinate_names=("X", "T", "Y", "Z")):
+def reduce_family_constraints(fam, sys):
     """Integrate first-order constraint rows of a provided multiplier family
     by characteristics, reducing the number of coordinates its arbitrary
     function depends on.  Returns (family, steps); the family is repackaged
@@ -303,12 +290,11 @@ def reduce_family_constraints(fam, sys, coordinate_names=("X", "T", "Y", "Z")):
     state.args[name] = defs
     state.run()
     components = [state.rewrite_instance(c) for c in fam.components]
-    _, packed = _package_result(state, components, coordinate_names,
-                                sys.workspace)
+    _, packed = _package_result(state, components, sys.workspace)
     return (fam if packed is None else packed), state.steps
 
 
-def _package_result(state, components, coordinate_names, ws):
+def _package_result(state, components, ws):
     """The live equations after a reducer run, and the multiplier family
     they define when exactly one function of n arguments survives under a
     single constraint (None otherwise)."""
@@ -316,8 +302,7 @@ def _package_result(state, components, coordinate_names, ws):
     names = sorted({k.name for e in live for k in fun_kernels_of(e)} |
                    {k.name for c in components for k in fun_kernels_of(c)})
     if len(names) == 1 and len(live) == 1 and state.arity(names[0]) == ws.n:
-        return live, _package_family(state, components, names[0], live[0],
-                                     coordinate_names, ws)
+        return live, _package_family(state, components, names[0], live[0], ws)
     return live, None
 
 
@@ -617,14 +602,14 @@ class _ReducerState:
         return None
 
 
-def _package_family(state, components, fname, constraint, coordinate_names, ws):
+def _package_family(state, components, fname, constraint, ws):
     """Build a MultiplierFamily from reducer output: one surviving function
     of n composite arguments with a single linear constraint."""
     defs = state.args[fname]
     declared = {s.name for s in ws.independents} | set(ws.dependents)
 
     def fresh_names():
-        for nm in coordinate_names:
+        for nm in COORDINATE_NAMES:
             if nm not in declared:
                 yield nm
         i = 1

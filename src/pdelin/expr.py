@@ -831,21 +831,30 @@ def normalize_equation(eq):
     return add(*[from_monomial(c / scale, fm) for c, fm in parts])
 
 
-def clear_equation(e):
-    """Multiply away denominators (iterating: expanding a sum kernel can
-    expose further denominators) and strip a common monomial factor.
-    Returns the normalized equation."""
-    cleared = e
+def clear_denominators(exprs):
+    """Multiply every expression by one common denominator, iterating
+    because expanding a sum kernel can expose further denominators.  The
+    results share the multiplier, so linear relations among the inputs
+    hold among the outputs."""
+    cleared = list(exprs)
     for _ in range(32):
         shifts = {}
-        for _, fmap in monomials(cleared):
-            for k, n in fmap.items():
-                if n < 0:
-                    shifts[k] = max(shifts.get(k, 0), -n)
+        for e in cleared:
+            for _, fmap in monomials(e):
+                for k, n in fmap.items():
+                    if n < 0:
+                        shifts[k] = max(shifts.get(k, 0), -n)
         if not shifts:
             break
-        cleared = mul(cleared, *[pow_int(k, n) for k, n in shifts.items()])
-    return normalize_equation(cleared)
+        factors = [pow_int(k, n) for k, n in shifts.items()]
+        cleared = [mul(e, *factors) for e in cleared]
+    return cleared
+
+
+def clear_equation(e):
+    """Multiply away denominators and strip a common monomial factor.
+    Returns the normalized equation."""
+    return normalize_equation(clear_denominators([e])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -34,15 +34,6 @@ def adjugate(mat):
     return adj
 
 
-def inverse(mat):
-    d = det(mat)
-    if is_zero(d):
-        raise DegenerateError("matrix determinant is identically zero")
-    adj = adjugate(mat)
-    n = len(mat)
-    return [[div(adj[i][j], d) for j in range(n)] for i in range(n)]
-
-
 def solve(mat, rhs):
     """Cramer solve of mat * x = rhs over the expression field."""
     d = det(mat)
@@ -55,19 +46,3 @@ def solve(mat, rhs):
                for i in range(n)]
         out.append(div(det(col), d))
     return out
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[add(*[mul(a[i][t], b[t][j]) for t in range(k)]) for j in range(m)]
-            for i in range(n)]
-
-
-def is_identity(mat):
-    n = len(mat)
-    for i in range(n):
-        for j in range(n):
-            want = rat(1) if i == j else rat(0)
-            if not is_zero(sub(mat[i][j], want)):
-                return False
-    return True

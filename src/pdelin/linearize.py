@@ -14,15 +14,15 @@ from functools import cached_property
 from .conslaw import MultiplierFamily, multiplier_combination
 from .constraints import LinearConstraints
 from .errors import DegenerateError, ExprError, ExtractionError
-from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, Sym, add,
-                   clear_equation, derive_multi, diff_atom, diff_kernel, div,
-                   fun_kernels_of, is_zero, jets_of, monomials, mul, neg,
+from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, add,
+                   clear_denominators, derive_multi, diff_atom, diff_kernel,
+                   div, fun_kernels_of, is_zero, jets_of, monomials, mul, neg,
                    normalize_equation, pow_int, rat, sub, substitute,
                    substitute_kernels, total_derivative, walk)
 from .jets import PdeSystem
-from .linalg import adjugate, det, solve
+from .linalg import adjugate, det
 from .linops import DerivativeTable, LinearOperator, bilinear_identity
-from .mapping import (Transformation, apply_transformation,
+from .mapping import (Transformation, apply_transformation, contact_rho,
                       equations_match_up_to_factor, jacobian_matrix)
 from .probe import (DomainError, default_probe_seed, probe_agree,
                     probe_nonzero_robust, random_assignment)
@@ -80,9 +80,16 @@ class LinearizationCandidate:
         """Substitute the formal coordinates by their definitions X(x, U)."""
         return substitute(e, dict(zip(self.coords, self.X)))
 
-    def dx_operator(self):
-        """Formal d/dX_i realized on jet expressions through the chain rule,
-        DX(h, X_i) = sum_j adj[i][j] D_{x_j}(h) / J.  Returns (DX, adj)."""
+    @cached_property
+    def adjoint_op(self):
+        """L~*, the formal adjoint of the constraint operator."""
+        return self.constraint_op.adjoint()
+
+    @cached_property
+    def chain_rule(self):
+        """(DX, cof): formal d/dX_i realized on jet expressions through the
+        chain rule, DX(h, X_i) = sum_j cof[i][j] D_{x_j}(h) / J, with cof
+        the adjugate of the coordinate Jacobian matrix."""
         ws = self.system.workspace
         cof = adjugate(jacobian_matrix(self.X, ws.independents))
         index = {c: i for i, c in enumerate(self.coords)}
@@ -95,12 +102,18 @@ class LinearizationCandidate:
 
         return DX, cof
 
+    @cached_property
+    def qg_rows(self):
+        """(Q G)^mu = sum_nu Q_nu^mu G^nu over the source equations G."""
+        eqs = self.system.equations
+        return [add(*[mul(self.Q[nu][mu], g) for nu, g in enumerate(eqs)])
+                for mu in range(len(eqs))]
+
     def adjoint_rows(self, W):
         """(L~* W)^mu composed with X(x,U): coefficients b(X) -> b(X(x,U))
         and each d/dX_i realized through the chain rule."""
-        DX, _ = self.dx_operator()
-        return self.constraint_op.adjoint().apply(W, derive=DX,
-                                                  coefficient=self.compose)
+        DX, _ = self.chain_rule
+        return self.adjoint_op.apply(W, derive=DX, coefficient=self.compose)
 
 
 def jacobian(X, sys):
@@ -288,13 +301,6 @@ def match_multiplier_form(fam, sys):
 # ---------------------------------------------------------------------------
 
 
-def _qg_rows(cand):
-    sys = cand.system
-    M = len(sys.equations)
-    return [add(*[mul(cand.Q[nu][mu], sys.equations[nu]) for nu in range(M)])
-            for mu in range(M)]
-
-
 def _candidate_basis(cand, degree):
     """Monomials for the undetermined-coefficient solve of the dependent
     part W: atoms and transcendental kernels harvested from the family."""
@@ -348,65 +354,62 @@ def _candidate_basis(cand, degree):
     return basis
 
 
-def extract_dependent_part(cand, max_degree=3):
-    """Solve Q_nu^mu G^nu == (L~* W)^mu identically in U for W by structured
-    undetermined coefficients over a harvested monomial basis.  Returns the
-    W list; raises ExtractionError when no combination of candidate
-    monomials satisfies the identity."""
+MAX_W_DEGREE = 3
+
+
+def extract_dependent_part(cand):
+    """Solve Q_nu^mu G^nu == (L~* W)^mu identically in U for W over a
+    harvested monomial basis, at basis degree 2 and then up to
+    MAX_W_DEGREE.  L~* is linear, so each basis monomial b in each slot
+    alpha of W gives one column L~*(b e_alpha); each row mu of the target
+    and of every column is cleared by one common denominator, and the
+    coefficients of each monomial give one exact rational equation in the
+    unknown coefficients of W.  Returns the W list; raises ExtractionError
+    when no combination of basis monomials satisfies the identity."""
+    columns = {}
     last = None
-    for degree in range(2, max_degree + 1):
+    for degree in range(2, MAX_W_DEGREE + 1):
         try:
-            return _extract_at_degree(cand, degree)
+            return _extract_at_degree(cand, degree, columns)
         except ExtractionError as exc:
             last = exc
     raise last
 
 
-def _extract_at_degree(cand, degree):
-    targets = _qg_rows(cand)
+def _extract_at_degree(cand, degree, columns):
+    """W at one basis degree; `columns` caches L~*(b e_alpha) by
+    (alpha, b) across degrees."""
     basis = _candidate_basis(cand, degree)
     m = cand.constraint_op.rows
-    names = []
-    W = []
-    for alpha in range(m):
-        comps = []
-        for k, b in enumerate(basis):
-            c = Sym(f"_c{alpha}_{k}", "parameter")
-            names.append(c.name)
-            comps.append(mul(c, b))
-        W.append(add(*comps))
-    rows = cand.adjoint_rows(W)
-    residuals = [sub(t, r) for t, r in zip(targets, rows)]
+    slots = [(alpha, b) for alpha in range(m) for b in basis]
+    for alpha, b in slots:
+        if (alpha, b) not in columns:
+            unit = [b if a == alpha else rat(0) for a in range(m)]
+            columns[(alpha, b)] = cand.adjoint_rows(unit)
+    # one equation per monomial: sum_j c_j column_j - target == 0, with the
+    # target's coefficient under the key None
+    keys = list(range(len(slots))) + [None]
     equations = []
-    for resid in residuals:
-        # multiply by the denominators, all nonzero in the kernel algebra
+    for mu, target in enumerate(cand.qg_rows):
         local = {}
-        for coeff, fmap in monomials(clear_equation(resid)):
-            cpart = None
-            sig = {}
-            for kk, n in fmap.items():
-                if isinstance(kk, Sym) and kk.kind == "parameter" \
-                        and kk.name.startswith("_c"):
-                    if cpart is not None or n != 1:
-                        raise ExtractionError("extraction system is nonlinear")
-                    cpart = kk
-                else:
-                    sig[kk] = n
-            key = tuple(sorted((kk.key, n) for kk, n in sig.items()))
-            row = local.setdefault(key, {})
-            tag = cpart.name if cpart is not None else None
-            row[tag] = row.get(tag, Fraction(0)) + coeff
+        cleared = clear_denominators(
+            [columns[s][mu] for s in slots] + [neg(target)])
+        for key, e in zip(keys, cleared):
+            for coeff, fmap in monomials(e):
+                sig = tuple(sorted((k.key, n) for k, n in fmap.items()))
+                local.setdefault(sig, {})[key] = coeff
         equations.extend(local.values())
-    sol = _solve_linear_system(equations, names)
+    sol = _solve_linear_system(equations, range(len(slots)))
     if sol is None:
         raise ExtractionError(
             "no dependent-variable part exists in the candidate basis "
             f"(degree {degree})")
-    repl = {Sym(nm, "parameter"): rat(sol[nm]) for nm in names}
-    out = [substitute(w, repl) for w in W]
+    out = [add(*[mul(rat(sol[j]), b) for j, (a, b) in enumerate(slots)
+                 if a == alpha])
+           for alpha in range(m)]
     # exact confirmation of the identity with the concrete W
     final = cand.adjoint_rows(out)
-    for t, r in zip(targets, final):
+    for t, r in zip(cand.qg_rows, final):
         if not is_zero(sub(t, r)):
             raise ExtractionError("candidate solve left a nonzero residual")
     return out
@@ -487,10 +490,10 @@ def augmented_identity(cand):
                  for w, r in zip(W, cand.constraint_op.to_rows(cand.vnames))])
 
     # fluxes: delta-v (L~* W~) = delta-W~ (L~ v) + Div_X Upsilon, composed
-    Lstar = cand.constraint_op.adjoint()
     wtilde = [f"_W{a+1}" for a in range(len(W))]
-    upsilon = bilinear_identity(Lstar, vnames=cand.vnames, wnames=wtilde)
-    DX, cof = cand.dx_operator()
+    upsilon = bilinear_identity(cand.adjoint_op, vnames=cand.vnames,
+                                wnames=wtilde)
+    DX, cof = cand.chain_rule
     dW = DerivativeTable(W, cand.coords, DX)
 
     def compose_upsilon(u):
@@ -540,9 +543,7 @@ def build_mapping(cand):
     if not contact:
         return Transformation("point", sys.workspace, tgt,
                               tuple(cand.X), tuple(cand.W))
-    amat = jacobian_matrix(cand.X, sys.workspace.independents)
-    rhs = [total_derivative(cand.W[0], xj) for xj in sys.workspace.independents]
-    rho = solve(amat, rhs)
+    rho = contact_rho(cand.X, cand.W[0], sys.workspace.independents)
     for r in rho:
         for j in jets_of(r):
             if j.order > 1:
@@ -557,7 +558,7 @@ def target_system(cand):
     """The linear target: the adjoint of the constraint operator, with the
     coordinates renamed to independent variables."""
     tgt = cand.target_workspace
-    Lstar = cand.constraint_op.adjoint()
+    Lstar = cand.adjoint_op
     rename = {c: tgt.independent(c.name) for c in cand.coords}
     coeffs = {k: substitute(v, rename) for k, v in Lstar.coeffs.items()}
     op = LinearOperator(tuple(tgt.independents), Lstar.rows, Lstar.cols, coeffs)
@@ -580,7 +581,7 @@ def verify_linearization(sys, cand):
     built transformation and comparing with the target system up to nonzero
     row factors.  Each row found identically zero is cross-checked by
     probing its two sides at a random point."""
-    targets = _qg_rows(cand)
+    targets = cand.qg_rows
     rows = cand.adjoint_rows(cand.W)
     residuals = [sub(t, r) for t, r in zip(targets, rows)]
     ok43 = all(is_zero(r) for r in residuals)
@@ -623,7 +624,7 @@ def verify_linearization(sys, cand):
 def euler_wrt_function(cand, e, mu):
     """E_{V^mu} in the X-coordinates, realized on composite expressions:
     sum_K (-1)^|K| DX^K (d e / d V^mu_K)."""
-    DX, _ = cand.dx_operator()
+    DX, _ = cand.chain_rule
     args = cand.family.instantiated_args()
     name = cand.vnames[mu]
     out = []

@@ -71,13 +71,17 @@ def check_contact_condition(tr):
     return True
 
 
+def contact_rho(phi, psi, independents):
+    """rho solving the contact condition D_{x_j} psi = sum_i rho_i D_{x_j}
+    phi_i by Cramer's rule (consistent when the Jacobian is regular)."""
+    rhs = [total_derivative(psi, xj) for xj in independents]
+    return solve(jacobian_matrix(phi, independents), rhs)
+
+
 def lift_point_to_contact(tr):
     """Attach rho to a point transformation of a scalar system by solving
-    the contact condition (always consistent when the Jacobian is regular)."""
-    amat = tr.jacobian_matrix()
-    psi = tr.psi[0]
-    rhs = [total_derivative(psi, xj) for xj in tr.source.independents]
-    rho = solve(amat, rhs)
+    the contact condition."""
+    rho = contact_rho(tr.phi, tr.psi[0], tr.source.independents)
     return Transformation("contact", tr.source, tr.target, tr.phi, tr.psi,
                           tuple(rho))
 

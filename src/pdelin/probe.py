@@ -22,6 +22,9 @@ from .expr import (Add, ExpF, Expr, LogF, Mul, Pow, Rat, SPow, atoms_of,
 
 TARGET_WIDTH = Fraction(1, 10 ** 40)
 
+# the inclusive range of numerators of random probe values
+PROBE_NUMERATORS = (-6, 6)
+
 _DEFAULT_SEED = [0]
 
 
@@ -161,11 +164,11 @@ def _eval(e, assignment, prec):
     raise UncoveredKernelError(f"cannot evaluate node {type(e).__name__}")
 
 
-def numeric_probe(e, assignment, target_width=TARGET_WIDTH):
+def numeric_probe(e, assignment):
     """Evaluate `e` under an atom assignment.
 
     Returns an exact Fraction when the expression is rational in its kernels,
-    otherwise an Interval certified to be narrower than `target_width`
+    otherwise an Interval certified to be narrower than TARGET_WIDTH
     (relative to magnitude) or to exclude zero.
     """
     prec = 80
@@ -174,7 +177,7 @@ def numeric_probe(e, assignment, target_width=TARGET_WIDTH):
         if isinstance(v, Fraction):
             return v
         scale = max(Fraction(1), abs(v.lo), abs(v.hi))
-        if v.width <= target_width * scale or v.excludes_zero():
+        if v.width <= TARGET_WIDTH * scale or v.excludes_zero():
             return v
         if prec > 4000:
             return v
@@ -203,12 +206,13 @@ def probe_nonzero(e, assignment):
     return v.excludes_zero()
 
 
-def random_assignment(e, rng, lo=-6, hi=6, avoid_zero=True):
-    """Small random rationals for every kernel atom of `e`, an expression or
-    a sequence of expressions.
+def random_assignment(e, rng):
+    """Small nonzero random rationals, numerators in PROBE_NUMERATORS and
+    denominators 1 to 4, for every kernel atom of `e`, an expression or a
+    sequence of expressions.
 
     Values are kept positive for atoms that occur inside log or as symbolic
-    power bases; exact zeros are avoided for atoms raised to negative powers.
+    power bases.
     """
     exprs = (e,) if isinstance(e, Expr) else tuple(e)
     need_positive = set()
@@ -228,10 +232,10 @@ def random_assignment(e, rng, lo=-6, hi=6, avoid_zero=True):
     for a in sorted({a for x in exprs for a in atoms_of(x)},
                     key=lambda a: a.key):
         while True:
-            num = rng.randint(lo, hi)
+            num = rng.randint(*PROBE_NUMERATORS)
             den = rng.randint(1, 4)
             v = Fraction(num, den)
-            if avoid_zero and v == 0:
+            if v == 0:
                 continue
             if a in need_positive and v <= 0:
                 v = abs(v) + Fraction(1, den)

@@ -6,7 +6,7 @@ use the expression grammar, in the variables declared by [vars]."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .conslaw import MultiplierAnsatz, MultiplierFamily
 from .constraints import LinearConstraints
@@ -34,7 +34,6 @@ class WorkspaceFile:
     transformation: Transformation | None = None
     target_equations: list | None = None
     target_workspace: Workspace | None = None
-    sections: dict = field(default_factory=dict)
 
 
 def _split_sections(text):
@@ -104,8 +103,7 @@ def load_workspace_text(text):
         leading[eq_names.index(key)] = jet
     system = PdeSystem(ws, equations, leading=leading, names=eq_names)
 
-    out = WorkspaceFile(workspace=ws, system=system, equation_names=eq_names,
-                        sections=sections)
+    out = WorkspaceFile(workspace=ws, system=system, equation_names=eq_names)
 
     if "ansatz" in sections:
         order = None

@@ -330,7 +330,7 @@ def test_criterion_5_property_suites():
         rows_formal = cand.constraint_op.to_rows(cand.vnames)
         combo = add(*[mul(W[a], cand.compose(r))
                       for a, r in enumerate(rows_formal)])
-        DX, _ = cand.dx_operator()
+        DX, _ = cand.chain_rule
         want = cand.constraint_op.adjoint().apply(W, derive=DX,
                                                   coefficient=cand.compose)
         for mu in range(len(cand.vnames)):

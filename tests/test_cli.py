@@ -11,6 +11,7 @@ import pytest
 from pdelin import linearize
 from pdelin.cli import bundled_path, main
 from pdelin.grammar import parse
+from pdelin.linops import LinearOperator
 from pdelin.wsfile import load_workspace_text
 from pdelin.errors import WorkspaceError
 
@@ -347,3 +348,26 @@ def test_linearize_runs_each_stage_once(monkeypatch, capsys, system):
     assert main(["linearize", system]) == 0
     capsys.readouterr()
     assert calls == dict.fromkeys(STAGES, 1)
+
+
+@pytest.mark.parametrize("system", ("burgers", "pipeline", "telegraph"))
+def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
+                                                      system):
+    # L~* and the adjugate behind the chain rule d/dX_i are built once per
+    # job, however many stages read them
+    calls = {"adjoint": 0, "adjugate": 0}
+    adjoint, adjugate = LinearOperator.adjoint, linearize.adjugate
+
+    def counting_adjoint(self):
+        calls["adjoint"] += 1
+        return adjoint(self)
+
+    def counting_adjugate(mat):
+        calls["adjugate"] += 1
+        return adjugate(mat)
+
+    monkeypatch.setattr(LinearOperator, "adjoint", counting_adjoint)
+    monkeypatch.setattr(linearize, "adjugate", counting_adjugate)
+    assert main(["linearize", system]) == 0
+    capsys.readouterr()
+    assert calls == {"adjoint": 1, "adjugate": 1}

@@ -7,6 +7,7 @@ from pdelin.errors import ExprError
 from pdelin.expr import (Fun, add, equal, is_zero, mul, neg, rat, sub,
                          sym_pow)
 from pdelin.grammar import parse
+from pdelin.linalg import adjugate, det
 from pdelin.linops import LinearOperator, bilinear_identity, identity_residual
 from pdelin.probe import probe_is_zero, random_assignment
 from pdelin.workspace import Workspace
@@ -172,11 +173,18 @@ def test_self_adjointness_of_lagrangian_operator():
 
 
 def test_matrix_inverse_identity():
-    from pdelin.linalg import inverse, mat_mul, is_identity
+    # the inverse in adjugate form, mat . adj(mat) == det(mat) . I, for a
+    # 2x2 and a 3x3 matrix
     ws, X, T = xt_coords()
-    mat = [[add(rat(1), X), T], [rat(0), add(rat(2), mul(X, T))]]
-    assert is_identity(mat_mul(inverse(mat), mat))
-    assert is_identity(mat_mul(mat, inverse(mat)))
+    for mat in ([[add(rat(1), X), T], [rat(0), add(rat(2), mul(X, T))]],
+                [[X, T, rat(1)], [rat(2), mul(X, X), T],
+                 [add(X, T), rat(0), rat(3)]]):
+        n = len(mat)
+        adj, d = adjugate(mat), det(mat)
+        for i in range(n):
+            for j in range(n):
+                got = add(*[mul(mat[i][k], adj[k][j]) for k in range(n)])
+                assert equal(got, d if i == j else rat(0))
 
 
 def test_arity_mismatch():

@@ -1,6 +1,7 @@
 """Import discipline of the package: no function-level relative imports (they
 hide import cycles), no module reaches into the expression kernel's private
-helpers, and no module-level import is left unused."""
+helpers, and no module-level import is left unused.  Process-wide state is
+limited to the settings the README names."""
 
 import ast
 import pathlib
@@ -70,3 +71,69 @@ def test_no_unused_module_level_imports():
         unused += [(path.stem, name)
                    for name in sorted(bound - used - _exported(tree))]
     assert not unused, unused
+
+
+# module-level names that functions may mutate: the expression-size guard
+# and the base probe seed, the process-wide settings the README names
+PROCESS_WIDE = {("expr", "_MAX_TERMS"), ("probe", "_DEFAULT_SEED")}
+
+MUTATING_METHODS = {"append", "extend", "insert", "pop", "popitem", "remove",
+                    "clear", "update", "setdefault", "add", "discard", "sort",
+                    "reverse", "__setitem__", "__delitem__"}
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func):
+    """The nodes of a function body, not descending into nested scopes."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _mutated_module_names(tree):
+    """Module-level names that some function mutates: by a subscript store
+    or delete, by a mutating method call, or by rebinding through
+    `global`."""
+    module = {t.id for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for t in (node.targets if isinstance(node, ast.Assign)
+                        else [node.target])
+              if isinstance(t, ast.Name)}
+    out = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(_own_nodes(func))
+        declared = {n for node in nodes if isinstance(node, ast.Global)
+                    for n in node.names}
+        local = {a.arg for a in ast.walk(func.args)
+                 if isinstance(a, ast.arg)}
+        local |= {node.id for node in nodes if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)} - declared
+        visible = (module - local) | declared
+        out |= declared & module
+        for node in nodes:
+            if isinstance(node, ast.Subscript) and \
+                    isinstance(node.ctx, (ast.Store, ast.Del)):
+                base = node.value
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in MUTATING_METHODS:
+                base = node.func.value
+            else:
+                continue
+            if isinstance(base, ast.Name) and base.id in visible:
+                out.add(base.id)
+    return out
+
+
+def test_process_wide_state_is_only_the_named_settings():
+    mutated = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        mutated |= {(path.stem, name) for name in _mutated_module_names(tree)}
+    assert mutated == PROCESS_WIDE, sorted(mutated ^ PROCESS_WIDE)
