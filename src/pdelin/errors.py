@@ -49,3 +49,8 @@ class DegenerateError(PdelinError):
 
 class WorkspaceError(PdelinError):
     """Invalid declarations or workspace file contents."""
+
+
+class ProbeUndecidedError(DomainError):
+    """A numeric probe reached its precision cap with an interval that
+    neither excludes zero nor is narrow enough to call zero: no verdict."""

@@ -27,6 +27,7 @@ throughout the package.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -37,12 +38,13 @@ KIND_INDEPENDENT = "independent"
 KIND_PARAMETER = "parameter"
 KIND_COORDINATE = "coordinate"
 
-_MAX_TERMS = [200000]
+_MAX_TERMS = ContextVar("pdelin_max_terms", default=200000)
 
 
 def set_max_terms(n):
-    """Global guard on monomial counts produced by expansion."""
-    _MAX_TERMS[0] = int(n)
+    """Guard on monomial counts produced by expansion, for the current
+    context."""
+    _MAX_TERMS.set(int(n))
 
 
 class Expr:
@@ -325,7 +327,7 @@ def _poly_mul(p1, p2):
     for m1 in p1:
         for m2 in p2:
             out.append(_mono_mul(m1, m2))
-    if len(out) > _MAX_TERMS[0]:
+    if len(out) > _MAX_TERMS.get():
         raise ExprError("expression exceeds the configured term limit")
     return list(_collect(out).values())
 
@@ -347,7 +349,7 @@ def _poly_mul_kernel(monos, kern):
         else:
             for mk in kmonos:
                 out.append(_mono_mul((coeff, fmap), mk))
-    if len(out) > _MAX_TERMS[0]:
+    if len(out) > _MAX_TERMS.get():
         raise ExprError("expression exceeds the configured term limit")
     return list(_collect(out).values())
 

@@ -3,20 +3,23 @@ arithmetic for the transcendental kernels.
 
 An assignment maps every kernel atom of an expression (symbols, jets,
 arbitrary-function kernels) to a rational.  Rational subexpressions evaluate
-exactly; exp, log and symbolic powers fall back to mpmath interval arithmetic
-at increasing precision until the result interval is narrower than 1e-40 or
-excludes zero.  This is the independent oracle backing the symbolic
-zero-tests.
+exactly; exp, log and symbolic powers fall back to mpmath's low-level
+interval functions at increasing precision until the result interval is
+narrower than 1e-40 or excludes zero.  Each endpoint is rounded outward into
+a raw mpmath value and read back as an exact rational, and no mpmath context
+setting is read or written; mpmath is imported only when the first
+transcendental is evaluated.  When the precision cap is reached first, the
+probe raises ProbeUndecidedError instead of answering.  This is the
+independent oracle backing the symbolic zero-tests.
 """
 
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 from fractions import Fraction
 
-import mpmath
-
-from .errors import DomainError, UncoveredKernelError
+from .errors import DomainError, ProbeUndecidedError, UncoveredKernelError
 from .expr import (Add, ExpF, Expr, LogF, Mul, Pow, Rat, SPow, atoms_of,
                    is_atom, is_zero, walk)
 
@@ -25,16 +28,17 @@ TARGET_WIDTH = Fraction(1, 10 ** 40)
 # the inclusive range of numerators of random probe values
 PROBE_NUMERATORS = (-6, 6)
 
-_DEFAULT_SEED = [0]
+_DEFAULT_SEED = ContextVar("pdelin_probe_seed", default=0)
 
 
 def set_default_probe_seed(seed):
-    """Base seed for randomized probe points (CLI --seed)."""
-    _DEFAULT_SEED[0] = int(seed)
+    """Base seed for randomized probe points (CLI --seed), for the current
+    context."""
+    _DEFAULT_SEED.set(int(seed))
 
 
 def default_probe_seed():
-    return _DEFAULT_SEED[0]
+    return _DEFAULT_SEED.get()
 
 
 class Interval:
@@ -58,18 +62,6 @@ class Interval:
 
     def excludes_zero(self):
         return self.lo > 0 or self.hi < 0
-
-
-def _mpf_to_fraction(x):
-    try:
-        p, q = mpmath.libmp.to_rational(mpmath.mpf(x)._mpf_)
-    except (ValueError, TypeError) as exc:
-        raise DomainError(f"non-finite value in interval evaluation: {x}") from exc
-    return Fraction(p, q)
-
-
-def _iv_to_interval(x):
-    return Interval(_mpf_to_fraction(x.a), _mpf_to_fraction(x.b))
 
 
 def _add(a, b):
@@ -110,19 +102,23 @@ def _ipow(v, n):
     return out
 
 
-def _transcendental(fn, v, prec):
-    old = mpmath.iv.prec
-    mpmath.iv.prec = prec
-    try:
-        if isinstance(v, Fraction):
-            x = mpmath.iv.mpf(v.numerator) / v.denominator
-        else:
-            lo = mpmath.iv.mpf(v.lo.numerator) / v.lo.denominator
-            hi = mpmath.iv.mpf(v.hi.numerator) / v.hi.denominator
-            x = mpmath.iv.mpf([lo.a, hi.b])
-        return _iv_to_interval(fn(x))
-    finally:
-        mpmath.iv.prec = old
+def _transcendental(name, v, prec):
+    """An enclosure of exp(v) or log(v) (`name` "exp" or "log") computed at
+    `prec` bits on raw mpmath endpoints: the low endpoint of `v` is rounded
+    down, the high one up, and the result's endpoints are read back
+    exactly."""
+    from mpmath.libmp import (finf, fnan, fninf, from_rational, libmpi,
+                              round_ceiling, round_floor, to_rational)
+    iv = _as_interval(v)
+    s = (from_rational(iv.lo.numerator, iv.lo.denominator, prec, round_floor),
+         from_rational(iv.hi.numerator, iv.hi.denominator, prec,
+                       round_ceiling))
+    fn = libmpi.mpi_exp if name == "exp" else libmpi.mpi_log
+    ends = fn(s, prec)
+    if any(x in (finf, fninf, fnan) for x in ends):
+        raise DomainError(f"non-finite value in interval evaluation of {name}")
+    lo, hi = (Fraction(*to_rational(x)) for x in ends)
+    return Interval(lo, hi)
 
 
 def _eval(e, assignment, prec):
@@ -146,12 +142,12 @@ def _eval(e, assignment, prec):
     if isinstance(e, Pow):
         return _ipow(_eval(e.base, assignment, prec), e.exponent)
     if isinstance(e, ExpF):
-        return _transcendental(mpmath.iv.exp, _eval(e.arg, assignment, prec), prec)
+        return _transcendental("exp", _eval(e.arg, assignment, prec), prec)
     if isinstance(e, LogF):
         v = _eval(e.arg, assignment, prec)
         if (isinstance(v, Fraction) and v <= 0) or (isinstance(v, Interval) and v.lo <= 0):
             raise DomainError("log of a nonpositive value")
-        return _transcendental(mpmath.iv.log, v, prec)
+        return _transcendental("log", v, prec)
     if isinstance(e, SPow):
         b = _eval(e.base, assignment, prec)
         q = _eval(e.expo, assignment, prec)
@@ -159,8 +155,8 @@ def _eval(e, assignment, prec):
             return _ipow(b, int(q))
         if (isinstance(b, Fraction) and b <= 0) or (isinstance(b, Interval) and b.lo <= 0):
             raise DomainError("symbolic power of a nonpositive base")
-        lg = _transcendental(mpmath.iv.log, b, prec)
-        return _transcendental(mpmath.iv.exp, _mul(q, lg), prec)
+        lg = _transcendental("log", b, prec)
+        return _transcendental("exp", _mul(q, lg), prec)
     raise UncoveredKernelError(f"cannot evaluate node {type(e).__name__}")
 
 
@@ -169,7 +165,8 @@ def numeric_probe(e, assignment):
 
     Returns an exact Fraction when the expression is rational in its kernels,
     otherwise an Interval certified to be narrower than TARGET_WIDTH
-    (relative to magnitude) or to exclude zero.
+    (relative to magnitude) or to exclude zero.  Raises ProbeUndecidedError
+    when neither holds once the precision passes 4000 bits.
     """
     prec = 80
     while True:
@@ -180,7 +177,9 @@ def numeric_probe(e, assignment):
         if v.width <= TARGET_WIDTH * scale or v.excludes_zero():
             return v
         if prec > 4000:
-            return v
+            raise ProbeUndecidedError(
+                f"probe undecided at {prec} bits: an interval of width "
+                f"{float(v.width):.3g} still contains zero")
         prec *= 2
 
 

@@ -296,19 +296,25 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_3_without_traceback(tmp_path, case):
-    f = tmp_path / "case.ws"
-    f.write_text(BAD_INPUTS[case], encoding="utf-8")
+def fresh_python(code, *args):
+    """Run `code` with `args` in a fresh interpreter that imports this
+    checkout's pdelin."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from pdelin.cli import main; sys.exit(main())",
-         "linearize", str(f)],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_3_without_traceback(tmp_path, case):
+    f = tmp_path / "case.ws"
+    f.write_text(BAD_INPUTS[case], encoding="utf-8")
+    proc = fresh_python(
+        "import sys; from pdelin.cli import main; sys.exit(main())",
+        "linearize", str(f))
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 3, proc.stdout
 
@@ -371,3 +377,18 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
     assert main(["linearize", system]) == 0
     capsys.readouterr()
     assert calls == {"adjoint": 1, "adjugate": 1}
+
+
+@pytest.mark.parametrize("job, loads_mpmath", [
+    ("detsys pipeline", False), ("linearize burgers", True)])
+def test_mpmath_is_loaded_only_for_transcendentals(job, loads_mpmath):
+    # of the bundled jobs only `linearize burgers` probes exp or log
+    proc = fresh_python(
+        "import contextlib, io, sys\n"
+        "from pdelin.cli import main\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print('mpmath' in sys.modules)\n", *job.split())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loads_mpmath)

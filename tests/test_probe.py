@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from helpers import burgers_workspace, random_expression, seeded
-from pdelin.errors import DomainError, UncoveredKernelError
+from pdelin import probe
+from pdelin.errors import (DomainError, ProbeUndecidedError,
+                           UncoveredKernelError)
 from pdelin.expr import (add, canonicalize, exp_, log_, mul, rat, sub, sym_pow)
 from pdelin.grammar import parse
 from pdelin.probe import (Interval, numeric_probe, probe_is_zero,
@@ -74,3 +77,51 @@ def test_canonicalization_soundness_random():
             assert probe_is_zero(d, asg)
         except DomainError:
             pass
+
+
+def test_precision_cap_is_undecided_not_zero(monkeypatch):
+    # no enclosure of a transcendental is ever narrower than 0, so the zero
+    # below can only be resolved by giving up at the precision cap
+    monkeypatch.setattr(probe, "TARGET_WIDTH", Fraction(0))
+    e = add(log_(u1), log_(parse("1/u1", ws)))
+    with pytest.raises(ProbeUndecidedError, match="bits"):
+        probe_is_zero(e, {u1: Fraction(7, 2)})
+
+
+@pytest.mark.parametrize("kernel, reference", [
+    (exp_, mpmath.exp), (log_, mpmath.log)], ids=["exp", "log"])
+def test_enclosure_is_sound_at_default_precision(kernel, reference):
+    e = kernel(mul(rat(3, 2), x))
+    with mpmath.workprec(53):
+        got = numeric_probe(e, {x: Fraction(1)})
+    with mpmath.workprec(400):
+        value = Fraction(*mpmath.libmp.to_rational(
+            reference(mpmath.mpf(3) / 2)._mpf_))
+    eps = Fraction(1, 2 ** 380)    # far above the 400-bit rounding error
+    assert got.lo <= value + eps and value - eps <= got.hi
+
+
+def test_probe_reads_and_writes_no_mpmath_setting(monkeypatch):
+    before = (mpmath.mp.prec, mpmath.iv.prec)
+    touched = []
+    for ctx in (mpmath.mp, mpmath.iv):
+        prec = type(ctx).prec
+
+        def get(self, prec=prec):
+            touched.append("read")
+            return prec.fget(self)
+
+        def put(self, value, prec=prec):
+            touched.append("write")
+            prec.fset(self, value)
+
+        monkeypatch.setattr(type(ctx), "prec", property(get, put))
+    ws2 = burgers_workspace()
+    p = ws2.declare_parameter("p")
+    for e, asg in ((exp_(mul(rat(3, 2), x)), {x: Fraction(1)}),
+                   (log_(u1), {u1: Fraction(7, 2)}),
+                   (sym_pow(u1, p), {u1: Fraction(2), p: Fraction(1, 3)})):
+        assert isinstance(numeric_probe(e, asg), Interval)
+    assert touched == []
+    monkeypatch.undo()
+    assert (mpmath.mp.prec, mpmath.iv.prec) == before

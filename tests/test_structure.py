@@ -1,10 +1,16 @@
 """Import discipline of the package: no function-level relative imports (they
 hide import cycles), no module reaches into the expression kernel's private
-helpers, and no module-level import is left unused.  Process-wide state is
-limited to the settings the README names."""
+helpers, and no module-level import is left unused.  No function mutates
+module-level state; the two settings the README names are per context."""
 
 import ast
 import pathlib
+import threading
+
+from helpers import burgers_workspace
+from pdelin.errors import ExprError
+from pdelin.expr import add, mul, rat, set_max_terms
+from pdelin.probe import default_probe_seed, set_default_probe_seed
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "pdelin"
 
@@ -73,9 +79,9 @@ def test_no_unused_module_level_imports():
     assert not unused, unused
 
 
-# module-level names that functions may mutate: the expression-size guard
-# and the base probe seed, the process-wide settings the README names
-PROCESS_WIDE = {("expr", "_MAX_TERMS"), ("probe", "_DEFAULT_SEED")}
+# module-level names that functions may mutate: none, since the
+# expression-size guard and the base probe seed are context variables
+PROCESS_WIDE = set()
 
 MUTATING_METHODS = {"append", "extend", "insert", "pop", "popitem", "remove",
                     "clear", "update", "setdefault", "add", "discard", "sort",
@@ -137,3 +143,33 @@ def test_process_wide_state_is_only_the_named_settings():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         mutated |= {(path.stem, name) for name in _mutated_module_names(tree)}
     assert mutated == PROCESS_WIDE, sorted(mutated ^ PROCESS_WIDE)
+
+
+def test_settings_are_per_thread():
+    # both threads set their values before either reads, so a shared
+    # setting would show the other thread's value to one of them
+    barrier = threading.Barrier(2, timeout=60)
+    x, t = burgers_workspace().independents
+    cube = (add(x, t, rat(1)),) * 3    # 27 monomials before collecting
+    seen = {}
+
+    def work(max_terms, seed):
+        set_max_terms(max_terms)
+        set_default_probe_seed(seed)
+        barrier.wait()
+        try:
+            mul(*cube)
+            limited = False
+        except ExprError:
+            limited = True
+        seen[seed] = (limited, default_probe_seed())
+        barrier.wait()
+
+    threads = [threading.Thread(target=work, args=(5, 1)),
+               threading.Thread(target=work, args=(200000, 2))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+        assert not th.is_alive()
+    assert seen == {1: (True, 1), 2: (False, 2)}
