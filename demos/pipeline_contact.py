@@ -14,7 +14,8 @@ from pdelin.constraints import LinearConstraints
 from pdelin.expr import is_zero
 from pdelin.jets import PdeSystem
 from pdelin.linearize import (augmented_identity, build_mapping,
-                              match_multiplier_form, target_system)
+                              family_fluxes, match_multiplier_form,
+                              target_system)
 from pdelin.mapping import apply_transformation, check_contact_condition
 
 ws = Workspace("xt", ["u"], ["p"])
@@ -33,7 +34,8 @@ family = MultiplierFamily(
 print("\nmultiplier family: L1 = v(u_x, t) with")
 print("  ", to_text(constraint.rows[0]), "= 0")
 rep = verify_multipliers(system, family)
-print("verified:", rep.ok, " flux residual:", to_text(rep.flux_residual))
+_, flux_residual = family_fluxes(system, family)
+print("verified:", rep.ok, " flux residual:", to_text(flux_residual))
 
 cand = match_multiplier_form(family, system)
 print("\nJ =", to_text(cand.J), "  Q =", to_text(cand.Q[0][0]))

@@ -43,8 +43,7 @@ for i, c in enumerate(reduced.components):
     print(f"  L{i+1} = {to_text(c)}")
 print("  constraint:", to_text(reduced.constraints.rows[0]), "= 0")
 
-print("\nverification:", verify_multipliers(system, reduced,
-                                            with_fluxes=False).ok)
+print("\nverification:", verify_multipliers(system, reduced).ok)
 cand = match_multiplier_form(reduced, system)
 print("Jacobian:", to_text(cand.J))
 rec = augmented_identity(cand)

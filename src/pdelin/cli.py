@@ -23,11 +23,12 @@ from . import __version__
 from .conslaw import (MultiplierAnsatz, determining_system,
                       reduce_determining_system, reduce_family_constraints,
                       verify_multipliers)
-from .errors import ExtractionError, ParseError, PdelinError, WorkspaceError
+from .errors import (ExprError, ExtractionError, ParseError, PdelinError,
+                     WorkspaceError)
 from .expr import is_zero, set_max_terms
 from .grammar import to_text
-from .linearize import (Rejection, augmented_identity, match_multiplier_form,
-                        verify_linearization)
+from .linearize import (Rejection, augmented_identity, family_fluxes,
+                        match_multiplier_form, verify_linearization)
 from .mapping import (apply_transformation, check_contact_condition,
                       equations_match_up_to_factor)
 from .probe import set_default_probe_seed
@@ -168,7 +169,7 @@ def cmd_detsys(wf, args, doc):
             # Case I or undetermined: the document carries the residual
             # system; nothing further to verify
             return EXIT_OK
-    rep = verify_multipliers(sysm, fam, with_fluxes=False)
+    rep = verify_multipliers(sysm, fam)
     doc["family-verification"] = {
         "euler-residuals": [to_text(r) for r in rep.residuals],
         "ok": rep.ok,
@@ -246,17 +247,24 @@ def cmd_verify(wf, args, doc):
             "euler-residuals": [to_text(r) for r in rep.residuals],
             "ok": rep.ok,
         }
-        if rep.fluxes is not None:
-            vdoc["fluxes"] = [to_text(f) for f in rep.fluxes]
-            vdoc["flux-residual"] = to_text(rep.flux_residual)
+        messages = list(rep.messages)
+        if rep.ok:
+            try:
+                fluxes, flux_residual = family_fluxes(wf.system, fam)
+            except ExprError as exc:
+                messages.append(f"fluxes unavailable: {exc}")
+            else:
+                vdoc["fluxes"] = [to_text(f) for f in fluxes]
+                vdoc["flux-residual"] = to_text(flux_residual)
+                if not is_zero(flux_residual):
+                    code = EXIT_RESIDUAL
+        else:
+            code = EXIT_RESIDUAL
         if rep.singular_warnings:
             vdoc["warnings"] = rep.singular_warnings
-        if rep.messages:
-            vdoc["messages"] = rep.messages
+        if messages:
+            vdoc["messages"] = messages
         doc["multiplier-verification"] = vdoc
-        if not rep.ok or (rep.flux_residual is not None
-                          and not is_zero(rep.flux_residual)):
-            code = EXIT_RESIDUAL
     if wf.transformation is not None:
         did = True
         tr = wf.transformation

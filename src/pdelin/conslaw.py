@@ -90,8 +90,6 @@ class MultiplierFamily:
 class VerificationReport:
     ok: bool
     residuals: list
-    fluxes: list | None = None
-    flux_residual: object = None
     singular_warnings: list = field(default_factory=list)
     messages: list = field(default_factory=list)
 
@@ -102,47 +100,22 @@ def multiplier_combination(sys, fam):
     return add(*[mul(lam, g) for lam, g in zip(fam.components, sys.equations)])
 
 
-def verify_multipliers(sys, fam, with_fluxes=True):
-    """Check E_{U^sigma}(Lambda_nu G^nu) == 0 modulo the family constraints;
-    on success reconstruct fluxes with an exactly zero residual."""
+def verify_multipliers(sys, fam):
+    """Check E_{U^sigma}(Lambda_nu G^nu) == 0 modulo the family constraints,
+    and warn about multipliers that vanish on solutions.  The fluxes are
+    `linearize.family_fluxes`."""
     ws = sys.workspace
     s = multiplier_combination(sys, fam)
-    residuals = []
-    for dep in ws.dependents:
-        r = fam.reduce(euler_operator(s, dep, ws))
-        residuals.append(r)
-    ok = all(is_zero(r) for r in residuals)
-    messages = []
-    if not ok:
-        for dep, r in zip(ws.dependents, residuals):
-            if not is_zero(r):
-                messages.append(f"E_{dep} residual nonzero: offending terms remain")
+    residuals = [fam.reduce(euler_operator(s, dep, ws)) for dep in ws.dependents]
+    messages = [f"E_{dep} residual nonzero: offending terms remain"
+                for dep, r in zip(ws.dependents, residuals) if not is_zero(r)]
+    if messages:
         return VerificationReport(ok=False, residuals=residuals, messages=messages)
-
-    warnings = []
-    for i, lam in enumerate(fam.components):
-        if is_zero(sys.reduce_on_solutions(lam)):
-            warnings.append(f"multiplier {i + 1} vanishes identically on solutions")
-
-    fluxes = None
-    flux_residual = None
-    if with_fluxes:
-        if not any(fun_kernels_of(lam) for lam in fam.components):
-            fluxes = reconstruct_fluxes(s, ws)
-            flux_residual = sub(s, _divergence(fluxes, ws))
-        else:
-            from .linearize import family_fluxes
-            try:
-                fluxes, flux_residual = family_fluxes(sys, fam)
-            except ExprError as exc:
-                messages.append(f"fluxes unavailable: {exc}")
-    return VerificationReport(ok=True, residuals=residuals, fluxes=fluxes,
-                              flux_residual=flux_residual,
-                              singular_warnings=warnings, messages=messages)
-
-
-def _divergence(fluxes, ws):
-    return add(*[total_derivative(f, s) for f, s in zip(fluxes, ws.independents)])
+    warnings = [f"multiplier {i + 1} vanishes identically on solutions"
+                for i, lam in enumerate(fam.components)
+                if is_zero(sys.reduce_on_solutions(lam))]
+    return VerificationReport(ok=True, residuals=residuals,
+                              singular_warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +279,10 @@ def _package_result(state, components, ws):
     return live, None
 
 
+# passes of _ReducerState.run; a run that exhausts them says so in its steps
+MAX_REDUCER_PASSES = 64
+
+
 class _ReducerState:
     """Rewrites unknown-function kernels through accumulated substitutions.
 
@@ -371,15 +348,16 @@ class _ReducerState:
     # -- the pass loop ------------------------------------------------------
 
     def run(self):
-        for _ in range(64):
+        for _ in range(MAX_REDUCER_PASSES):
             self.equations = self.live_equations()
             if not self.equations:
                 return
-            if (self._pass_drop_dependency() or self._pass_algebraic()
+            if not (self._pass_drop_dependency() or self._pass_algebraic()
                     or self._pass_potential() or self._pass_exponential()
                     or self._pass_transport()):
-                continue
-            return
+                return
+        self.steps.append(f"reducer stopped: pass cap MAX_REDUCER_PASSES = "
+                          f"{MAX_REDUCER_PASSES} exhausted")
 
     def _kernels(self, e):
         return [k for k in fun_kernels_of(e)

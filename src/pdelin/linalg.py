@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import DegenerateError
-from .expr import add, div, is_zero, mul, neg, rat, sub
+from .expr import add, mul, neg, rat, sub
 
 
 def det(mat):
@@ -33,16 +32,3 @@ def adjugate(mat):
             adj[j][i] = cof if (i + j) % 2 == 0 else neg(cof)
     return adj
 
-
-def solve(mat, rhs):
-    """Cramer solve of mat * x = rhs over the expression field."""
-    d = det(mat)
-    if is_zero(d):
-        raise DegenerateError("linear system is degenerate")
-    n = len(mat)
-    out = []
-    for j in range(n):
-        col = [[mat[i][k] if k != j else rhs[i] for k in range(n)]
-               for i in range(n)]
-        out.append(div(det(col), d))
-    return out

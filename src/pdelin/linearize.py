@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .conslaw import MultiplierFamily, multiplier_combination
+from .conslaw import (MultiplierFamily, multiplier_combination,
+                      reconstruct_fluxes)
 from .constraints import LinearConstraints
 from .errors import DegenerateError, ExprError, ExtractionError
 from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, add,
@@ -20,10 +21,10 @@ from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, add,
                    normalize_equation, pow_int, rat, sub, substitute,
                    substitute_kernels, total_derivative, walk)
 from .jets import PdeSystem
-from .linalg import adjugate, det
+from .linalg import det
 from .linops import DerivativeTable, LinearOperator, bilinear_identity
-from .mapping import (Transformation, apply_transformation, contact_rho,
-                      equations_match_up_to_factor, jacobian_matrix)
+from .mapping import (ChainRule, Transformation, apply_transformation,
+                      contact_rho, equations_match_up_to_factor)
 from .probe import (DomainError, default_probe_seed, probe_agree,
                     probe_nonzero_robust, random_assignment)
 from .workspace import Workspace
@@ -48,9 +49,14 @@ class LinearizationCandidate:
     coords: tuple                     # formal coordinate symbols X_i
     X: tuple                          # coordinate definitions X_i(x, U[, dU])
     Q: list                           # Q[nu][mu]
-    J: object                         # Jacobian expression
+    chain_rule: ChainRule             # d/dX_i over the source jet space
     constraint_op: LinearOperator     # L~ (m rows, M cols) over coords
     vnames: list
+
+    @property
+    def J(self):
+        """The Jacobian det(D X_i / D x_j) with total derivatives."""
+        return self.chain_rule.det
 
     @cached_property
     def W(self):
@@ -86,23 +92,6 @@ class LinearizationCandidate:
         return self.constraint_op.adjoint()
 
     @cached_property
-    def chain_rule(self):
-        """(DX, cof): formal d/dX_i realized on jet expressions through the
-        chain rule, DX(h, X_i) = sum_j cof[i][j] D_{x_j}(h) / J, with cof
-        the adjugate of the coordinate Jacobian matrix."""
-        ws = self.system.workspace
-        cof = adjugate(jacobian_matrix(self.X, ws.independents))
-        index = {c: i for i, c in enumerate(self.coords)}
-
-        def DX(h, coord):
-            i = index[coord]
-            num = add(*[mul(cof[i][j], total_derivative(h, ws.independents[j]))
-                        for j in range(ws.n)])
-            return div(num, self.J)
-
-        return DX, cof
-
-    @cached_property
     def qg_rows(self):
         """(Q G)^mu = sum_nu Q_nu^mu G^nu over the source equations G."""
         eqs = self.system.equations
@@ -112,16 +101,8 @@ class LinearizationCandidate:
     def adjoint_rows(self, W):
         """(L~* W)^mu composed with X(x,U): coefficients b(X) -> b(X(x,U))
         and each d/dX_i realized through the chain rule."""
-        DX, _ = self.chain_rule
-        return self.adjoint_op.apply(W, derive=DX, coefficient=self.compose)
-
-
-def jacobian(X, sys):
-    """det(D X_i / D x_j) with total derivatives."""
-    ws = sys.workspace
-    if len(X) != ws.n:
-        raise ExprError("coordinate count does not match the system")
-    return det(jacobian_matrix(X, ws.independents))
+        return self.adjoint_op.apply(W, derive=self.chain_rule,
+                                     coefficient=self.compose)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +242,8 @@ def match_multiplier_form(fam, sys):
         return Rejection(f"{len(vnames)} arbitrary functions for {M} "
                          "equations; Q cannot be square")
     args = fam.instantiated_args()
-    J = jacobian(X, sys)
+    chain = ChainRule(X, ws.independents, coords)
+    J = chain.det
     if is_zero(J) or not probe_nonzero_robust(J):
         return Rejection("coordinate definitions are functionally dependent "
                          "(Jacobian vanishes)")
@@ -292,7 +274,8 @@ def match_multiplier_form(fam, sys):
         return Rejection(f"constraint operator has {have} rows; need m = {ws.m}")
     Lop = LinearOperator.from_rows(fam.constraints.rows, vnames, coords)
     return LinearizationCandidate(family=fam, system=sys, coords=tuple(coords),
-                                  X=tuple(X), Q=Q, J=J, constraint_op=Lop,
+                                  X=tuple(X), Q=Q, chain_rule=chain,
+                                  constraint_op=Lop,
                                   vnames=vnames)
 
 
@@ -493,8 +476,7 @@ def augmented_identity(cand):
     wtilde = [f"_W{a+1}" for a in range(len(W))]
     upsilon = bilinear_identity(cand.adjoint_op, vnames=cand.vnames,
                                 wnames=wtilde)
-    DX, cof = cand.chain_rule
-    dW = DerivativeTable(W, cand.coords, DX)
+    dW = DerivativeTable(W, cand.coords, cand.chain_rule)
 
     def compose_upsilon(u):
         repl = {}
@@ -505,18 +487,28 @@ def augmented_identity(cand):
 
     ups = [compose_upsilon(u) for u in upsilon]
     n = ws.n
+    cof = cand.chain_rule.cof
     fluxes = [add(*[mul(cof[i][j], ups[i]) for i in range(n)]) for j in range(n)]
-    divergence = add(*[total_derivative(fluxes[j], ws.independents[j])
-                       for j in range(n)])
-    remainder = sub(A, divergence)
+    remainder = sub(A, _divergence(fluxes, ws))
     return AugmentedIdentity(W=W, fluxes=fluxes, remainder=remainder,
                              residual=sub(remainder, rows))
 
 
+def _divergence(fluxes, ws):
+    return add(*[total_derivative(f, x) for f, x in zip(fluxes, ws.independents)])
+
+
 def family_fluxes(sys, fam):
-    """Fluxes for a verified arbitrary-function family: the augmented
-    identity evaluated on constrained functions, where the constraint-row
-    terms vanish.  Returns (fluxes, residual reduced modulo constraints)."""
+    """Fluxes for a verified multiplier family and the residual of the
+    conservation law they give.  Without arbitrary functions the fluxes are
+    reconstructed from the multiplier combination; otherwise they come from
+    the augmented identity evaluated on constrained functions, where the
+    constraint-row terms vanish, and the residual is reduced modulo the
+    constraints.  Returns (fluxes, residual)."""
+    if not any(fun_kernels_of(lam) for lam in fam.components):
+        s = multiplier_combination(sys, fam)
+        fluxes = reconstruct_fluxes(s, sys.workspace)
+        return fluxes, sub(s, _divergence(fluxes, sys.workspace))
     cand = match_multiplier_form(fam, sys)
     if isinstance(cand, Rejection):
         raise ExprError(f"family does not match the factored form: {cand.reason}")
@@ -543,7 +535,7 @@ def build_mapping(cand):
     if not contact:
         return Transformation("point", sys.workspace, tgt,
                               tuple(cand.X), tuple(cand.W))
-    rho = contact_rho(cand.X, cand.W[0], sys.workspace.independents)
+    rho = contact_rho(cand.chain_rule, cand.W[0])
     for r in rho:
         for j in jets_of(r):
             if j.order > 1:
@@ -624,7 +616,6 @@ def verify_linearization(sys, cand):
 def euler_wrt_function(cand, e, mu):
     """E_{V^mu} in the X-coordinates, realized on composite expressions:
     sum_K (-1)^|K| DX^K (d e / d V^mu_K)."""
-    DX, _ = cand.chain_rule
     args = cand.family.instantiated_args()
     name = cand.vnames[mu]
     out = []
@@ -632,6 +623,7 @@ def euler_wrt_function(cand, e, mu):
         if k.args != args:
             continue
         sign = rat(-1) if sum(k.dmidx) % 2 else rat(1)
-        d = derive_multi(diff_kernel(e, k), zip(cand.coords, k.dmidx), DX)
+        d = derive_multi(diff_kernel(e, k), zip(cand.coords, k.dmidx),
+                         cand.chain_rule)
         out.append(mul(sign, d))
     return add(*out) if out else rat(0)

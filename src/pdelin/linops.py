@@ -13,10 +13,9 @@ from __future__ import annotations
 from math import comb
 
 from .errors import ExprError
-from .expr import (Fun, add, atoms_of, derive_multi, diff_atom,
-                   fun_kernels_of, is_zero, mul, multi_indices, neg, rat, sub)
-
-KIND_PARAM = "parameter"
+from .expr import (KIND_PARAMETER, Fun, Sym, add, atoms_of, derive_multi,
+                   diff_atom, fun_kernels_of, is_zero, mul, multi_indices,
+                   neg, rat, sub)
 
 
 def _multi_sub(a, b):
@@ -44,7 +43,7 @@ class LinearOperator:
                 raise ExprError("malformed operator coefficient index")
             bad = [a for a in atoms_of(c)
                    if a not in self.variables and not (
-                       hasattr(a, "kind") and a.kind == KIND_PARAM)]
+                       isinstance(a, Sym) and a.kind == KIND_PARAMETER)]
             if bad:
                 raise ExprError(f"operator coefficient depends on {bad[0]!r}")
 

@@ -13,7 +13,8 @@ from .expr import (ExpF, Jet, LogF, Sym, add, atoms_of, clear_equation,
                    from_monomial, is_zero, jets_of, log_, monomials, mul, neg,
                    sub, substitute, total_derivative, walk)
 from .jets import PdeSystem, jet_rank
-from .linalg import adjugate, det, solve
+from .linalg import adjugate, det
+from .linops import DerivativeTable
 from .probe import default_probe_seed, probe_nonzero_robust
 from .workspace import Workspace
 
@@ -21,6 +22,32 @@ from .workspace import Workspace
 def jacobian_matrix(phi, independents):
     """[[D_{x_j} phi_i for phi_i in phi] for x_j in independents]."""
     return [[total_derivative(p, xj) for p in phi] for xj in independents]
+
+
+class ChainRule:
+    """The total derivative under the change of variables X_i = phi_i(x, u):
+    d/dX_i = sum_j (dx_j/dX_i) D_{x_j}.  With M = jacobian_matrix(phi,
+    independents), D_x = M d/dX, so d/dX_i = sum_j cof[i][j] D_{x_j} / det
+    with cof the adjugate of M and det its determinant (Olver, Applications
+    of Lie Groups to Differential Equations, sections 2.2 and 4.2).
+
+    `chain(h, variable)` applies d/dX_i, where i is the index of `variable`
+    among `variables` (by default the independents): the `derive(e,
+    variable)` signature of `DerivativeTable` and `derive_multi`."""
+
+    def __init__(self, phi, independents, variables=None):
+        self.independents = tuple(independents)
+        self.variables = tuple(self.independents if variables is None
+                               else variables)
+        mat = jacobian_matrix(phi, self.independents)
+        self.det = det(mat)
+        self.cof = adjugate(mat)
+        self.index = {v: i for i, v in enumerate(self.variables)}
+
+    def __call__(self, h, variable):
+        row = self.cof[self.index[variable]]
+        return div(add(*[mul(c, total_derivative(h, xj))
+                         for c, xj in zip(row, self.independents)]), self.det)
 
 
 @dataclass
@@ -50,11 +77,8 @@ class Transformation:
                     raise ExprError(
                         f"{self.kind} transformation component depends on {j!r}")
 
-    def jacobian_matrix(self):
-        return jacobian_matrix(self.phi, self.source.independents)
-
     def jacobian(self):
-        return det(self.jacobian_matrix())
+        return det(jacobian_matrix(self.phi, self.source.independents))
 
 
 def check_contact_condition(tr):
@@ -71,17 +95,19 @@ def check_contact_condition(tr):
     return True
 
 
-def contact_rho(phi, psi, independents):
+def contact_rho(chain, psi):
     """rho solving the contact condition D_{x_j} psi = sum_i rho_i D_{x_j}
-    phi_i by Cramer's rule (consistent when the Jacobian is regular)."""
-    rhs = [total_derivative(psi, xj) for xj in independents]
-    return solve(jacobian_matrix(phi, independents), rhs)
+    phi_i: rho_i = d psi / dX_i under the chain rule of phi."""
+    if is_zero(chain.det):
+        raise DegenerateError("contact condition is degenerate: the "
+                              "Jacobian vanishes")
+    return [chain(psi, v) for v in chain.variables]
 
 
 def lift_point_to_contact(tr):
     """Attach rho to a point transformation of a scalar system by solving
     the contact condition."""
-    rho = contact_rho(tr.phi, tr.psi[0], tr.source.independents)
+    rho = contact_rho(ChainRule(tr.phi, tr.source.independents), tr.psi[0])
     return Transformation("contact", tr.source, tr.target, tr.phi, tr.psi,
                           tuple(rho))
 
@@ -217,7 +243,8 @@ def apply_transformation(sys, tr):
 
     Needs the closed-form inverse: old independents/dependents (and, for
     contact maps, first-order jets) as expressions of the new ones.  Old
-    jets lift through D_{x_i} = (Dz/Dx-inverse chain) D_{z_j}; each
+    jets lift through the inverse's chain rule, D_{x_i} = sum_j
+    (dz_j/dx_i) D_{z_j}, one cached d^K table per old dependent; each
     transformed equation is cleared of its denominators and of an overall
     nonzero monomial factor."""
     if sys.workspace is not tr.source:
@@ -232,46 +259,28 @@ def apply_transformation(sys, tr):
         raise ExprError("no closed-form inverse available for this transformation")
 
     src, tgt = tr.source, tr.target
-    # matrix of D_{z_j}(old x_i) over the target jet space
-    amat = [[total_derivative(solution[xi], zj) for xi in src.independents]
-            for zj in tgt.independents]
-    detb = det(amat)
-    if is_zero(detb):
+    # D_{x_i} over the target jet space, from the old x as functions of z
+    chain = ChainRule([solution[xi] for xi in src.independents],
+                      tgt.independents, src.independents)
+    if is_zero(chain.det):
         raise DegenerateError("inverse Jacobian matrix is singular")
-    cof = adjugate(amat)
-
-    cache = {}
-    for i, xi in enumerate(src.independents):
-        cache[xi] = solution[xi]
-    for depname in src.dependents:
-        cache[src.lookup(depname)] = solution[src.lookup(depname)]
+    old = DerivativeTable([solution[src.lookup(d)] for d in src.dependents],
+                          src.independents, chain)
     if tr.kind == "contact":
+        # the inverse gives the old first-order jets outright
         dep = src.dependents[0]
-        for s in src.independents:
-            j = Jet(dep, ((s.name, 1),))
-            cache[j] = solution[j]
-
-    def old_jet(j):
-        if j in cache:
-            return cache[j]
-        var, _ = max(j.midx, key=lambda vo: vo[1])
-        lower = j.bump(var, -1)
-        base = old_jet(lower)
-        i = next(i for i, s in enumerate(src.independents) if s.name == var)
-        num = add(*[mul(cof[i][jj], total_derivative(base, tgt.independents[jj]))
-                    for jj in range(tgt.n)])
-        val = div(num, detb)
-        cache[j] = val
-        return val
+        for i, s in enumerate(src.independents):
+            K = tuple(int(k == i) for k in range(src.n))
+            old.cache[(0, K)] = solution[Jet(dep, ((s.name, 1),))]
 
     raw_eqs = []
     for g in sys.equations:
         rules = {}
         for a in atoms_of(g):
             if isinstance(a, Sym) and a.kind == "independent":
-                rules[a] = cache[a]
+                rules[a] = solution[a]
             elif isinstance(a, Jet):
-                rules[a] = old_jet(a)
+                rules[a] = old(src.dep_index(a.dep), src.jet_vector(a))
         raw_eqs.append(clear_equation(substitute(g, rules)))
     new_eqs, messages = _triangularize(raw_eqs, tgt)
     system = None

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from pdelin import linearize
+from pdelin import linearize, mapping
 from pdelin.cli import bundled_path, main
 from pdelin.grammar import parse
 from pdelin.linops import LinearOperator
@@ -359,10 +359,11 @@ def test_linearize_runs_each_stage_once(monkeypatch, capsys, system):
 @pytest.mark.parametrize("system", ("burgers", "pipeline", "telegraph"))
 def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
                                                       system):
-    # L~* and the adjugate behind the chain rule d/dX_i are built once per
-    # job, however many stages read them
+    # L~* is built once per job, however many stages read it; so is each
+    # of the two chain rules, whose adjugates are the only ones built: d/dX
+    # of the candidate and D_x of the inverse in apply_transformation
     calls = {"adjoint": 0, "adjugate": 0}
-    adjoint, adjugate = LinearOperator.adjoint, linearize.adjugate
+    adjoint, adjugate = LinearOperator.adjoint, mapping.adjugate
 
     def counting_adjoint(self):
         calls["adjoint"] += 1
@@ -373,10 +374,10 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
         return adjugate(mat)
 
     monkeypatch.setattr(LinearOperator, "adjoint", counting_adjoint)
-    monkeypatch.setattr(linearize, "adjugate", counting_adjugate)
+    monkeypatch.setattr(mapping, "adjugate", counting_adjugate)
     assert main(["linearize", system]) == 0
     capsys.readouterr()
-    assert calls == {"adjoint": 1, "adjugate": 1}
+    assert calls == {"adjoint": 1, "adjugate": 2}
 
 
 @pytest.mark.parametrize("job, loads_mpmath", [

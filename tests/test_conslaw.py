@@ -5,6 +5,7 @@ import pytest
 
 import corpus
 from helpers import random_expression, seeded
+from pdelin import conslaw
 from pdelin.conslaw import (MultiplierAnsatz, MultiplierFamily,
                             determining_system, is_divergence,
                             reconstruct_fluxes, reduce_determining_system,
@@ -14,6 +15,7 @@ from pdelin.expr import (Fun, Jet, add, equal, exp_, is_zero, mul, neg, rat,
                          sub, total_derivative)
 from pdelin.grammar import parse, to_text
 from pdelin.jets import PdeSystem, euler_operator
+from pdelin.linearize import family_fluxes
 from pdelin.workspace import Workspace
 
 
@@ -78,6 +80,18 @@ def test_reducer_burgers_full_integration():
     assert equal(row, add(Fun(fname, (X, T), (2, 0)), Fun(fname, (X, T), (0, 1))))
 
 
+def test_reducer_reports_its_pass_cap(monkeypatch):
+    # Burgers needs more than one pass and stays well inside the default
+    # cap; with the cap at 1 the run ends by naming it
+    ws, sys = corpus.burgers()
+    det = determining_system(sys, MultiplierAnsatz(order=0))
+    assert not any("pass cap" in s for s in reduce_determining_system(det).steps)
+    monkeypatch.setattr(conslaw, "MAX_REDUCER_PASSES", 1)
+    steps = reduce_determining_system(det).steps
+    assert len(steps) == 2
+    assert steps[-1] == "reducer stopped: pass cap MAX_REDUCER_PASSES = 1 exhausted"
+
+
 def test_reducer_telegraph_reaches_potential():
     ws, sys = corpus.telegraph()
     det = determining_system(sys, MultiplierAnsatz(order=0))
@@ -116,22 +130,24 @@ def test_verify_trivial_heat():
     sys = PdeSystem(ws, [parse("u_t - u_xx", ws)])
     fam = MultiplierFamily(components=[rat(1)], function_names=[],
                            coordinates=(), definitions=(), constraints=None)
-    rep = verify_multipliers(sys, fam)
-    assert rep.ok
-    assert equal(rep.fluxes[0], parse("-u_x", ws))
-    assert equal(rep.fluxes[1], parse("u", ws))
-    assert is_zero(rep.flux_residual)
+    assert verify_multipliers(sys, fam).ok
+    fluxes, residual = family_fluxes(sys, fam)
+    assert equal(fluxes[0], parse("-u_x", ws))
+    assert equal(fluxes[1], parse("u", ws))
+    assert is_zero(residual)
 
 
 def test_verify_corpus_families():
     ws, sys = corpus.burgers()
     assert verify_multipliers(sys, corpus.burgers_family_v(ws)).ok
     pws, psys = corpus.pipeline()
-    prep = verify_multipliers(psys, corpus.pipeline_family(pws))
-    assert prep.ok and prep.fluxes is not None and is_zero(prep.flux_residual)
-    tws, tsys = corpus.telegraph()
-    trep = verify_multipliers(tsys, corpus.telegraph_family(tws))
-    assert trep.ok and trep.fluxes is not None and is_zero(trep.flux_residual)
+    for make_sys, make_fam in ((corpus.pipeline, corpus.pipeline_family),
+                               (corpus.telegraph, corpus.telegraph_family)):
+        ws, sys = make_sys()
+        fam = make_fam(ws)
+        assert verify_multipliers(sys, fam).ok
+        fluxes, residual = family_fluxes(sys, fam)
+        assert len(fluxes) == ws.n and is_zero(residual)
 
 
 def test_verify_rejects_wrong_family():
@@ -141,7 +157,7 @@ def test_verify_rejects_wrong_family():
         components=[fam.components[0], neg(fam.components[1])],
         function_names=fam.function_names, coordinates=fam.coordinates,
         definitions=fam.definitions, constraints=fam.constraints)
-    rep = verify_multipliers(sys, bad, with_fluxes=False)
+    rep = verify_multipliers(sys, bad)
     assert not rep.ok and rep.messages
 
 
@@ -229,7 +245,7 @@ def test_splitting_completeness_corpora():
         residuals = det.check_family(cands, fam.constraints)
         assert all(is_zero(r) for r in residuals), to_text(
             next(r for r in residuals if not is_zero(r)))
-        assert verify_multipliers(sys, fam, with_fluxes=False).ok
+        assert verify_multipliers(sys, fam).ok
 
 
 def test_families_at_explicit_constraint_solutions():

@@ -5,17 +5,20 @@ import pytest
 
 import corpus
 from helpers import seeded
+from pdelin.cli import bundled_path
 from pdelin.errors import ExprError
-from pdelin.expr import (Jet, add, equal, exp_, is_zero, mul, neg, rat,
+from pdelin.expr import (Jet, add, equal, exp_, is_zero, mul, neg, rat, sub,
                          substitute, total_derivative)
 from pdelin.grammar import parse
 from pdelin.jets import PdeSystem, prolong_rules
-from pdelin.mapping import (Transformation, apply_transformation,
+from pdelin.linearize import match_multiplier_form
+from pdelin.mapping import (ChainRule, Transformation, apply_transformation,
                             check_contact_condition,
                             equations_match_up_to_factor,
                             invert_transformation, lift_point_to_contact,
                             push_solution)
 from pdelin.workspace import Workspace
+from pdelin.wsfile import load_workspace_text
 
 
 def burgers_transformation():
@@ -129,6 +132,36 @@ def test_round_trip_burgers_and_telegraph():
         inv, _ = invert_transformation(tr)
         back = apply_transformation(rep.system, inv)
         assert equations_match_up_to_factor(back.equations, sys.equations)
+
+
+@pytest.mark.parametrize("make_sys, make_fam", (
+    (corpus.burgers, corpus.burgers_family_v),
+    (corpus.pipeline, corpus.pipeline_family),
+    (corpus.telegraph, corpus.telegraph_family),
+), ids=("burgers", "pipeline", "telegraph"))
+def test_candidate_chain_rule_differentiates_its_coordinates(make_sys,
+                                                             make_fam):
+    # d X_k / d X_i = delta_ik, since cof . M = det . I
+    ws, sys = make_sys()
+    cand = match_multiplier_form(make_fam(ws), sys)
+    for k, xk in enumerate(cand.X):
+        for i, ci in enumerate(cand.coords):
+            assert is_zero(sub(cand.chain_rule(xk, ci), rat(int(i == k))))
+
+
+@pytest.mark.parametrize("system", ("burgers", "pipeline", "telegraph"))
+def test_inverse_chain_rule_differentiates_old_coordinates(system):
+    # the chain rule apply_transformation builds from the inverse of the
+    # declared transformation: d x_k(z, w) / d x_i = delta_ik
+    wf = load_workspace_text(bundled_path(system).read_text(encoding="utf-8"))
+    tr = wf.transformation
+    _, solution = invert_transformation(tr)
+    src = tr.source
+    old = [solution[x] for x in src.independents]
+    chain = ChainRule(old, tr.target.independents, src.independents)
+    for k, xk in enumerate(old):
+        for i, xi in enumerate(src.independents):
+            assert is_zero(sub(chain(xk, xi), rat(int(i == k))))
 
 
 def test_chain_rule_exactness_affine_maps():

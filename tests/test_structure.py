@@ -15,10 +15,8 @@ from pdelin.probe import default_probe_seed, set_default_probe_seed
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "pdelin"
 
 # (module, enclosing function, imported module): the printer is needed by
-# Expr.__repr__ while grammar imports expr, and conslaw.verify_multipliers
-# reaches the linearization pipeline for family fluxes
-ALLOWED_LOCAL = {("expr", "__repr__", "grammar"),
-                 ("conslaw", "verify_multipliers", "linearize")}
+# Expr.__repr__ while grammar imports expr
+ALLOWED_LOCAL = {("expr", "__repr__", "grammar")}
 
 
 def _imports():
