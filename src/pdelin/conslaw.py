@@ -7,17 +7,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from .constraints import LinearConstraints
 from .errors import ExprError, NotADivergenceError, WorkspaceError
 from .expr import (ExpF, Fun, Jet, Rat, Sym, add, atoms_of, derive_multi,
                    diff_atom, div, exp_, from_monomial, fun_kernels_of,
-                   is_zero, jets_of, log_, max_jet_order, monomials,
-                   mul, multi_indices, neg, normalize_equation, pow_int, rat,
-                   sub, substitute, substitute_kernels, total_derivative, walk)
+                   is_zero, jets_of, log_, monomials, mul, multi_indices, neg,
+                   normalize_equation, pow_int, rat, solve_linear, sub,
+                   substitute, substitute_kernels, total_derivative, walk)
 from .grammar import to_text
-from .jets import PdeSystem, euler_operator, jet_rank
+from .jets import PdeSystem, euler_operator, higher_euler, jet_rank
 
 PLACEHOLDERS = [Sym(f"_pos{i}", "coordinate") for i in range(12)]
 
@@ -78,9 +77,6 @@ class MultiplierFamily:
     coordinates: tuple
     definitions: tuple
     constraints: LinearConstraints | None
-
-    def instantiated_args(self):
-        return tuple(self.definitions)
 
     def reduce(self, e):
         return self.constraints.reduce(e) if self.constraints is not None else e
@@ -163,9 +159,7 @@ def determining_system(sys, ansatz):
     arg_jets = {a for a in args if isinstance(a, Jet)}
     equations = []
     for sigma, dep in enumerate(ws.dependents):
-        e = euler_operator(s, dep, ws)
-        need = max(max_jet_order(e), sys.order)
-        e = substitute(e, sys.prolonged_rules(need))
+        e = sys.reduce_on_solutions(euler_operator(s, dep, ws))
         for sig_text, coeff in _split_parametric(e, arg_jets):
             equations.append((sigma, sig_text, coeff))
     # deterministic order, deduplicated up to sign and rational content
@@ -309,9 +303,6 @@ class _ReducerState:
         self.fresh += 1
         return f"{base}{self.fresh}"
 
-    def placeholders(self, name):
-        return PLACEHOLDERS[:self.arity(name)]
-
     def rewrite_instance(self, e):
         """Apply all substitutions to an expression with instantiated
         kernels, repeatedly until stable."""
@@ -411,10 +402,10 @@ class _ReducerState:
             for k in self._kernels(eq):
                 if sum(k.dmidx) != 0:
                     continue
-                c = diff_atom(eq, k)
-                if is_zero(c) or not self._fun_free(c):
+                solved = solve_linear(eq, k)
+                if solved is None or not self._fun_free(solved[0]):
                     continue
-                rhs = neg(div(sub(eq, mul(c, k)), c))
+                rhs = solved[1]
                 if any(kk.name == k.name for kk in self._kernels(rhs)):
                     continue
                 body = self._to_placeholders(rhs, k.name, k.args)
@@ -681,26 +672,6 @@ def reconstruct_fluxes(e, ws):
         raise NotADivergenceError("flux reconstruction failed on a "
                                   "non-polynomial remainder")
     return [add(f, r) for f, r in zip(fluxes, rest)]
-
-
-def higher_euler(e, dep, K, ws):
-    """E^(K): sum over jets J >= K of binom(J, K) (-D)^(J-K) d e/d u_J."""
-    terms = []
-    for j in jets_of(e, dep):
-        jv = ws.jet_vector(j)
-        if not all(a >= b for a, b in zip(jv, K)):
-            continue
-        d = diff_atom(e, j)
-        if is_zero(d):
-            continue
-        binom = 1
-        for a, b in zip(jv, K):
-            binom *= comb(a, b)
-        delta = tuple(a - b for a, b in zip(jv, K))
-        sign = rat(-1) if sum(delta) % 2 else rat(1)
-        d = derive_multi(d, zip(ws.independents, delta), total_derivative)
-        terms.append(mul(rat(binom), sign, d))
-    return add(*terms) if terms else rat(0)
 
 
 def _homotopy_fluxes(e, ws):

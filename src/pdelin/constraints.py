@@ -11,7 +11,7 @@ constraints, for kernels instantiated at arbitrary argument expressions.
 from __future__ import annotations
 
 from .errors import ExprError
-from .expr import (diff_atom, div, fun_kernels_of, mul, neg, sub, substitute,
+from .expr import (diff_atom, fun_kernels_of, solve_linear, substitute,
                    substitute_kernels)
 
 
@@ -54,9 +54,10 @@ class LinearConstraints:
             if self._formal_kernels(c):
                 raise ExprError("constraint row is not linear in its function kernels")
         lead = max(kernels, key=lambda k: _kernel_rank(self.names, k))
-        c = diff_atom(row, lead)
-        rest = sub(row, mul(c, lead))
-        rhs = neg(div(rest, c))
+        solved = solve_linear(row, lead)
+        if solved is None:
+            raise ExprError(f"constraint row does not solve for {lead!r}")
+        rhs = solved[1]
         key = (lead.name, lead.dmidx)
         if key in self._rules:
             raise ExprError(f"two constraint rows solve for the same kernel {lead!r}")
@@ -92,10 +93,9 @@ class LinearConstraints:
         for _ in range(64):
             hit = None
             for k in self._formal_kernels(e):
-                if (k.name, k.dmidx) in self._rules or self._reducible(k):
-                    if (k.name, k.dmidx) in self._rules:
-                        hit = (k, self._rules[(k.name, k.dmidx)])
-                        break
+                if (k.name, k.dmidx) in self._rules:
+                    hit = (k, self._rules[(k.name, k.dmidx)])
+                    break
             if hit is None:
                 return e
             e = substitute_kernels(e, {hit[0]: hit[1]})

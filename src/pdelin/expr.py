@@ -745,10 +745,6 @@ def fun_kernels_of(e, name=None):
     return [f for f in atoms_of(e, Fun) if name is None or f.name == name]
 
 
-def contains(e, atom):
-    return any(n == atom for n in walk(e))
-
-
 def max_jet_order(e):
     orders = [j.order for j in jets_of(e)]
     return max(orders) if orders else 0
@@ -833,13 +829,18 @@ def normalize_equation(eq):
     return add(*[from_monomial(c / scale, fm) for c, fm in parts])
 
 
+# passes of clear_denominators; exhausting them is an error, never a
+# result that still has denominators
+MAX_CLEARING_PASSES = 32
+
+
 def clear_denominators(exprs):
     """Multiply every expression by one common denominator, iterating
     because expanding a sum kernel can expose further denominators.  The
     results share the multiplier, so linear relations among the inputs
     hold among the outputs."""
     cleared = list(exprs)
-    for _ in range(32):
+    for passes in range(MAX_CLEARING_PASSES + 1):
         shifts = {}
         for e in cleared:
             for _, fmap in monomials(e):
@@ -848,6 +849,10 @@ def clear_denominators(exprs):
                         shifts[k] = max(shifts.get(k, 0), -n)
         if not shifts:
             break
+        if passes == MAX_CLEARING_PASSES:
+            raise ExprError("denominator clearing did not finish: pass cap "
+                            f"MAX_CLEARING_PASSES = {MAX_CLEARING_PASSES} "
+                            "exhausted")
         factors = [pow_int(k, n) for k, n in shifts.items()]
         cleared = [mul(e, *factors) for e in cleared]
     return cleared
@@ -959,6 +964,17 @@ def diff_kernel(e, kernel):
     if isinstance(kernel, (Sym, Jet, Fun)):
         return diff_atom(e, kernel)
     return _derive(e, lambda a: None, kernel)
+
+
+def solve_linear(e, kernel):
+    """Solve e == 0 for a kernel it is linear in: (c, x) with
+    e == c*(kernel - x), where c = diff_kernel(e, kernel) is nonzero and
+    free of the kernel.  None when the kernel is absent or occurs
+    nonlinearly."""
+    c = diff_kernel(e, kernel)
+    if is_zero(c) or not is_zero(diff_kernel(c, kernel)):
+        return None
+    return c, neg(div(sub(e, mul(c, kernel)), c))
 
 
 def derive_multi(e, steps, derive):

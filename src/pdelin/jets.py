@@ -5,12 +5,13 @@ infinitesimal symmetries in evolutionary form."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .constraints import LinearConstraints
 from .errors import CyclicRuleError, ExprError, WorkspaceError
-from .expr import (Jet, add, derive_multi, diff_atom, div, is_zero, jets_of,
-                   max_jet_order, mul, multi_indices, neg, rat, sub,
-                   substitute, total_derivative)
+from .expr import (Jet, add, derive_multi, diff_atom, is_zero, jets_of,
+                   max_jet_order, mul, multi_indices, neg, rat, solve_linear,
+                   sub, substitute, total_derivative)
 
 
 def jet_rank(ws, j):
@@ -23,11 +24,9 @@ def leading_solve(ws, equation):
     if not js:
         raise ExprError("equation contains no jet variables")
     for j in sorted(js, key=lambda j: jet_rank(ws, j), reverse=True):
-        c = diff_atom(equation, j)
-        if is_zero(c) or not is_zero(diff_atom(c, j)):
-            continue
-        rest = sub(equation, mul(c, j))
-        return j, neg(div(rest, c))
+        solved = solve_linear(equation, j)
+        if solved is not None:
+            return j, solved[1]
     raise ExprError("no jet occurs linearly; cannot form a leading solve")
 
 
@@ -44,10 +43,10 @@ class PdeSystem:
         for i, g in enumerate(self.equations):
             if i in leading:
                 jet = leading[i]
-                c = diff_atom(g, jet)
-                if is_zero(c) or not is_zero(diff_atom(c, jet)):
+                found = solve_linear(g, jet)
+                if found is None:
                     raise ExprError(f"equation {self.names[i]} is not linear in {jet!r}")
-                solved = neg(div(sub(g, mul(c, jet)), c))
+                solved = found[1]
             else:
                 jet, solved = leading_solve(workspace, g)
             if not is_zero(substitute(g, {jet: solved})):
@@ -69,9 +68,10 @@ class PdeSystem:
         return prolong_rules(self.leading_rules(), order, self.workspace,
                              complete=True)
 
-    def reduce_on_solutions(self, e, order=None):
-        if order is None:
-            order = max(max_jet_order(e), self.order)
+    def reduce_on_solutions(self, e):
+        """`e` with each jet that a prolonged leading-solve rule covers
+        replaced by the rule's right-hand side."""
+        order = max(max_jet_order(e), self.order)
         return substitute(e, self.prolonged_rules(order))
 
 
@@ -145,15 +145,30 @@ def _close_rules(rules, order, ws, complete):
 
 def euler_operator(e, dep, ws):
     """Variational derivative with respect to one dependent:
-    sum over jets J of (-D)^J (d e / d U_J)."""
+    sum over jets J of (-D)^J (d e / d U_J), the higher Euler operator
+    E^(0)."""
+    return higher_euler(e, dep, (0,) * ws.n, ws)
+
+
+def higher_euler(e, dep, K, ws):
+    """E^(K): sum over jets J >= K of binom(J, K) (-D)^(J-K) d e/d u_J
+    (Olver, Applications of Lie Groups to Differential Equations, the
+    variational complex)."""
     terms = []
     for j in jets_of(e, dep):
+        jv = ws.jet_vector(j)
+        if not all(a >= b for a, b in zip(jv, K)):
+            continue
         d = diff_atom(e, j)
         if is_zero(d):
             continue
-        sign = rat(-1) if j.order % 2 else rat(1)
-        d = derive_multi(d, ws.derivative_steps(j.midx), total_derivative)
-        terms.append(mul(sign, d))
+        binom = 1
+        for a, b in zip(jv, K):
+            binom *= comb(a, b)
+        delta = tuple(a - b for a, b in zip(jv, K))
+        sign = rat(-1) if sum(delta) % 2 else rat(1)
+        d = derive_multi(d, zip(ws.independents, delta), total_derivative)
+        terms.append(mul(rat(binom), sign, d))
     return add(*terms) if terms else rat(0)
 
 
@@ -203,8 +218,7 @@ def verify_point_symmetry(sys, gen):
                                  total_derivative)
                 action_terms.append(mul(d, coeff))
         action = add(*action_terms) if action_terms else rat(0)
-        need = max(max_jet_order(action), sys.order)
-        reduced = substitute(action, sys.prolonged_rules(need))
+        reduced = sys.reduce_on_solutions(action)
         if gen.constraints is not None:
             reduced = gen.constraints.reduce(reduced)
         residuals.append(reduced)

@@ -16,10 +16,10 @@ from .conslaw import (MultiplierFamily, multiplier_combination,
 from .constraints import LinearConstraints
 from .errors import DegenerateError, ExprError, ExtractionError
 from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, add,
-                   clear_denominators, derive_multi, diff_atom, diff_kernel,
-                   div, fun_kernels_of, is_zero, jets_of, monomials, mul, neg,
-                   normalize_equation, pow_int, rat, sub, substitute,
-                   substitute_kernels, total_derivative, walk)
+                   clear_denominators, derive_multi, diff_kernel, div,
+                   fun_kernels_of, is_zero, jets_of, monomials, mul, neg,
+                   normalize_equation, pow_int, rat, solve_linear, sub,
+                   substitute, substitute_kernels, total_derivative, walk)
 from .jets import PdeSystem
 from .linalg import det
 from .linops import DerivativeTable, LinearOperator, bilinear_identity
@@ -76,11 +76,6 @@ class LinearizationCandidate:
         return Workspace([c.name for c in self.coords],
                          [f"w{i+1}" for i in range(self.constraint_op.rows)],
                          [p.name for p in self.system.workspace.parameters])
-
-    @property
-    def contact(self):
-        return self.system.m == 1 and any(j.order >= 1
-                                          for x in self.X for j in jets_of(x))
 
     def compose(self, e):
         """Substitute the formal coordinates by their definitions X(x, U)."""
@@ -144,13 +139,10 @@ def to_first_order_system(fam, sys):
         direct = _as_named_or_derivative(dmidx, exclude)
         if direct is not None:
             return direct
-        row = cons.rows[0]
-        k_target = Fun(name, coords, dmidx)
-        c = diff_atom(row, k_target)
-        if is_zero(c):
+        found = solve_linear(cons.rows[0], Fun(name, coords, dmidx))
+        if found is None:
             return None
-        rest = sub(row, mul(c, k_target))
-        solved = neg(div(rest, c))
+        solved = found[1]
         out = []
         for k in fun_kernels_of(solved, name):
             repl = _as_named_or_derivative(k.dmidx, exclude)
@@ -241,7 +233,7 @@ def match_multiplier_form(fam, sys):
     if len(vnames) != M:
         return Rejection(f"{len(vnames)} arbitrary functions for {M} "
                          "equations; Q cannot be square")
-    args = fam.instantiated_args()
+    args = fam.definitions
     chain = ChainRule(X, ws.independents, coords)
     J = chain.det
     if is_zero(J) or not probe_nonzero_robust(J):
@@ -616,7 +608,7 @@ def verify_linearization(sys, cand):
 def euler_wrt_function(cand, e, mu):
     """E_{V^mu} in the X-coordinates, realized on composite expressions:
     sum_K (-1)^|K| DX^K (d e / d V^mu_K)."""
-    args = cand.family.instantiated_args()
+    args = cand.family.definitions
     name = cand.vnames[mu]
     out = []
     for k in fun_kernels_of(e, name):

@@ -47,10 +47,6 @@ class LinearOperator:
             if bad:
                 raise ExprError(f"operator coefficient depends on {bad[0]!r}")
 
-    @property
-    def order(self):
-        return max((sum(K) for (_, _, K) in self.coeffs), default=0)
-
     @classmethod
     def from_rows(cls, rows, func_names, variables):
         """Extract the coefficient table from row expressions linear in the

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 from .errors import DegenerateError, ExprError
 from .expr import (ExpF, Jet, LogF, Sym, add, atoms_of, clear_equation,
-                   derive_multi, diff_atom, diff_kernel, div, exp_,
-                   from_monomial, is_zero, jets_of, log_, monomials, mul, neg,
-                   sub, substitute, total_derivative, walk)
+                   derive_multi, diff_atom, div, exp_, from_monomial, is_zero,
+                   jets_of, log_, monomials, mul, solve_linear, sub,
+                   substitute, total_derivative, walk)
 from .jets import PdeSystem, jet_rank
 from .linalg import adjugate, det
 from .linops import DerivativeTable
@@ -138,41 +138,9 @@ def invert_transformation(tr):
         for i, r in enumerate(tr.rho):
             pairs.append((r, Jet(tgt.dependents[0],
                                  ((tgt.independents[i].name, 1),))))
-    solution = {}
-    remaining = list(unknowns)
-    # identity components alias source and target atoms outright
-    for lhs, rhs in pairs:
-        if lhs == rhs and lhs in remaining:
-            solution[lhs] = rhs
-            remaining.remove(lhs)
-    equations = [sub(lhs, rhs) for lhs, rhs in pairs]
-    for _ in range(len(unknowns) + 1):
-        if not remaining:
-            break
-        progress = False
-        for eq in equations:
-            e = substitute(eq, solution)
-            if is_zero(e):
-                continue
-            for y in list(remaining):
-                val = _solve_for(e, y, remaining)
-                if val is None:
-                    continue
-                solution[y] = val
-                remaining.remove(y)
-                solution = {k: substitute(v, {y: val}) for k, v in solution.items()}
-                progress = True
-                break
-            if progress:
-                break
-        if not progress:
-            break
-    if remaining:
+    solution = _solve_atoms(pairs, unknowns)
+    if solution is None:
         return None, None
-    # consistency: every equation vanishes under the solution
-    for eq in equations:
-        if not is_zero(substitute(eq, solution)):
-            return None, None
     inv_phi = tuple(solution[x] for x in src.independents)
     inv_psi = tuple(solution[src.lookup(d)] for d in src.dependents)
     inv_rho = None
@@ -184,22 +152,57 @@ def invert_transformation(tr):
     return inv, solution
 
 
+def _solve_atoms(pairs, unknowns):
+    """Solve lhs == rhs for every (lhs, rhs) pair by sequential solving.
+    Identity pairs alias their atom outright; then each pass solves one
+    unknown atom from one equation and substitutes its value into the
+    values found before.  Returns the solution dict atom -> expression, or
+    None when an unknown stays unsolved or an equation does not vanish
+    under the solution."""
+    solution = {}
+    remaining = list(unknowns)
+    for lhs, rhs in pairs:
+        if lhs == rhs and lhs in remaining:
+            solution[lhs] = rhs
+            remaining.remove(lhs)
+    equations = [sub(lhs, rhs) for lhs, rhs in pairs]
+    while remaining:
+        found = None
+        for eq in equations:
+            e = substitute(eq, solution)
+            if is_zero(e):
+                continue
+            found = next(((y, val) for y in remaining
+                          if (val := _solve_for(e, y, remaining)) is not None),
+                         None)
+            if found is not None:
+                break
+        if found is None:
+            return None
+        y, val = found
+        remaining.remove(y)
+        solution[y] = val
+        solution = {k: substitute(v, {y: val}) for k, v in solution.items()}
+    if not all(is_zero(substitute(eq, solution)) for eq in equations):
+        return None
+    return solution
+
+
 def _free_of(e, atoms):
     present = set(atoms_of(e))
     return not any(a in present for a in atoms)
 
 
 def _solve_for(e, y, unsolved):
-    """Solve e == 0 for atom y: linear occurrence, or a single exp kernel
-    with argument linear in y."""
-    others = [u for u in unsolved if u != y]
-    c = diff_atom(e, y)
-    if not is_zero(c) and is_zero(diff_atom(c, y)) and _free_of(c, unsolved):
-        rest = sub(e, mul(c, y))
-        if _free_of(rest, unsolved):
-            val = neg(div(rest, c))
-            if probe_nonzero_robust(c) or not jets_of(c):
-                return val
+    """Solve e == 0 for the unsolved atom y: a linear occurrence, or a
+    single exp or log kernel with argument linear in y.  Coefficient and
+    value must be free of every unsolved atom."""
+    solved = solve_linear(e, y)
+    if solved is not None:
+        c, val = solved
+        if _free_of(c, unsolved) and _free_of(val, unsolved) and \
+                (probe_nonzero_robust(c) or not jets_of(c)):
+            return val
     # c*exp(a*y + d) + r == 0   or   c*log(a*y + d) + r == 0
     for k in walk(e):
         if not isinstance(k, (ExpF, LogF)):
@@ -207,16 +210,13 @@ def _solve_for(e, y, unsolved):
         a = diff_atom(k.arg, y)
         if is_zero(a) or not is_zero(diff_atom(a, y)) or not _free_of(a, unsolved):
             continue
-        ck = diff_kernel(e, k)
-        if is_zero(ck) or not _free_of(ck, unsolved) or not is_zero(diff_kernel(ck, k)):
-            continue
-        r = sub(e, mul(ck, k))
-        if not _free_of(r, unsolved) or not _free_of(r, [y]):
+        solved = solve_linear(e, k)
+        if solved is None or not all(_free_of(x, unsolved) for x in solved):
             continue
         d = sub(k.arg, mul(a, y))
         if not _free_of(d, [y]):
             continue
-        target = neg(div(r, ck))
+        target = solved[1]
         try:
             if isinstance(k, ExpF):
                 return div(sub(log_(target), d), a)
@@ -432,32 +432,8 @@ def push_solution(sys, tr, solution):
     w_par = [substitute(p, rules_for(p)) for p in tr.psi]
     out = {"z": z_par, "w": w_par, "explicit": None}
 
-    unknowns = list(src.independents)
-    sol = {}
-    remaining = list(unknowns)
-    eqs = []
-    for i, zp in enumerate(z_par):
-        zi = tgt.independents[i]
-        if zp == zi and zp in remaining:
-            sol[zp] = zi
-            remaining.remove(zp)
-        else:
-            eqs.append(sub(zp, zi))
-    for _ in range(len(unknowns) + 1):
-        progress = False
-        for eq in eqs:
-            e = substitute(eq, sol)
-            for y in list(remaining):
-                val = _solve_for(e, y, remaining)
-                if val is not None:
-                    sol[y] = val
-                    remaining.remove(y)
-                    progress = True
-                    break
-            if progress:
-                break
-        if not progress:
-            break
-    if not remaining:
+    pairs = list(zip(z_par, tgt.independents))
+    sol = _solve_atoms(pairs, src.independents)
+    if sol is not None:
         out["explicit"] = [substitute(wp, sol) for wp in w_par]
     return out

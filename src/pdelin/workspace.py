@@ -87,13 +87,6 @@ class Workspace:
         multi-index, the steps `expr.derive_multi` takes."""
         return [(self.independent(v), o) for v, o in midx]
 
-    def jet(self, dep, **orders):
-        if dep not in self.dependents:
-            raise WorkspaceError(f"'{dep}' is not a dependent variable")
-        for v in orders:
-            self.independent(v)
-        return Jet(dep, tuple(orders.items()))
-
     def dep_index(self, name):
         return self.dependents.index(name)
 

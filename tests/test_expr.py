@@ -6,10 +6,11 @@ import pytest
 
 from helpers import (burgers_workspace, probe_sides_agree,
                      random_expression, random_jets, seeded)
+from pdelin import expr
 from pdelin.errors import ExprError
-from pdelin.expr import (Fun, Jet, add, canonicalize, div, equal, exp_,
-                         is_zero, log_, mul, neg, pow_int, rat, sub,
-                         substitute, sym_pow)
+from pdelin.expr import (Fun, Jet, add, canonicalize, clear_denominators,
+                         div, equal, exp_, is_zero, log_, mul, neg, pow_int,
+                         rat, solve_linear, sub, substitute, sym_pow)
 from pdelin.grammar import parse
 from pdelin.probe import probe_is_zero
 
@@ -129,3 +130,25 @@ def test_fun_kernel_basics():
     assert isinstance(f, Fun) and f.dmidx == (0, 0)
     fd = parse("f_{1,1}(x, t)", ws)
     assert fd.dmidx == (2, 0)
+
+
+def test_solve_linear():
+    # x*u1 + exp(t) == x*(u1 - (-exp(t)/x))
+    e = add(mul(x, u1), exp_(t))
+    c, val = solve_linear(e, u1)
+    assert c == x
+    assert equal(val, neg(div(exp_(t), x)))
+    assert is_zero(sub(e, mul(c, sub(u1, val))))
+    # the kernel is absent: zero coefficient
+    assert solve_linear(e, u2) is None
+    # the kernel occurs nonlinearly
+    assert solve_linear(add(mul(u1, u1), x), u1) is None
+
+
+def test_clear_denominators_reports_its_pass_cap(monkeypatch):
+    e = div(rat(1), add(x, rat(1)))
+    assert is_zero(sub(clear_denominators([e])[0], rat(1)))
+    monkeypatch.setattr(expr, "MAX_CLEARING_PASSES", 0)
+    assert clear_denominators([x]) == [x]
+    with pytest.raises(ExprError, match="MAX_CLEARING_PASSES = 0"):
+        clear_denominators([e])

@@ -58,7 +58,7 @@ def test_match_pipeline():
     pws, psys, cand = matched(corpus.pipeline, corpus.pipeline_family)
     assert equal(cand.J, parse("u_xx", pws))
     assert equal(cand.Q[0][0], parse("1/u_xx", pws))
-    assert cand.contact
+    assert cand.mapping.kind == "contact"
 
 
 def test_match_telegraph():

@@ -9,7 +9,7 @@ from pdelin.cli import bundled_path
 from pdelin.errors import ExprError
 from pdelin.expr import (Jet, add, equal, exp_, is_zero, mul, neg, rat, sub,
                          substitute, total_derivative)
-from pdelin.grammar import parse
+from pdelin.grammar import parse, to_text
 from pdelin.jets import PdeSystem, prolong_rules
 from pdelin.linearize import match_multiplier_form
 from pdelin.mapping import (ChainRule, Transformation, apply_transformation,
@@ -205,6 +205,19 @@ def test_equivalence_relation_properties():
     want = [parse("w2_x - w1", tgt), parse("w1_x - w2_t", tgt)]
     assert equations_match_up_to_factor(rep.equations, want)
     assert equations_match_up_to_factor(want, rep.equations)
+
+
+def test_push_solution_substitutes_each_solved_variable_back():
+    # x is solved from exp(x + t) = z before t = s is known; its value
+    # must not keep the source variable t
+    ws = Workspace("xt", ["u"])
+    sys = PdeSystem(ws, [parse("u_t - u_xx", ws)])
+    tgt = Workspace("zs", ["w"])
+    tr = Transformation("point", ws, tgt,
+                        (parse("exp(x + t)", ws), parse("t", ws)),
+                        (parse("u", ws),))
+    out = push_solution(sys, tr, {"u": parse("x", ws)})
+    assert [to_text(w) for w in out["explicit"]] == ["-s + log(z)"]
 
 
 def test_push_solution_burgers():

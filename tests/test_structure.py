@@ -6,6 +6,7 @@ module-level state; the two settings the README names are per context."""
 import ast
 import pathlib
 import threading
+from collections import Counter
 
 from helpers import burgers_workspace
 from pdelin.errors import ExprError
@@ -57,6 +58,38 @@ def _exported(tree):
                 for t in node.targets):
             return set(ast.literal_eval(node.value))
     return set()
+
+
+def _names(tree):
+    """Every identifier a tree names: variables, attributes, imported
+    names, and string constants (the benchmark's span table names the
+    functions it wraps as strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_module_level_definition_is_used():
+    # a definition counts as used when it is named outside its own body
+    root = PACKAGE.parent.parent
+    named = Counter()
+    defs = []
+    for folder in ("src", "tests", "demos", "bench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            named.update(_names(tree))
+            if path.parent == PACKAGE:
+                defs += [(path.stem, node) for node in tree.body
+                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [(mod, node.name) for mod, node in defs
+              if named[node.name] == Counter(_names(node))[node.name]]
+    assert not unused, unused
 
 
 def test_no_unused_module_level_imports():
