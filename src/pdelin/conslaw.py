@@ -12,13 +12,12 @@ from .constraints import LinearConstraints
 from .errors import ExprError, NotADivergenceError, WorkspaceError
 from .expr import (ExpF, Fun, Jet, Rat, Sym, add, atoms_of, derive_multi,
                    diff_atom, div, exp_, from_monomial, fun_kernels_of,
-                   is_zero, jets_of, log_, monomials, mul, multi_indices, neg,
-                   normalize_equation, pow_int, rat, solve_linear, sub,
-                   substitute, substitute_kernels, total_derivative, walk)
+                   is_zero, jets_of, log_, monomial_signature, monomials, mul,
+                   multi_indices, neg, normalize_equation, pow_int, rat,
+                   solve_linear, sub, substitute, substitute_kernels,
+                   total_derivative, walk)
 from .grammar import to_text
 from .jets import PdeSystem, euler_operator, higher_euler, jet_rank
-
-PLACEHOLDERS = [Sym(f"_pos{i}", "coordinate") for i in range(12)]
 
 
 @dataclass
@@ -195,7 +194,7 @@ def _split_parametric(e, arg_jets):
                         raise ExprError(
                             f"parametric jet {a!r} occurs inside kernel {k!r}")
                 rest[k] = n
-        sig = tuple(sorted(((k.key, n) for k, n in par.items())))
+        sig = monomial_signature(par)
         group = groups.setdefault(sig, (par, []))
         group[1].append(from_monomial(coeff, rest))
     return [("1" if not par else to_text(from_monomial(Fraction(1), par)),
@@ -273,8 +272,18 @@ def _package_result(state, components, ws):
     return live, None
 
 
+def _placeholders(n):
+    """The positional placeholder symbols _pos0.._pos{n-1} of an arity-n
+    function."""
+    return tuple(Sym(f"_pos{i}", "coordinate") for i in range(n))
+
+
 # passes of _ReducerState.run; a run that exhausts them says so in its steps
 MAX_REDUCER_PASSES = 64
+
+# rounds of _ReducerState.rewrite_instance; a substitution chain that does
+# not settle within them is an error
+MAX_REWRITE_ROUNDS = 32
 
 
 class _ReducerState:
@@ -306,7 +315,7 @@ class _ReducerState:
     def rewrite_instance(self, e):
         """Apply all substitutions to an expression with instantiated
         kernels, repeatedly until stable."""
-        for _ in range(32):
+        for _ in range(MAX_REWRITE_ROUNDS):
             repl = {}
             for k in fun_kernels_of(e):
                 if k.name in self.subs:
@@ -314,11 +323,12 @@ class _ReducerState:
             if not repl:
                 return e
             e = substitute_kernels(e, repl)
-        raise ExprError("reducer substitution did not stabilize")
+        raise ExprError("reducer substitution did not stabilize: round cap "
+                        f"MAX_REWRITE_ROUNDS = {MAX_REWRITE_ROUNDS} exhausted")
 
     def _instance(self, kernel):
         body = self.subs[kernel.name]
-        ph = PLACEHOLDERS[:len(kernel.args)]
+        ph = _placeholders(len(kernel.args))
         d = derive_multi(body, zip(ph, kernel.dmidx), diff_atom)
         return substitute(d, dict(zip(ph, kernel.args)))
 
@@ -390,7 +400,7 @@ class _ReducerState:
             return
         new = self.new_name()
         self.args[new] = new_args
-        ph = PLACEHOLDERS[:len(old_args)]
+        ph = _placeholders(len(old_args))
         body = Fun(new, tuple(ph[:pos] + ph[pos + 1:]))
         self._register(name, body,
                        f"{name} does not depend on argument {pos + 1}; "
@@ -419,7 +429,7 @@ class _ReducerState:
         """Express `e` over the placeholders of `name`: actual argument
         atoms map to placeholder symbols; any other atom outside surviving
         kernels blocks the substitution."""
-        ph = PLACEHOLDERS[:len(args)]
+        ph = _placeholders(len(args))
         mapping = {}
         for a, p in zip(args, ph):
             if not isinstance(a, (Sym, Jet)):
@@ -463,7 +473,7 @@ class _ReducerState:
                 g1, g2, p1, p2 = g2, g1, p2, p1
             h = self.new_name()
             self.args[h] = self.args[g1]
-            ph = PLACEHOLDERS[:len(self.args[g1])]
+            ph = _placeholders(len(self.args[g1]))
             d1 = [0] * len(ph)
             d1[p2] = 1
             d2 = [0] * len(ph)
@@ -499,7 +509,7 @@ class _ReducerState:
             body_a = self._to_placeholders(a, g.name, g.args)
             if body_a is None:
                 continue
-            ph = PLACEHOLDERS[:len(g.args)]
+            ph = _placeholders(len(g.args))
             if not is_zero(diff_atom(body_a, ph[pos])):
                 continue
             new = self.new_name()
@@ -537,7 +547,7 @@ class _ReducerState:
                 if inv is None:
                     continue
                 new = self.new_name()
-                ph = PLACEHOLDERS[:len(args)]
+                ph = _placeholders(len(args))
                 new_ph = []
                 new_args_actual = []
                 for i, arg in enumerate(args):
@@ -560,7 +570,7 @@ class _ReducerState:
     def _invariant(self, a, args, pj, pk):
         """Characteristic invariant of d(arg_pk)/d(arg_pj) = a, written over
         placeholders.  Catalog: a a nonzero rational, and a = c * arg_pk."""
-        ph = PLACEHOLDERS[:len(args)]
+        ph = _placeholders(len(args))
         # a rational constant
         if isinstance(a, Rat) and a.value != 0:
             return sub(ph[pj], div(ph[pk], a))
@@ -637,6 +647,11 @@ def is_divergence(e, ws):
     return True, reconstruct_fluxes(e, ws)
 
 
+# absorption steps of the integration-by-parts sweep in reconstruct_fluxes;
+# what is left when they run out goes to the homotopy formula
+MAX_FLUX_SWEEPS = 400
+
+
 def reconstruct_fluxes(e, ws):
     """Write a total divergence as D_i Upsilon_i.
 
@@ -650,7 +665,8 @@ def reconstruct_fluxes(e, ws):
     n = ws.n
     fluxes = [rat(0)] * n
     s = e
-    for _ in range(400):
+    cap_note = ""
+    for _ in range(MAX_FLUX_SWEEPS):
         if is_zero(s):
             return fluxes
         js = [j for j in jets_of(s) if j.order >= 1]
@@ -665,12 +681,15 @@ def reconstruct_fluxes(e, ws):
         if s2 is None:
             break
         s = s2
+    else:
+        cap_note = (f" (sweep cap MAX_FLUX_SWEEPS = {MAX_FLUX_SWEEPS} "
+                    "exhausted)")
     if is_zero(s):
         return fluxes
     rest = _homotopy_fluxes(s, ws)
     if rest is None:
         raise NotADivergenceError("flux reconstruction failed on a "
-                                  "non-polynomial remainder")
+                                  f"non-polynomial remainder{cap_note}")
     return [add(f, r) for f, r in zip(fluxes, rest)]
 
 

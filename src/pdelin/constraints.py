@@ -14,6 +14,12 @@ from .errors import ExprError
 from .expr import (diff_atom, fun_kernels_of, solve_linear, substitute,
                    substitute_kernels)
 
+# rewrite caps of `_reduce_formal` (formal kernels of prolonged rules) and
+# of `reduce` (instantiated kernels), one rule applied per rewrite; a chain
+# that does not end within them is an error
+MAX_FORMAL_REWRITES = 64
+MAX_REDUCE_REWRITES = 256
+
 
 def _kernel_rank(fn_names, k):
     return (sum(k.dmidx), k.dmidx, -fn_names.index(k.name))
@@ -90,7 +96,7 @@ class LinearConstraints:
         return d
 
     def _reduce_formal(self, e):
-        for _ in range(64):
+        for _ in range(MAX_FORMAL_REWRITES):
             hit = None
             for k in self._formal_kernels(e):
                 if (k.name, k.dmidx) in self._rules:
@@ -99,7 +105,9 @@ class LinearConstraints:
             if hit is None:
                 return e
             e = substitute_kernels(e, {hit[0]: hit[1]})
-        raise ExprError("constraint reduction did not terminate")
+        raise ExprError("constraint reduction did not terminate: rewrite cap "
+                        f"MAX_FORMAL_REWRITES = {MAX_FORMAL_REWRITES} "
+                        "exhausted")
 
     def _reducible(self, k):
         return any(rname == k.name and all(a >= b for a, b in zip(k.dmidx, rd))
@@ -110,7 +118,7 @@ class LinearConstraints:
     def reduce(self, e):
         """Normal form of `e` modulo the constraints.  Managed function
         kernels may be instantiated at arbitrary argument expressions."""
-        for _ in range(256):
+        for _ in range(MAX_REDUCE_REWRITES):
             target = None
             for k in fun_kernels_of(e):
                 if k.name in self.functions and len(k.args) == len(self.coords) \
@@ -122,4 +130,6 @@ class LinearConstraints:
             rhs = self._rule_for(target.name, target.dmidx)
             inst = substitute(rhs, dict(zip(self.coords, target.args)))
             e = substitute_kernels(e, {target: inst})
-        raise ExprError("constraint reduction did not terminate")
+        raise ExprError("constraint reduction did not terminate: rewrite cap "
+                        f"MAX_REDUCE_REWRITES = {MAX_REDUCE_REWRITES} "
+                        "exhausted")

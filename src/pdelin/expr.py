@@ -30,7 +30,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ExprError
 
@@ -251,7 +251,9 @@ def monomials(e):
     return [_mono_of(e)]
 
 
-def _fsig(fmap):
+def monomial_signature(fmap):
+    """A hashable, ordered signature of a monomial's kernels and exponents;
+    two monomials are like terms exactly when their signatures are equal."""
     return tuple(sorted(((k.key, n) for k, n in fmap.items())))
 
 
@@ -260,12 +262,19 @@ def _mono_degree(fmap):
 
 
 def _mono_sort_key(coeff, fmap):
-    return (-_mono_degree(fmap), _fsig(fmap), coeff)
+    return (-_mono_degree(fmap), monomial_signature(fmap), coeff)
 
 
-def _leading_monomial(monos):
-    """The first of a list of monomials in the canonical term order."""
-    return min(monos, key=lambda m: _mono_sort_key(*m))
+def _content(monos):
+    """Rational content of a list of monomials: the gcd of the numerators
+    over the lcm of the denominators, signed like the leading monomial."""
+    num, den = 0, 1
+    for c, _ in monos:
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    content = Fraction(num, den)
+    lead = min(monos, key=lambda m: _mono_sort_key(*m))
+    return -content if lead[0] < 0 else content
 
 
 def from_monomial(coeff, fmap):
@@ -278,24 +287,19 @@ def from_monomial(coeff, fmap):
         if n == 0:
             continue
         factors.append(k if n == 1 else Pow(k, n))
-    if not factors:
-        return Rat(coeff)
-    if coeff == 1 and len(factors) == 1:
-        return factors[0]
-    if coeff != 1:
+    if coeff != 1 or not factors:
         factors.insert(0, Rat(coeff))
-    if len(factors) == 1:
-        return factors[0]
-    return Mul(factors)
+    return factors[0] if len(factors) == 1 else Mul(factors)
 
 
 def _collect(monos):
-    """Collect a list of monomials into {fsig: (coeff, fmap)} with zero drop."""
+    """Collect a list of monomials into {signature: (coeff, fmap)} with zero
+    drop."""
     acc = {}
     for coeff, fmap in monos:
         if coeff == 0:
             continue
-        sig = _fsig(fmap)
+        sig = monomial_signature(fmap)
         if sig in acc:
             c = acc[sig][0] + coeff
             if c == 0:
@@ -307,56 +311,54 @@ def _collect(monos):
     return acc
 
 
-def _mono_mul(m1, m2):
-    c1, f1 = m1
-    c2, f2 = m2
-    if len(f1) < len(f2):
-        f1, f2 = f2, f1
-    fmap = dict(f1)
-    for k, n in f2.items():
-        m = fmap.get(k, 0) + n
-        if m == 0:
-            fmap.pop(k)
-        else:
-            fmap[k] = m
-    return _normalize_fmap(c1 * c2, fmap)
+def _mono_mul(*monos):
+    """The product of monomials: exponents merge, then `_normalize_fmap`
+    merges exp factors and symbolic powers.  Sums may be left with positive
+    exponents; `_expand` distributes them."""
+    coeff = Fraction(1)
+    fmap = {}
+    for c, f in monos:
+        coeff *= c
+        for k, n in f.items():
+            fmap[k] = fmap.get(k, 0) + n
+    if coeff == 0:
+        return coeff, {}
+    return _normalize_fmap(coeff, fmap)
 
 
-def _poly_mul(p1, p2):
-    out = []
-    for m1 in p1:
-        for m2 in p2:
-            out.append(_mono_mul(m1, m2))
-    if len(out) > _MAX_TERMS.get():
-        raise ExprError("expression exceeds the configured term limit")
-    return list(_collect(out).values())
-
-
-def _poly_mul_kernel(monos, kern):
-    """Multiply a monomial list by a sum kernel: monomials carrying the
-    kernel with a negative exponent merge exponents; the rest distribute."""
-    kmonos = [_mono_of(t) for t in kern.terms]
-    out = []
-    for coeff, fmap in monos:
-        e = fmap.get(kern, 0)
-        if e < 0:
-            fm = dict(fmap)
-            if e == -1:
-                fm.pop(kern)
+def _expand(monos):
+    """Distribute the sums that carry positive exponents in a list of
+    monomials, one power of one sum per round, collecting after each round.
+    No monomial of the result carries a sum kernel in its numerator; the
+    input comes back unchanged when none did."""
+    while True:
+        kern = next((k for _, fmap in monos for k, n in fmap.items()
+                     if n > 0 and isinstance(k, Add)), None)
+        if kern is None:
+            return monos
+        terms = [_mono_of(t) for t in kern.terms]
+        out = []
+        for coeff, fmap in monos:
+            n = fmap.get(kern, 0)
+            if n <= 0:
+                out.append((coeff, fmap))
+                continue
+            rest = dict(fmap)
+            if n == 1:
+                del rest[kern]
             else:
-                fm[kern] = e + 1
-            out.append((coeff, fm))
-        else:
-            for mk in kmonos:
-                out.append(_mono_mul((coeff, fmap), mk))
-    if len(out) > _MAX_TERMS.get():
-        raise ExprError("expression exceeds the configured term limit")
-    return list(_collect(out).values())
+                rest[kern] = n - 1
+            out.extend(_mono_mul((coeff, rest), t) for t in terms)
+        if len(out) > _MAX_TERMS.get():
+            raise ExprError("expression exceeds the configured term limit")
+        monos = list(_collect(out).values())
 
 
 def _normalize_fmap(coeff, fmap):
-    """Re-run kernel merge rules on a raw fmap (exp merging, SPow merging,
-    expansion of positive Add powers is deferred to the caller)."""
+    """The one place where kernels merge: exp factors into one exp, and
+    symbolic powers with a common base into one power.  Each merged factor
+    folds in through its monomial view; one that is a sum (exp(2*y +
+    log(t + 1)) -> (t + 1)*exp(2*y)) enters as a kernel with exponent 1."""
     exp_parts = []
     spow = {}
     plain = {}
@@ -369,23 +371,28 @@ def _normalize_fmap(coeff, fmap):
             prev = spow.get(k.base, ZERO)
             spow[k.base] = add(prev, mul(rat(n), k.expo))
         else:
-            plain[k] = plain.get(k, 0) + n
-    changed = bool(exp_parts) or bool(spow)
-    if not changed:
-        return coeff, {k: n for k, n in plain.items() if n != 0}
-    extra = ONE
+            plain[k] = n
+    if not exp_parts and not spow:
+        return coeff, plain
+    merged = [sym_pow(base, expo) for base, expo in spow.items()]
     if exp_parts:
-        extra = mul(extra, exp_(add(*exp_parts)))
-    for base, expo in spow.items():
-        extra = mul(extra, sym_pow(base, expo))
-    c2, f2 = _mono_of(extra) if not isinstance(extra, Add) else (None, None)
-    if f2 is None:
-        # extremely unlikely: merged factor expanded into a sum; fold via mul
-        res = mul(from_monomial(coeff, plain), extra)
-        return _mono_of(res) if not isinstance(res, Add) else (Fraction(1), {res: 1})
-    for k, n in f2.items():
-        plain[k] = plain.get(k, 0) + n
-    return coeff * c2, {k: n for k, n in plain.items() if n != 0}
+        merged.append(exp_(add(*exp_parts)))
+    for e in merged:
+        c, f = (Fraction(1), {e: 1}) if isinstance(e, Add) else _mono_of(e)
+        coeff *= c
+        for k, n in f.items():
+            m = plain.get(k, 0) + n
+            if m == 0:
+                del plain[k]
+            else:
+                plain[k] = m
+    # a merged factor can bring a kernel that merges again: exp(1/2*L) *
+    # exp(3/2*L) with L = log(x^a) is x^(2*a), which meets a factor x^b
+    again = [ExpF if isinstance(k, ExpF) else k.base
+             for k in plain if isinstance(k, (ExpF, SPow))]
+    if len(set(again)) < len(again):
+        return _normalize_fmap(coeff, plain)
+    return coeff, plain
 
 
 # ---------------------------------------------------------------------------
@@ -393,32 +400,14 @@ def _normalize_fmap(coeff, fmap):
 # ---------------------------------------------------------------------------
 
 
-def _clearable(fmap):
-    return any(isinstance(k, Add) and n < 0 for k, n in fmap.items())
-
-
-def _expand_positive_adds(mono):
-    """Expand Add kernels with positive exponents inside one monomial."""
-    coeff, fmap = mono
-    polys = []
-    base = {}
-    for k, n in fmap.items():
-        if isinstance(k, Add) and n > 0:
-            p = [_mono_of(t) for t in k.terms]
-            for _ in range(n):
-                polys.append(p)
-        else:
-            base[k] = n
-    out = [(coeff, base)]
-    for p in polys:
-        out = _poly_mul(out, p)
-    return out
+# rounds of _cleared_is_zero; each multiplies by the sum denominators left
+MAX_ZERO_TEST_ROUNDS = 64
 
 
 def _cleared_is_zero(monos):
     """Decide identical vanishing by clearing Add-kernel denominators."""
     cur = list(_collect(monos).values())
-    for _ in range(64):
+    for _ in range(MAX_ZERO_TEST_ROUNDS):
         if not cur:
             return True
         shifts = {}
@@ -428,14 +417,9 @@ def _cleared_is_zero(monos):
                     shifts[k] = max(shifts.get(k, 0), -n)
         if not shifts:
             return False
-        for k, s in shifts.items():
-            for _ in range(s):
-                cur = _poly_mul_kernel(cur, k)
-        expanded = []
-        for m in cur:
-            expanded.extend(_expand_positive_adds(m))
-        cur = list(_collect(expanded).values())
-    raise ExprError("denominator clearing did not stabilize")
+        cur = _expand([_mono_mul(m, (1, shifts)) for m in cur])
+    raise ExprError("denominator clearing did not stabilize: round cap "
+                    f"MAX_ZERO_TEST_ROUNDS = {MAX_ZERO_TEST_ROUNDS} exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +427,27 @@ def _cleared_is_zero(monos):
 # ---------------------------------------------------------------------------
 
 
-def add(*terms):
-    monos = []
-    for t in terms:
-        monos.extend(monomials(t))
+def _sum(monos):
+    """The canonical sum of a list of monomials."""
+    if len(monos) == 1:
+        return from_monomial(*monos[0])
     acc = _collect(monos)
     if not acc:
         return ZERO
     out = sorted(acc.values(), key=lambda m: _mono_sort_key(*m))
     if len(out) == 1:
         return from_monomial(*out[0])
-    if any(_clearable(f) for _, f in out) and _cleared_is_zero(out):
+    if any(isinstance(k, Add) and n < 0
+           for _, f in out for k, n in f.items()) and _cleared_is_zero(out):
         return ZERO
     return Add(tuple(from_monomial(c, f) for c, f in out))
+
+
+def add(*terms):
+    monos = []
+    for t in terms:
+        monos.extend(monomials(t))
+    return _sum(monos)
 
 
 def sub(a, b):
@@ -467,100 +459,24 @@ def neg(e):
 
 
 def mul(*factors):
-    coeff = Fraction(1)
-    exp_parts = []
-    spow_acc = {}
-    fmap = {}
-    polys = []
-
-    def feed_kernel(k, n):
-        nonlocal coeff
-        if n == 0:
-            return
-        if isinstance(k, ExpF):
-            exp_parts.append(mul(rat(n), k.arg))
-        elif isinstance(k, SPow):
-            prev = spow_acc.get(k.base, ZERO)
-            spow_acc[k.base] = add(prev, mul(rat(n), k.expo))
-        elif isinstance(k, Add):
-            # merge against matching inverse kernels before any expansion
-            c, prim = _extract_content(k)
-            coeff *= c ** n
-            fmap[prim] = fmap.get(prim, 0) + n
-        else:
-            fmap[k] = fmap.get(k, 0) + n
-
-    def feed(e):
-        nonlocal coeff
-        if isinstance(e, Rat):
-            coeff *= e.value
-        elif isinstance(e, Mul):
-            for f in e.factors:
-                feed(f)
-        elif isinstance(e, Pow):
-            feed_kernel(e.base, e.exponent)
-        else:
-            feed_kernel(e, 1)
-
+    monos = []
     for f in factors:
-        feed(f)
-    if coeff == 0:
-        return ZERO
-
-    extra = []
-    if exp_parts:
-        extra.append(exp_(add(*exp_parts)))
-    for base, expo in spow_acc.items():
-        extra.append(sym_pow(base, expo))
-    for e in extra:
-        if isinstance(e, Rat):
-            coeff *= e.value
-        elif isinstance(e, Add):
-            polys.append([_mono_of(t) for t in e.terms])
+        if isinstance(f, Add):
+            # the primitive part, so (a+b)*(a+b)^-1 cancels before expanding
+            c, prim = _extract_content(f)
+            monos.append((c, {prim: 1}))
         else:
-            c, f = _mono_of(e)
-            coeff *= c
-            for k, n in f.items():
-                m = fmap.get(k, 0) + n
-                if m == 0:
-                    fmap.pop(k)
-                else:
-                    fmap[k] = m
-    if coeff == 0:
-        return ZERO
-    add_kernels = []
-    for k in [k for k, n in fmap.items() if isinstance(k, Add) and n > 0]:
-        add_kernels.append((k, fmap.pop(k)))
-    if not polys and not add_kernels:
-        return from_monomial(coeff, {k: n for k, n in fmap.items() if n != 0})
-    out = [(coeff, {k: n for k, n in fmap.items() if n != 0})]
-    for p in polys:
-        out = _poly_mul(out, p)
-    for k, n in add_kernels:
-        for _ in range(n):
-            out = _poly_mul_kernel(out, k)
-    return add(*[from_monomial(c, f) for c, f in out])
+            monos.append(_mono_of(f))
+    return _sum(_expand([_mono_mul(*monos)]))
 
 
 def _extract_content(e):
     """Rational content (with the sign of the leading term) of a sum."""
     monos = monomials(e)
-    nums = [abs(c.numerator) for c, _ in monos]
-    dens = [c.denominator for c, _ in monos]
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    content = Fraction(g, l)
-    lead = _leading_monomial(monos)
-    if lead[0] < 0:
-        content = -content
+    content = _content(monos)
     if content == 1:
         return Fraction(1), e
-    prim = add(*[from_monomial(c / content, dict(f)) for c, f in monos])
-    return content, prim
+    return content, _sum([(c / content, f) for c, f in monos])
 
 
 def pow_int(base, n):
@@ -583,11 +499,7 @@ def pow_int(base, n):
         return sym_pow(base.base, mul(rat(n), base.expo))
     if isinstance(base, Add):
         if n > 0:
-            out = [(Fraction(1), {})]
-            p = [_mono_of(t) for t in base.terms]
-            for _ in range(n):
-                out = _poly_mul(out, p)
-            return add(*[from_monomial(c, f) for c, f in out])
+            return _sum(_expand([(Fraction(1), {base: n})]))
         c, prim = _extract_content(base)
         if is_zero(prim):
             raise ExprError("division by zero")
@@ -621,8 +533,7 @@ def sym_pow(base, expo):
         else:
             rest.append((c, f))
     if const and rest:
-        residual = add(*[from_monomial(c, dict(f)) for c, f in rest])
-        return mul(pow_int(base, int(const)), SPow(base, residual))
+        return mul(pow_int(base, int(const)), SPow(base, _sum(rest)))
     return SPow(base, expo)
 
 
@@ -631,25 +542,18 @@ def exp_(arg):
         return ONE
     if isinstance(arg, LogF):
         return arg.arg
-    if isinstance(arg, Add):
-        keep = []
-        factors = []
-        for c, f in monomials(arg):
-            if len(f) == 1 and c.denominator == 1:
-                (k, n), = f.items()
-                if isinstance(k, LogF) and n == 1:
-                    factors.append(pow_int(k.arg, int(c)))
-                    continue
-            keep.append((c, dict(f)))
-        if factors:
-            rest = add(*[from_monomial(c, f) for c, f in keep])
-            return mul(*factors, exp_(rest) if not is_zero(rest) else ONE)
-    elif isinstance(arg, Mul):
-        for c, f in monomials(arg):
-            if len(f) == 1 and c.denominator == 1:
-                (k, n), = f.items()
-                if isinstance(k, LogF) and n == 1:
-                    return pow_int(k.arg, int(c))
+    # integer multiples of logs leave the exponent as integer powers
+    keep = []
+    factors = []
+    for c, f in monomials(arg):
+        if len(f) == 1 and c.denominator == 1:
+            (k, n), = f.items()
+            if isinstance(k, LogF) and n == 1:
+                factors.append(pow_int(k.arg, int(c)))
+                continue
+        keep.append((c, f))
+    if factors:
+        return mul(*factors, exp_(_sum(keep)))
     return ExpF(arg)
 
 
@@ -779,39 +683,23 @@ def _contains_fun(k):
     return any(isinstance(n, Fun) for n in walk(k))
 
 
-def _frac_gcd(a, b):
-    num = gcd(abs(a.numerator), abs(b.numerator))
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 def normalize_equation(eq):
     """Strip a common invertible monomial factor and rational content; fix
     the sign so the leading coefficient is positive."""
-    if is_zero(eq) or not isinstance(eq, Add):
-        monos = monomials(eq)
-        if len(monos) == 1 and not is_zero(eq):
-            _, fmap = monos[0]
-            keep = {k: n for k, n in fmap.items()
-                    if isinstance(k, Fun) or _contains_fun(k)}
-            return from_monomial(Fraction(1), keep)
+    if is_zero(eq):
         return eq
     monos = monomials(eq)
-    common = None
-    for _, fmap in monos:
-        if common is None:
-            common = dict(fmap)
-        else:
-            for k in list(common):
-                n = fmap.get(k, 0)
-                if n == 0 or (n > 0) != (common[k] > 0):
-                    del common[k]
-                else:
-                    common[k] = min(common[k], n, key=abs)
-    common = {k: n for k, n in (common or {}).items()
+    common = dict(monos[0][1])
+    for _, fmap in monos[1:]:
+        for k in list(common):
+            n = fmap.get(k, 0)
+            if n == 0 or (n > 0) != (common[k] > 0):
+                del common[k]
+            else:
+                common[k] = min(common[k], n, key=abs)
+    common = {k: n for k, n in common.items()
               if not (isinstance(k, Fun) or _contains_fun(k))}
     parts = []
-    gcd_c = None
     for c, fmap in monos:
         fm = dict(fmap)
         for k, n in common.items():
@@ -820,13 +708,9 @@ def normalize_equation(eq):
                 fm.pop(k, None)
             else:
                 fm[k] = m
-        gcd_c = c if gcd_c is None else _frac_gcd(gcd_c, c)
         parts.append((c, fm))
-    lead = _leading_monomial(parts)
-    scale = abs(gcd_c) if gcd_c else Fraction(1)
-    if lead[0] < 0:
-        scale = -scale
-    return add(*[from_monomial(c / scale, fm) for c, fm in parts])
+    scale = _content(parts)
+    return _sum([(c / scale, fm) for c, fm in parts])
 
 
 # passes of clear_denominators; exhausting them is an error, never a

@@ -75,6 +75,13 @@ class PdeSystem:
         return substitute(e, self.prolonged_rules(order))
 
 
+# caps of prolong_rules: completion rounds (each adds one integrability
+# condition as a rule) and self-substitutions of one prolonged rule; running
+# out of either is a CyclicRuleError
+MAX_COMPLETION_ROUNDS = 8
+MAX_SELF_SUBSTITUTIONS = 16
+
+
 def prolong_rules(rules, order, ws, complete=False):
     """Close a jet substitution-rule set under total differentiation up to
     the given order.
@@ -91,7 +98,7 @@ def prolong_rules(rules, order, ws, complete=False):
                     f"rule right-hand side for {jet!r} contains ruled jet {j2!r}")
 
     base_rules = dict(rules)
-    for _ in range(8):
+    for _ in range(MAX_COMPLETION_ROUNDS):
         out, conflict = _close_rules(base_rules, order, ws, complete)
         if conflict is None:
             return out
@@ -100,7 +107,9 @@ def prolong_rules(rules, order, ws, complete=False):
             raise CyclicRuleError(
                 f"integrability condition re-solves ruled jet {jet!r}")
         base_rules[jet] = substitute(solved, out)
-    raise CyclicRuleError("rule completion did not stabilize")
+    raise CyclicRuleError("rule completion did not stabilize: round cap "
+                          f"MAX_COMPLETION_ROUNDS = {MAX_COMPLETION_ROUNDS} "
+                          "exhausted")
 
 
 def _close_rules(rules, order, ws, complete):
@@ -124,12 +133,14 @@ def _close_rules(rules, order, ws, complete):
         steps = zip(ws.independents, vec(t), vec(base))
         d = derive_multi(out[base], ((s, ti - bi) for s, ti, bi in steps),
                          total_derivative)
-        for _ in range(16):
+        for _ in range(MAX_SELF_SUBSTITUTIONS):
             d2 = substitute(d, out)
             if d2 == d:
                 return d
             d = d2
-        raise CyclicRuleError("prolonged rule did not stabilize under self-substitution")
+        raise CyclicRuleError(
+            "prolonged rule did not stabilize under self-substitution: cap "
+            f"MAX_SELF_SUBSTITUTIONS = {MAX_SELF_SUBSTITUTIONS} exhausted")
 
     for t in sorted(targets, key=lambda j: jet_rank(ws, j)):
         bases = sorted(targets[t], key=lambda b: (-b.order, vec(b)))

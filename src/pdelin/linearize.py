@@ -17,9 +17,10 @@ from .constraints import LinearConstraints
 from .errors import DegenerateError, ExprError, ExtractionError
 from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, add,
                    clear_denominators, derive_multi, diff_kernel, div,
-                   fun_kernels_of, is_zero, jets_of, monomials, mul, neg,
-                   normalize_equation, pow_int, rat, solve_linear, sub,
-                   substitute, substitute_kernels, total_derivative, walk)
+                   fun_kernels_of, is_zero, jets_of, monomial_signature,
+                   monomials, mul, neg, normalize_equation, pow_int, rat,
+                   solve_linear, sub, substitute, substitute_kernels,
+                   total_derivative, walk)
 from .jets import PdeSystem
 from .linalg import det
 from .linops import DerivativeTable, LinearOperator, bilinear_identity
@@ -371,8 +372,7 @@ def _extract_at_degree(cand, degree, columns):
             [columns[s][mu] for s in slots] + [neg(target)])
         for key, e in zip(keys, cleared):
             for coeff, fmap in monomials(e):
-                sig = tuple(sorted((k.key, n) for k, n in fmap.items()))
-                local.setdefault(sig, {})[key] = coeff
+                local.setdefault(monomial_signature(fmap), {})[key] = coeff
         equations.extend(local.values())
     sol = _solve_linear_system(equations, range(len(slots)))
     if sol is None:

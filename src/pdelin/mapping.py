@@ -291,6 +291,11 @@ def apply_transformation(sys, tr):
     return MappingReport(equations=new_eqs, system=system, messages=messages)
 
 
+# reduction passes per equation in _triangularize; an equation that
+# exhausts them is kept as reduced so far, with a message naming the cap
+MAX_TRIANGULARIZE_PASSES = 64
+
+
 def _triangularize(eqs, ws):
     """Fraction-free reduction of each transformed equation modulo the
     previous ones; change of variables mixes target rows by the invertible
@@ -299,7 +304,7 @@ def _triangularize(eqs, ws):
     out = []
     pivots = []  # (leading jet, equation)
     for idx, eq in enumerate(eqs):
-        for _ in range(64):
+        for _ in range(MAX_TRIANGULARIZE_PASSES):
             target = None
             for j in sorted(jets_of(eq), key=lambda j: jet_rank(ws, j), reverse=True):
                 for lead, red in pivots:
@@ -319,6 +324,10 @@ def _triangularize(eqs, ws):
                 messages.append(f"equation {idx + 1}: nonlinear pivot, reduction skipped")
                 break
             eq = sub(mul(cr, eq), mul(ce, r))
+        else:
+            messages.append(f"equation {idx + 1}: reduction stopped: pass cap "
+                            f"MAX_TRIANGULARIZE_PASSES = "
+                            f"{MAX_TRIANGULARIZE_PASSES} exhausted")
         eq = clear_equation(eq)
         if is_zero(eq):
             messages.append(f"equation {idx + 1} is a consequence of the others")

@@ -243,13 +243,17 @@ def random_assignment(e, rng):
     return asg
 
 
+# random points tried by probe_nonzero_robust before it answers "not nonzero"
+MAX_ROBUST_PROBE_POINTS = 12
+
+
 def probe_nonzero_robust(e, seed=None):
-    """True when `e` probes nonzero at one of up to 12 random points drawn
-    from `seed` (default: the base probe seed + 5)."""
+    """True when `e` probes nonzero at one of up to MAX_ROBUST_PROBE_POINTS
+    random points drawn from `seed` (default: the base probe seed + 5)."""
     if is_zero(e):
         return False
     rng = random.Random(default_probe_seed() + 5 if seed is None else seed)
-    for _ in range(12):
+    for _ in range(MAX_ROBUST_PROBE_POINTS):
         try:
             if probe_nonzero(e, random_assignment(e, rng)):
                 return True

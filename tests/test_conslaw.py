@@ -11,8 +11,8 @@ from pdelin.conslaw import (MultiplierAnsatz, MultiplierFamily,
                             reconstruct_fluxes, reduce_determining_system,
                             reduce_family_constraints, verify_multipliers)
 from pdelin.errors import NotADivergenceError
-from pdelin.expr import (Fun, Jet, add, equal, exp_, is_zero, mul, neg, rat,
-                         sub, total_derivative)
+from pdelin.expr import (Fun, Jet, Sym, add, equal, exp_, is_zero, mul, neg,
+                         rat, sub, total_derivative)
 from pdelin.grammar import parse, to_text
 from pdelin.jets import PdeSystem, euler_operator
 from pdelin.linearize import family_fluxes
@@ -294,3 +294,15 @@ def test_families_at_explicit_constraint_solutions():
     tconcrete = substitute_kernels(tcombo, repl)
     for dep in tws.dependents:
         assert is_zero(euler_operator(tconcrete, dep, tws))
+
+
+def test_reducer_placeholders_cover_every_argument():
+    # 13 arguments: a scalar system with 3 independents at ansatz order 2
+    # already has that many; no argument may be lost to the placeholders
+    args = tuple(Sym(f"a{i}", "independent") for i in range(13))
+    for pos, kept in ((0, args[1:]), (12, args[:12])):
+        dmidx = tuple(int(i == pos) for i in range(13))
+        state = conslaw._ReducerState(["L1"], args,
+                                      [Fun("L1", args, dmidx)])
+        state.run()
+        assert state.component("L1") == Fun("f1", kept)

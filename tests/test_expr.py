@@ -1,5 +1,6 @@
 """Expression kernel: canonicalization, substitution, zero-testing."""
 
+import contextvars
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ from helpers import (burgers_workspace, probe_sides_agree,
                      random_expression, random_jets, seeded)
 from pdelin import expr
 from pdelin.errors import ExprError
-from pdelin.expr import (Fun, Jet, add, canonicalize, clear_denominators,
-                         div, equal, exp_, is_zero, log_, mul, neg, pow_int,
-                         rat, solve_linear, sub, substitute, sym_pow)
-from pdelin.grammar import parse
+from pdelin.expr import (Add, Fun, Jet, Mul, Sym, add, canonicalize,
+                         clear_denominators, div, equal, exp_, is_zero, log_,
+                         mul, neg, pow_int, rat, set_max_terms, solve_linear,
+                         sub, substitute, sym_pow, walk)
+from pdelin.grammar import parse, to_text
 from pdelin.probe import probe_is_zero
+from pdelin.workspace import Workspace
 
 ws = burgers_workspace()
 x, t = ws.independents
@@ -152,3 +155,38 @@ def test_clear_denominators_reports_its_pass_cap(monkeypatch):
     assert clear_denominators([x]) == [x]
     with pytest.raises(ExprError, match="MAX_CLEARING_PASSES = 0"):
         clear_denominators([e])
+
+
+def test_product_whose_exp_merges_into_a_sum_is_expanded():
+    # squaring exp(y + 1/2*log(t + 1)) merges to (t + 1)*exp(2*y), a sum
+    # that the product must distribute like any other
+    wsy = Workspace("xyt", ["u"])
+    s = parse("x + exp(y + 1/2*log(1+t))", wsy)
+    want = "t*exp(2*y) + 2*x*exp(y + 1/2*log(t + 1)) + x^2 + exp(2*y)"
+    for square in (pow_int(s, 2), mul(s, s)):
+        assert to_text(square) == want
+        assert not [n for n in walk(square) if isinstance(n, Mul)
+                    and any(isinstance(f, Add) for f in n.factors)]
+
+
+def test_sum_times_its_inverse_cancels_before_expanding():
+    a = add(mul(rat(2), x), mul(rat(4), t))
+    assert mul(a, pow_int(a, -1)) == rat(1)
+
+
+def test_power_of_a_sum_respects_the_term_limit():
+    def cube():
+        set_max_terms(10)
+        return pow_int(add(x, u1, t, rat(1)), 3)
+
+    with pytest.raises(ExprError, match="term limit"):
+        contextvars.copy_context().run(cube)
+
+
+def test_power_from_merged_exp_merges_with_a_power_of_its_base():
+    # exp(1/2*L)*exp(3/2*L) with L = log(x^a) merges to x^(2*a); that must
+    # merge again with x^b rather than stand beside it
+    a, b = Sym("a", "parameter"), Sym("b", "parameter")
+    L = log_(sym_pow(x, a))
+    lhs = mul(exp_(mul(rat(1, 2), L)), exp_(mul(rat(3, 2), L)), sym_pow(x, b))
+    assert lhs == sym_pow(x, add(mul(rat(2), a), b))

@@ -5,7 +5,8 @@ import pytest
 
 import corpus
 from helpers import seeded
-from pdelin.cli import bundled_path
+from pdelin import mapping
+from pdelin.cli import bundled_path, main
 from pdelin.errors import ExprError
 from pdelin.expr import (Jet, add, equal, exp_, is_zero, mul, neg, rat, sub,
                          substitute, total_derivative)
@@ -285,3 +286,16 @@ def test_hopf_cole_direction():
                                Jet("u1", (("x", 1),)): rat(0),
                                Jet("u1", (("x", 2),)): rat(0),
                                Jet("u1", (("t", 1),)): rat(0)}))
+
+
+def test_triangularize_reports_its_pass_cap(monkeypatch, capsys):
+    # the bundled Burgers verify reduces its second transformed equation
+    # against the first; with no passes left it says so instead of using
+    # the unreduced equation silently
+    assert main(["verify", "burgers"]) == 0
+    assert "MAX_TRIANGULARIZE_PASSES" not in capsys.readouterr().out
+    monkeypatch.setattr(mapping, "MAX_TRIANGULARIZE_PASSES", 0)
+    main(["verify", "burgers"])
+    out = capsys.readouterr().out
+    assert ("equation 2: reduction stopped: pass cap "
+            "MAX_TRIANGULARIZE_PASSES = 0 exhausted") in out

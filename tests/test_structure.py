@@ -1,7 +1,8 @@
 """Import discipline of the package: no function-level relative imports (they
 hide import cycles), no module reaches into the expression kernel's private
 helpers, and no module-level import is left unused.  No function mutates
-module-level state; the two settings the README names are per context."""
+module-level state; the two settings the README names are per context.
+Every loop cap is a named constant."""
 
 import ast
 import pathlib
@@ -204,3 +205,26 @@ def test_settings_are_per_thread():
         th.join(timeout=60)
         assert not th.is_alive()
     assert seen == {1: (True, 1), 2: (False, 2)}
+
+
+def _literal_range_loops():
+    """(module, line) of every loop, comprehensions included, whose range()
+    bound is an integer literal."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.For, ast.comprehension)):
+                continue
+            it = node.iter
+            if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                    and it.func.id == "range" and it.args):
+                continue
+            bound = it.args[0] if len(it.args) == 1 else it.args[1]
+            if isinstance(bound, ast.Constant) and \
+                    isinstance(bound.value, int):
+                yield path.stem, it.lineno
+
+
+def test_loop_caps_are_named():
+    # an iteration cap is a named module constant that its error or report
+    # can quote, never a bare number in a range()
+    assert not list(_literal_range_loops())
