@@ -48,7 +48,7 @@ def set_max_terms(n):
 
 
 class Expr:
-    __slots__ = ("key", "_hash")
+    __slots__ = ("key", "_hash", "_mono")
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Expr) and self.key == other.key)
@@ -64,6 +64,7 @@ class Expr:
     def _finish(self, key):
         self.key = key
         self._hash = hash(key)
+        self._mono = None
 
 
 class Rat(Expr):
@@ -225,27 +226,39 @@ def is_atom(e):
 
 
 def _mono_of(e):
-    """Decompose a canonical non-Add expression into (coeff, fmap)."""
-    if isinstance(e, Rat):
-        return e.value, {}
-    if isinstance(e, Mul):
-        coeff = Fraction(1)
-        fmap = {}
-        for f in e.factors:
-            if isinstance(f, Rat):
-                coeff *= f.value
-            elif isinstance(f, Pow):
-                fmap[f.base] = fmap.get(f.base, 0) + f.exponent
-            else:
-                fmap[f] = fmap.get(f, 0) + 1
-        return coeff, fmap
-    if isinstance(e, Pow):
-        return Fraction(1), {e.base: e.exponent}
-    return Fraction(1), {e: 1}
+    """The monomial view (coeff, fmap) of a canonical expression; a sum is a
+    kernel of its own.  Each node computes its view once and keeps it, so a
+    view is shared: no caller may mutate it.  Two threads may compute the
+    same view at once; they store equal values."""
+    view = e._mono
+    if view is None:
+        if isinstance(e, Rat):
+            view = e.value, {}
+        elif isinstance(e, Mul):
+            # a canonical product has at most one rational factor, first
+            factors = e.factors
+            coeff = ONE.value
+            if isinstance(factors[0], Rat):
+                coeff = factors[0].value
+                factors = factors[1:]
+            fmap = {}
+            for f in factors:
+                if isinstance(f, Pow):
+                    fmap[f.base] = f.exponent
+                else:
+                    fmap[f] = 1
+            view = coeff, fmap
+        elif isinstance(e, Pow):
+            view = ONE.value, {e.base: e.exponent}
+        else:
+            view = ONE.value, {e: 1}
+        e._mono = view
+    return view
 
 
 def monomials(e):
-    """The monomial view of a canonical expression: a list of (coeff, fmap)."""
+    """The monomial view of a canonical expression: a list of (coeff, fmap).
+    The fmaps are the nodes' own views: copy one before editing it."""
     if isinstance(e, Add):
         return [_mono_of(t) for t in e.terms]
     return [_mono_of(e)]
@@ -315,10 +328,11 @@ def _mono_mul(*monos):
     """The product of monomials: exponents merge, then `_normalize_fmap`
     merges exp factors and symbolic powers.  Sums may be left with positive
     exponents; `_expand` distributes them."""
-    coeff = Fraction(1)
+    coeff = ONE.value
     fmap = {}
     for c, f in monos:
-        coeff *= c
+        if c != 1:
+            coeff *= c
         for k, n in f.items():
             fmap[k] = fmap.get(k, 0) + n
     if coeff == 0:
@@ -359,6 +373,13 @@ def _normalize_fmap(coeff, fmap):
     symbolic powers with a common base into one power.  Each merged factor
     folds in through its monomial view; one that is a sum (exp(2*y +
     log(t + 1)) -> (t + 1)*exp(2*y)) enters as a kernel with exponent 1."""
+    # the exp factors form one merge group, the symbolic powers one per
+    # base; with one kernel of exponent 1 per group there is nothing to merge
+    groups = [(ExpF if isinstance(k, ExpF) else k.base, n)
+              for k, n in fmap.items() if n and isinstance(k, (ExpF, SPow))]
+    if all(n == 1 for _, n in groups) and \
+            len({g for g, _ in groups}) == len(groups):
+        return coeff, {k: n for k, n in fmap.items() if n}
     exp_parts = []
     spow = {}
     plain = {}
@@ -372,8 +393,6 @@ def _normalize_fmap(coeff, fmap):
             spow[k.base] = add(prev, mul(rat(n), k.expo))
         else:
             plain[k] = n
-    if not exp_parts and not spow:
-        return coeff, plain
     merged = [sym_pow(base, expo) for base, expo in spow.items()]
     if exp_parts:
         merged.append(exp_(add(*exp_parts)))
@@ -388,11 +407,7 @@ def _normalize_fmap(coeff, fmap):
                 plain[k] = m
     # a merged factor can bring a kernel that merges again: exp(1/2*L) *
     # exp(3/2*L) with L = log(x^a) is x^(2*a), which meets a factor x^b
-    again = [ExpF if isinstance(k, ExpF) else k.base
-             for k in plain if isinstance(k, (ExpF, SPow))]
-    if len(set(again)) < len(again):
-        return _normalize_fmap(coeff, plain)
-    return coeff, plain
+    return _normalize_fmap(coeff, plain)
 
 
 # ---------------------------------------------------------------------------

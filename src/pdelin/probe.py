@@ -121,7 +121,9 @@ def _transcendental(name, v, prec):
     return Interval(lo, hi)
 
 
-def _eval(e, assignment, prec):
+def _eval(e, assignment, prec, memo):
+    """The value of `e` at `prec` bits; `memo` keeps the value of each
+    distinct exp, log and symbolic power met at this precision."""
     if isinstance(e, Rat):
         return e.value
     if is_atom(e):
@@ -132,32 +134,41 @@ def _eval(e, assignment, prec):
     if isinstance(e, Add):
         out = Fraction(0)
         for t in e.terms:
-            out = _add(out, _eval(t, assignment, prec))
+            out = _add(out, _eval(t, assignment, prec, memo))
         return out
     if isinstance(e, Mul):
         out = Fraction(1)
         for f in e.factors:
-            out = _mul(out, _eval(f, assignment, prec))
+            out = _mul(out, _eval(f, assignment, prec, memo))
         return out
     if isinstance(e, Pow):
-        return _ipow(_eval(e.base, assignment, prec), e.exponent)
+        return _ipow(_eval(e.base, assignment, prec, memo), e.exponent)
+    if isinstance(e, (ExpF, LogF, SPow)):
+        v = memo.get(e)
+        if v is None:
+            v = memo[e] = _eval_kernel(e, assignment, prec, memo)
+        return v
+    raise UncoveredKernelError(f"cannot evaluate node {type(e).__name__}")
+
+
+def _eval_kernel(e, assignment, prec, memo):
+    """The value of an exp, log or symbolic power at `prec` bits."""
     if isinstance(e, ExpF):
-        return _transcendental("exp", _eval(e.arg, assignment, prec), prec)
+        return _transcendental("exp", _eval(e.arg, assignment, prec, memo),
+                               prec)
     if isinstance(e, LogF):
-        v = _eval(e.arg, assignment, prec)
+        v = _eval(e.arg, assignment, prec, memo)
         if (isinstance(v, Fraction) and v <= 0) or (isinstance(v, Interval) and v.lo <= 0):
             raise DomainError("log of a nonpositive value")
         return _transcendental("log", v, prec)
-    if isinstance(e, SPow):
-        b = _eval(e.base, assignment, prec)
-        q = _eval(e.expo, assignment, prec)
-        if isinstance(q, Fraction) and q.denominator == 1:
-            return _ipow(b, int(q))
-        if (isinstance(b, Fraction) and b <= 0) or (isinstance(b, Interval) and b.lo <= 0):
-            raise DomainError("symbolic power of a nonpositive base")
-        lg = _transcendental("log", b, prec)
-        return _transcendental("exp", _mul(q, lg), prec)
-    raise UncoveredKernelError(f"cannot evaluate node {type(e).__name__}")
+    b = _eval(e.base, assignment, prec, memo)
+    q = _eval(e.expo, assignment, prec, memo)
+    if isinstance(q, Fraction) and q.denominator == 1:
+        return _ipow(b, int(q))
+    if (isinstance(b, Fraction) and b <= 0) or (isinstance(b, Interval) and b.lo <= 0):
+        raise DomainError("symbolic power of a nonpositive base")
+    lg = _transcendental("log", b, prec)
+    return _transcendental("exp", _mul(q, lg), prec)
 
 
 def numeric_probe(e, assignment):
@@ -170,7 +181,7 @@ def numeric_probe(e, assignment):
     """
     prec = 80
     while True:
-        v = _eval(e, assignment, prec)
+        v = _eval(e, assignment, prec, {})
         if isinstance(v, Fraction):
             return v
         scale = max(Fraction(1), abs(v.lo), abs(v.hi))

@@ -1,11 +1,25 @@
 """Shared test utilities: workspaces for the bundled systems and a seeded
 random expression generator used by the property suites."""
 
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 from pdelin.expr import (Jet, add, exp_, mul, neg, pow_int, rat)
 from pdelin.workspace import Workspace
+
+
+# the reference documents of the nine bundled jobs, compared without the
+# generated-at line
+REFS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "refs"
+GENERATED_AT = re.compile(r"^\s*generated-at = .*\n?", re.M)
+SYSTEMS = ("burgers", "pipeline", "telegraph")
+COMMANDS = ("detsys", "linearize", "verify")
+
+
+def reference_document(command, system):
+    return (REFS / f"{command}-{system}.txt").read_text(encoding="utf-8")
 
 
 def burgers_workspace():

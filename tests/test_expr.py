@@ -1,18 +1,22 @@
 """Expression kernel: canonicalization, substitution, zero-testing."""
 
 import contextvars
+import types
 from fractions import Fraction
 
 import pytest
 
-from helpers import (burgers_workspace, probe_sides_agree,
-                     random_expression, random_jets, seeded)
+from helpers import (COMMANDS, GENERATED_AT, SYSTEMS, burgers_workspace,
+                     probe_sides_agree, random_expression, random_jets,
+                     reference_document, seeded)
 from pdelin import expr
+from pdelin.cli import main
 from pdelin.errors import ExprError
-from pdelin.expr import (Add, Fun, Jet, Mul, Sym, add, canonicalize,
-                         clear_denominators, div, equal, exp_, is_zero, log_,
-                         mul, neg, pow_int, rat, set_max_terms, solve_linear,
-                         sub, substitute, sym_pow, walk)
+from pdelin.expr import (Add, ExpF, Fun, Jet, Mul, Pow, Rat, Sym, add,
+                         canonicalize, clear_denominators, div, equal, exp_,
+                         is_zero, log_, mul, neg, normalize_equation, pow_int,
+                         rat, set_max_terms, solve_linear, sub, substitute,
+                         sym_pow, total_derivative, walk)
 from pdelin.grammar import parse, to_text
 from pdelin.probe import probe_is_zero
 from pdelin.workspace import Workspace
@@ -190,3 +194,98 @@ def test_power_from_merged_exp_merges_with_a_power_of_its_base():
     L = log_(sym_pow(x, a))
     lhs = mul(exp_(mul(rat(1, 2), L)), exp_(mul(rat(3, 2), L)), sym_pow(x, b))
     assert lhs == sym_pow(x, add(mul(rat(2), a), b))
+
+
+def test_monomial_views_are_never_mutated(monkeypatch, capsys):
+    # each node's monomial view is computed once and shared with every
+    # caller; handed out read-only, an edit in place raises TypeError
+    real = expr._mono_of
+
+    def read_only(e):
+        c, f = real(e)
+        return c, types.MappingProxyType(f)
+
+    monkeypatch.setattr(expr, "_mono_of", read_only)
+    expr.clear_caches()
+    for command in COMMANDS:
+        for system in SYSTEMS:
+            assert main([command, system]) == 0
+            out = GENERATED_AT.sub("", capsys.readouterr().out)
+            assert out == reference_document(command, system)
+    rng = seeded(41)
+    atoms = [x, t, u1, u2] + random_jets(ws)
+    w = Sym("w", "parameter")     # absent from the atoms: b + w is nonzero
+    for _ in range(150):
+        a = random_expression(rng, atoms, depth=rng.randint(1, 4))
+        b = random_expression(rng, atoms, depth=rng.randint(1, 4))
+        for e in (mul(a, b), add(a, b), sub(a, b), div(a, add(b, w)),
+                  total_derivative(a, x), total_derivative(b, t)):
+            normalize_equation(e)
+
+
+def test_product_keeps_kernels_with_nothing_to_merge(monkeypatch):
+    # a lone exp factor and a lone symbolic power of each base enter a
+    # product as they are, without being rebuilt
+    p = Sym("p", "parameter")
+    e, s = exp_(mul(rat(2), x)), sym_pow(u1, p)
+    calls = []
+    for name in ("exp_", "sym_pow"):
+        real = getattr(expr, name)
+        monkeypatch.setattr(expr, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    prod = mul(e, x, s, sym_pow(u2, p))
+    assert any(f is e for f in prod.factors)
+    assert any(f is s for f in prod.factors)
+    assert calls == []
+
+
+def test_kernels_of_one_group_still_merge():
+    p, q = Sym("p", "parameter"), Sym("q", "parameter")
+    a, b = mul(rat(2), x), mul(rat(3), t)
+    assert mul(exp_(a), exp_(a)) == pow_int(exp_(a), 2) == exp_(mul(rat(2), a))
+    assert mul(exp_(a), exp_(b), u1) == mul(exp_(add(a, b)), u1)
+    assert mul(sym_pow(x, p), sym_pow(x, q)) == sym_pow(x, add(p, q))
+    assert mul(sym_pow(x, p), u1, sym_pow(x, neg(p))) == u1
+
+
+def _to_sympy(sp, e):
+    """The SymPy expression of a `random_expression` output; atoms become
+    symbols named by their text."""
+    if isinstance(e, Rat):
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, (Sym, Jet)):
+        return sp.Symbol(to_text(e))
+    if isinstance(e, Add):
+        return sp.Add(*[_to_sympy(sp, f) for f in e.terms])
+    if isinstance(e, Mul):
+        return sp.Mul(*[_to_sympy(sp, f) for f in e.factors])
+    if isinstance(e, Pow):
+        return sp.Pow(_to_sympy(sp, e.base), e.exponent)
+    if isinstance(e, ExpF):
+        return sp.exp(_to_sympy(sp, e.arg))
+    raise TypeError(f"no SymPy form for {e!r}")
+
+
+def test_zero_decisions_agree_with_sympy():
+    # an independent oracle for is_zero: SymPy brings the difference over
+    # one denominator and expands the numerator, which is a normal form for
+    # polynomials in the atoms and in exps of multiples of one atom each
+    sp = pytest.importorskip("sympy")
+    rng = seeded(31)
+    atoms = [x, t, u1]
+    for _ in range(30):
+        a = random_expression(rng, atoms, depth=3)
+        b = random_expression(rng, atoms, depth=3)
+        s = add(b, u2)      # u2 is not among the atoms: s is nonzero
+        m = mul(rat(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)),
+                pow_int(atoms[rng.randrange(len(atoms))], rng.randint(1, 2)))
+        pairs = ((mul(add(a, b), sub(a, b)), sub(mul(a, a), mul(b, b)), True),
+                 (div(mul(a, s), s), a, True),
+                 (add(a, m), a, False),
+                 (add(mul(a, b), m), mul(b, a), False),
+                 (div(add(a, m), s), div(a, s), False))
+        for lhs, rhs, equal_by_construction in pairs:
+            d = _to_sympy(sp, lhs) - _to_sympy(sp, rhs)
+            oracle = sp.expand(sp.numer(sp.together(d))) == 0
+            assert oracle == equal_by_construction
+            assert is_zero(sub(lhs, rhs)) == oracle

@@ -4,21 +4,15 @@ reference documents stored in bench/refs (compared without `generated-at`),
 and print the same documents when they run concurrently in threads."""
 
 import io
-import pathlib
-import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from helpers import COMMANDS, GENERATED_AT, SYSTEMS, reference_document
 from pdelin.cli import main
 from pdelin.expr import clear_caches
-
-REFS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "refs"
-GENERATED_AT = re.compile(r"^\s*generated-at = .*\n?", re.M)
-SYSTEMS = ("burgers", "pipeline", "telegraph")
-COMMANDS = ("detsys", "linearize", "verify")
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -26,8 +20,7 @@ COMMANDS = ("detsys", "linearize", "verify")
 def test_document_matches_reference(command, system, capsys):
     assert main([command, system]) == 0
     out = GENERATED_AT.sub("", capsys.readouterr().out)
-    ref = (REFS / f"{command}-{system}.txt").read_text(encoding="utf-8")
-    assert out == ref
+    assert out == reference_document(command, system)
 
 
 class _PerThreadStdout:

@@ -13,6 +13,7 @@ from pdelin.expr import (add, canonicalize, exp_, log_, mul, rat, sub, sym_pow)
 from pdelin.grammar import parse
 from pdelin.probe import (Interval, numeric_probe, probe_is_zero,
                           random_assignment)
+from pdelin.workspace import Workspace
 
 ws = burgers_workspace()
 x, t = ws.independents
@@ -77,6 +78,28 @@ def test_canonicalization_soundness_random():
             assert probe_is_zero(d, asg)
         except DomainError:
             pass
+
+
+def test_each_transcendental_kernel_is_evaluated_once_per_precision(
+        monkeypatch):
+    # exp(x) occurs in all three terms; the value is 0, so the probe doubles
+    # the precision once before the enclosure is narrow enough
+    wsz = Workspace("xyz", ["u"])
+    x_, y_, z_ = wsz.independents
+    e = parse("exp(x)*y + exp(x)*z + exp(x)", wsz)
+    precisions = []
+    real = probe._transcendental
+
+    def counting(name, v, prec):
+        precisions.append(prec)
+        return real(name, v, prec)
+
+    monkeypatch.setattr(probe, "_transcendental", counting)
+    v = numeric_probe(e, {x_: Fraction(1, 3), y_: Fraction(1, 2),
+                          z_: Fraction(-3, 2)})
+    assert precisions == [80, 160]
+    # the enclosure is the one that evaluating every occurrence gives
+    assert (v.lo, v.hi) == (Fraction(-3, 2 ** 159), Fraction(3, 2 ** 159))
 
 
 def test_precision_cap_is_undecided_not_zero(monkeypatch):
