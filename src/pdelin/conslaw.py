@@ -13,9 +13,9 @@ from .errors import ExprError, NotADivergenceError, WorkspaceError
 from .expr import (ExpF, Fun, Jet, Rat, Sym, add, atoms_of, derive_multi,
                    diff_atom, div, exp_, from_monomial, fun_kernels_of,
                    is_zero, jets_of, log_, monomial_signature, monomials, mul,
-                   multi_indices, neg, normalize_equation, pow_int, rat,
-                   solve_linear, sub, substitute, substitute_kernels,
-                   total_derivative, walk)
+                   multi_diff, multi_indices, multi_lower, multi_unit, neg,
+                   normalize_equation, pow_int, rat, solve_linear, sub,
+                   substitute, substitute_kernels, total_derivative, walk)
 from .grammar import to_text
 from .jets import PdeSystem, euler_operator, higher_euler, jet_rank
 
@@ -46,13 +46,8 @@ class MultiplierAnsatz:
             raise WorkspaceError(
                 "multicomponent point case allows multiplier order at most 1")
         args = list(ws.independents)
-        jets = []
-        names = [s.name for s in ws.independents]
-        for dep in ws.dependents:
-            for total in range(ell + 1):
-                for vec in multi_indices((total,) * len(names), total,
-                                         exact=True):
-                    jets.append(Jet(dep, tuple(zip(names, vec))))
+        jets = [ws.jet(dep, K) for dep in ws.dependents
+                for K in multi_indices((ell,) * ws.n, ell)]
         jets.sort(key=lambda j: jet_rank(ws, j))
         return tuple(args + jets)
 
@@ -142,7 +137,7 @@ def _instantiate_unknowns(e, names, args, candidates):
     repl = {}
     for k in fun_kernels_of(e):
         if k.name in names:
-            repl[k] = derive_multi(candidates[k.name], zip(args, k.dmidx),
+            repl[k] = derive_multi(candidates[k.name], args, k.dmidx,
                                    diff_atom)
     return substitute_kernels(e, repl)
 
@@ -329,7 +324,7 @@ class _ReducerState:
     def _instance(self, kernel):
         body = self.subs[kernel.name]
         ph = _placeholders(len(kernel.args))
-        d = derive_multi(body, zip(ph, kernel.dmidx), diff_atom)
+        d = derive_multi(body, ph, kernel.dmidx, diff_atom)
         return substitute(d, dict(zip(ph, kernel.args)))
 
     def component(self, name):
@@ -385,8 +380,7 @@ class _ReducerState:
                 self._register(k.name, rat(0), f"{k.name} = 0 forced")
                 return True
             if sum(k.dmidx) == 1:
-                pos = next(i for i, o in enumerate(k.dmidx) if o)
-                self._drop_argument(k.name, pos)
+                self._drop_argument(k.name, multi_lower(k.dmidx)[0])
                 return True
         return False
 
@@ -457,8 +451,7 @@ class _ReducerState:
                 continue
             if sum(k1.dmidx) != 1 or sum(k2.dmidx) != 1:
                 continue
-            p1 = next(i for i, o in enumerate(k1.dmidx) if o)
-            p2 = next(i for i, o in enumerate(k2.dmidx) if o)
+            p1, p2 = multi_lower(k1.dmidx)[0], multi_lower(k2.dmidx)[0]
             if p1 == p2:
                 continue
             c1, c2 = diff_atom(eq, k1), diff_atom(eq, k2)
@@ -474,13 +467,9 @@ class _ReducerState:
             h = self.new_name()
             self.args[h] = self.args[g1]
             ph = _placeholders(len(self.args[g1]))
-            d1 = [0] * len(ph)
-            d1[p2] = 1
-            d2 = [0] * len(ph)
-            d2[p1] = 1
-            self._register(g1, Fun(h, tuple(ph), tuple(d1)),
+            self._register(g1, Fun(h, ph, multi_unit(p2, len(ph))),
                            f"potential {h}: {g1} = {h}_pos{p2 + 1}")
-            self._register(g2, Fun(h, tuple(ph), tuple(d2)),
+            self._register(g2, Fun(h, ph, multi_unit(p1, len(ph))),
                            f"potential {h}: {g2} = {h}_pos{p1 + 1}")
             return True
         return False
@@ -500,7 +489,7 @@ class _ReducerState:
                 continue
             g = under[0]
             gk = first[0]
-            pos = next(i for i, o in enumerate(gk.dmidx) if o)
+            pos = multi_lower(gk.dmidx)[0]
             c1 = diff_atom(eq, gk)
             c0 = diff_atom(eq, g)
             if not (self._fun_free(c0) and self._fun_free(c1)):
@@ -530,8 +519,7 @@ class _ReducerState:
             k1, k2 = ks
             if k1.name != k2.name or sum(k1.dmidx) != 1 or sum(k2.dmidx) != 1:
                 continue
-            p1 = next(i for i, o in enumerate(k1.dmidx) if o)
-            p2 = next(i for i, o in enumerate(k2.dmidx) if o)
+            p1, p2 = multi_lower(k1.dmidx)[0], multi_lower(k2.dmidx)[0]
             if p1 == p2:
                 continue
             c1, c2 = diff_atom(eq, k1), diff_atom(eq, k2)
@@ -720,11 +708,10 @@ def _homotopy_fluxes(e, ws):
                 continue
             body = mul(u0, ek)
             for i in range(n):
-                if K[i] < 1:
+                J = multi_diff(K, multi_unit(i, n))
+                if J is None:
                     continue
-                J = K[:i] + (K[i] - 1,) + K[i + 1:]
-                d = derive_multi(body, zip(ws.independents, J),
-                                 total_derivative)
+                d = derive_multi(body, ws.independents, J, total_derivative)
                 raw[i] = add(raw[i], mul(rat(K[i], sum(K)), d))
     fluxes = []
     for r in raw:
@@ -747,12 +734,13 @@ def _homotopy_fluxes(e, ws):
 
 
 def _absorb(s, m, fluxes, ws):
-    directions = [i for i, sym in enumerate(ws.independents)
-                  if dict(m.midx).get(sym.name, 0) >= 1]
     best = None
-    for i in directions:
-        sym = ws.independents[i]
-        mp = m.bump(sym.name, -1)
+    mv = ws.jet_vector(m)
+    for i, sym in enumerate(ws.independents):
+        lower = multi_diff(mv, multi_unit(i, ws.n))
+        if lower is None:
+            continue
+        mp = ws.jet(m.dep, lower)
         split = _power_split(s, m, mp)
         if split is None:
             continue

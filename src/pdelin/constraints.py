@@ -11,8 +11,8 @@ constraints, for kernels instantiated at arbitrary argument expressions.
 from __future__ import annotations
 
 from .errors import ExprError
-from .expr import (diff_atom, fun_kernels_of, solve_linear, substitute,
-                   substitute_kernels)
+from .expr import (derive_multi, diff_atom, fun_kernels_of, multi_diff,
+                   solve_linear, substitute, substitute_kernels)
 
 # rewrite caps of `_reduce_formal` (formal kernels of prolonged rules) and
 # of `reduce` (instantiated kernels), one rule applied per rewrite; a chain
@@ -80,18 +80,14 @@ class LinearConstraints:
             return self._derived[key]
         best = None
         for (rname, rd) in self._rules:
-            if rname != name:
-                continue
-            if all(a >= b for a, b in zip(dmidx, rd)):
+            if rname == name and multi_diff(dmidx, rd) is not None:
                 if best is None or sum(rd) > sum(best) or (sum(rd) == sum(best) and rd < best):
                     best = rd
         if best is None:
             return None
-        d = self._rules[(name, best)]
-        for pos, (have, want) in enumerate(zip(best, dmidx)):
-            for _ in range(want - have):
-                d = diff_atom(d, self.coords[pos])
-                d = self._reduce_formal(d)
+        d = derive_multi(self._rules[(name, best)], self.coords,
+                         multi_diff(dmidx, best),
+                         lambda e, x: self._reduce_formal(diff_atom(e, x)))
         self._derived[key] = d
         return d
 
@@ -110,7 +106,7 @@ class LinearConstraints:
                         "exhausted")
 
     def _reducible(self, k):
-        return any(rname == k.name and all(a >= b for a, b in zip(k.dmidx, rd))
+        return any(rname == k.name and multi_diff(k.dmidx, rd) is not None
                    for rname, rd in self._rules)
 
     # -- reduction of instantiated expressions ------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import ExprError
 
@@ -105,9 +105,9 @@ class Jet(Expr):
     def order(self):
         return sum(o for _, o in self.midx)
 
-    def bump(self, var, by=1):
+    def bump(self, var):
         d = dict(self.midx)
-        d[var] = d.get(var, 0) + by
+        d[var] = d.get(var, 0) + 1
         return Jet(self.dep, tuple(d.items()))
 
 
@@ -876,27 +876,54 @@ def solve_linear(e, kernel):
     return c, neg(div(sub(e, mul(c, kernel)), c))
 
 
-def derive_multi(e, steps, derive):
-    """Apply `derive(e, direction)` `count` times for each (direction, count)
-    of `steps`, in the order given."""
-    for x, n in steps:
+def derive_multi(e, variables, K, derive):
+    """Apply `derive(e, variables[i])` K[i] times for each i, in the order
+    of `variables`: d^K over integer vectors K."""
+    for x, n in zip(variables, K):
         for _ in range(n):
             e = derive(e, x)
     return e
 
 
-def multi_indices(bounds, max_total=None, exact=False):
-    """Integer vectors J with 0 <= J[i] <= bounds[i] and |J| <= max_total
-    (|J| == max_total when `exact`), in lexicographic order."""
+# Multi-indices outside `Jet` are integer vectors: over a workspace's
+# independents in declaration order (`Workspace.jet_vector`), or over a
+# function term's argument positions (`Fun.dmidx`).
+def multi_indices(bounds, max_total=None):
+    """Integer vectors J with 0 <= J[i] <= bounds[i] and |J| <= max_total,
+    in lexicographic order."""
     if max_total is None:
         max_total = sum(bounds)
     if not bounds:
-        if not exact or max_total == 0:
-            yield ()
+        yield ()
         return
     for first in range(min(bounds[0], max_total) + 1):
-        for rest in multi_indices(bounds[1:], max_total - first, exact):
+        for rest in multi_indices(bounds[1:], max_total - first):
             yield (first,) + rest
+
+
+def multi_diff(a, b):
+    """a - b, or None unless a >= b componentwise."""
+    d = tuple(x - y for x, y in zip(a, b))
+    return None if any(o < 0 for o in d) else d
+
+
+def multi_binom(a, b):
+    """binom(a, b): the product of the componentwise binomials."""
+    out = 1
+    for x, y in zip(a, b):
+        out *= comb(x, y)
+    return out
+
+
+def multi_unit(i, n):
+    """The unit vector e_i of length n."""
+    return tuple(int(k == i) for k in range(n))
+
+
+def multi_lower(K):
+    """(i, K - e_i) for the first nonzero direction i of a nonzero K."""
+    i = next(i for i, o in enumerate(K) if o)
+    return i, K[:i] + (K[i] - 1,) + K[i + 1:]
 
 
 def clear_caches():

@@ -5,13 +5,13 @@ infinitesimal symmetries in evolutionary form."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from .constraints import LinearConstraints
 from .errors import CyclicRuleError, ExprError, WorkspaceError
-from .expr import (Jet, add, derive_multi, diff_atom, is_zero, jets_of,
-                   max_jet_order, mul, multi_indices, neg, rat, solve_linear,
-                   sub, substitute, total_derivative)
+from .expr import (add, derive_multi, diff_atom, is_zero, jets_of,
+                   max_jet_order, mul, multi_binom, multi_diff, multi_indices,
+                   multi_unit, neg, rat, solve_linear, sub, substitute,
+                   total_derivative)
 
 
 def jet_rank(ws, j):
@@ -114,7 +114,6 @@ def prolong_rules(rules, order, ws, complete=False):
 
 def _close_rules(rules, order, ws, complete):
     vec = ws.jet_vector
-    names = [s.name for s in ws.independents]
     out = dict(rules)
     targets = {}
     for j in rules:
@@ -122,17 +121,15 @@ def _close_rules(rules, order, ws, complete):
         free = order - j.order
         if free < 0:
             continue
-        for delta in multi_indices((free,) * len(names), free):
-            tv = tuple(b + d for b, d in zip(base, delta))
-            t = Jet(j.dep, tuple(zip(names, tv)))
-            if t in out or sum(tv) == sum(base):
+        for delta in multi_indices((free,) * ws.n, free):
+            t = ws.jet(j.dep, tuple(b + d for b, d in zip(base, delta)))
+            if t in out or not any(delta):
                 continue
             targets.setdefault(t, []).append(j)
 
     def derive(base, t):
-        steps = zip(ws.independents, vec(t), vec(base))
-        d = derive_multi(out[base], ((s, ti - bi) for s, ti, bi in steps),
-                         total_derivative)
+        d = derive_multi(out[base], ws.independents,
+                         multi_diff(vec(t), vec(base)), total_derivative)
         for _ in range(MAX_SELF_SUBSTITUTIONS):
             d2 = substitute(d, out)
             if d2 == d:
@@ -168,18 +165,15 @@ def higher_euler(e, dep, K, ws):
     terms = []
     for j in jets_of(e, dep):
         jv = ws.jet_vector(j)
-        if not all(a >= b for a, b in zip(jv, K)):
+        delta = multi_diff(jv, K)
+        if delta is None:
             continue
         d = diff_atom(e, j)
         if is_zero(d):
             continue
-        binom = 1
-        for a, b in zip(jv, K):
-            binom *= comb(a, b)
-        delta = tuple(a - b for a, b in zip(jv, K))
         sign = rat(-1) if sum(delta) % 2 else rat(1)
-        d = derive_multi(d, zip(ws.independents, delta), total_derivative)
-        terms.append(mul(rat(binom), sign, d))
+        d = derive_multi(d, ws.independents, delta, total_derivative)
+        terms.append(mul(rat(multi_binom(jv, K)), sign, d))
     return add(*terms) if terms else rat(0)
 
 
@@ -212,8 +206,8 @@ def verify_point_symmetry(sys, gen):
     chars = []
     for tau, dep in enumerate(ws.dependents):
         parts = [gen.eta[tau]]
-        for i, s in enumerate(ws.independents):
-            parts.append(neg(mul(gen.xi[i], Jet(dep, ((s.name, 1),)))))
+        for i in range(ws.n):
+            parts.append(neg(mul(gen.xi[i], ws.jet(dep, multi_unit(i, ws.n)))))
         chars.append(add(*parts))
 
     residuals = []
@@ -225,8 +219,8 @@ def verify_point_symmetry(sys, gen):
                 coeff = diff_atom(g, j)
                 if is_zero(coeff):
                     continue
-                d = derive_multi(chars[tau], ws.derivative_steps(j.midx),
-                                 total_derivative)
+                d = derive_multi(chars[tau], ws.independents,
+                                 ws.jet_vector(j), total_derivative)
                 action_terms.append(mul(d, coeff))
         action = add(*action_terms) if action_terms else rat(0)
         reduced = sys.reduce_on_solutions(action)

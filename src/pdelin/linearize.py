@@ -18,9 +18,9 @@ from .errors import DegenerateError, ExprError, ExtractionError
 from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, add,
                    clear_denominators, derive_multi, diff_kernel, div,
                    fun_kernels_of, is_zero, jets_of, monomial_signature,
-                   monomials, mul, neg, normalize_equation, pow_int, rat,
-                   solve_linear, sub, substitute, substitute_kernels,
-                   total_derivative, walk)
+                   monomials, mul, multi_diff, multi_lower, multi_unit, neg,
+                   normalize_equation, pow_int, rat, solve_linear, sub,
+                   substitute, substitute_kernels, total_derivative, walk)
 from .jets import PdeSystem
 from .linalg import det
 from .linops import DerivativeTable, LinearOperator, bilinear_identity
@@ -156,9 +156,9 @@ def to_first_order_system(fam, sys):
         if dmidx in named:
             return Fun(vnames[named[dmidx]], coords)
         for base, i in named.items():
-            delta = tuple(a - b for a, b in zip(dmidx, base))
-            if all(d >= 0 for d in delta) and sum(delta) == 1:
-                pos = next(p for p, d in enumerate(delta) if d)
+            delta = multi_diff(dmidx, base)
+            if delta is not None and sum(delta) == 1:
+                pos = multi_lower(delta)[0]
                 if exclude is not None and (i, pos) == exclude:
                     continue
                 return Fun(vnames[i], coords, delta)
@@ -171,14 +171,12 @@ def to_first_order_system(fam, sys):
         for pos in range(len(coords)):
             if len(rows) >= m:
                 break
-            target = tuple(o + (1 if p == pos else 0)
-                           for p, o in enumerate(dmidx))
-            rhs = express(target, exclude=(i, pos))
+            unit = multi_unit(pos, len(coords))
+            rhs = express(tuple(o + u for o, u in zip(dmidx, unit)),
+                          exclude=(i, pos))
             if rhs is None:
                 continue
-            lhs = Fun(vnames[i], coords, tuple(1 if p == pos else 0
-                                               for p in range(len(coords))))
-            row = sub(lhs, rhs)
+            row = sub(Fun(vnames[i], coords, unit), rhs)
             if is_zero(row):
                 continue
             canon = normalize_equation(row)
@@ -283,12 +281,10 @@ def _candidate_basis(cand, degree):
     ws = cand.system.workspace
     atoms = list(ws.independents)
     max_order = 1 if ws.m == 1 else 0
-    names = [s.name for s in ws.independents]
     for dep in ws.dependents:
         atoms.append(Jet(dep, ()))
         if max_order >= 1:
-            for nm in names:
-                atoms.append(Jet(dep, ((nm, 1),)))
+            atoms += [ws.jet(dep, multi_unit(i, ws.n)) for i in range(ws.n)]
     kernels = []
     seen = set()
     sources = list(cand.family.components) + list(cand.X) + \
@@ -615,7 +611,7 @@ def euler_wrt_function(cand, e, mu):
         if k.args != args:
             continue
         sign = rat(-1) if sum(k.dmidx) % 2 else rat(1)
-        d = derive_multi(diff_kernel(e, k), zip(cand.coords, k.dmidx),
+        d = derive_multi(diff_kernel(e, k), cand.coords, k.dmidx,
                          cand.chain_rule)
         out.append(mul(sign, d))
     return add(*out) if out else rat(0)

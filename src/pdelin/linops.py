@@ -10,23 +10,10 @@ constraint operators over composite coordinates."""
 
 from __future__ import annotations
 
-from math import comb
-
 from .errors import ExprError
 from .expr import (KIND_PARAMETER, Fun, Sym, add, atoms_of, derive_multi,
-                   diff_atom, fun_kernels_of, is_zero, mul, multi_indices,
-                   neg, rat, sub)
-
-
-def _multi_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _multi_binom(a, b):
-    out = 1
-    for x, y in zip(a, b):
-        out *= comb(x, y)
-    return out
+                   diff_atom, fun_kernels_of, is_zero, mul, multi_binom,
+                   multi_diff, multi_indices, multi_lower, neg, rat, sub)
 
 
 class LinearOperator:
@@ -108,9 +95,9 @@ class LinearOperator:
         for (nu, alpha, K), b in self.coeffs.items():
             sign = -1 if sum(K) % 2 else 1
             for J in multi_indices(K):
-                d = derive_multi(b, zip(self.variables, _multi_sub(K, J)),
+                d = derive_multi(b, self.variables, multi_diff(K, J),
                                  diff_atom)
-                term = mul(rat(sign * _multi_binom(K, J)), d)
+                term = mul(rat(sign * multi_binom(K, J)), d)
                 key = (alpha, nu, J)
                 coeffs[key] = add(coeffs.get(key, rat(0)), term)
         return LinearOperator(self.variables, self.cols, self.rows, coeffs)
@@ -134,9 +121,8 @@ class DerivativeTable:
             if sum(K) == 0:
                 val = self.components[alpha]
             else:
-                i = next(i for i, o in enumerate(K) if o)
-                prev = self(alpha, K[:i] + (K[i] - 1,) + K[i + 1:])
-                val = self.derive(prev, self.variables[i])
+                i, lower = multi_lower(K)
+                val = self.derive(self(alpha, lower), self.variables[i])
             self.cache[(alpha, K)] = val
         return val
 
@@ -153,8 +139,7 @@ def bilinear_identity(L, vnames=None, wnames=None):
         # c * d^K(W_alpha): peel the derivatives onto c, collecting fluxes
         c = mul(Fun(vnames[nu], coords), b)
         while sum(K) > 0:
-            i = next(i for i, o in enumerate(K) if o)
-            K = K[:i] + (K[i] - 1,) + K[i + 1:]
+            i, K = multi_lower(K)
             fluxes[i] = add(fluxes[i], mul(c, Fun(wnames[alpha], coords, K)))
             c = neg(diff_atom(c, coords[i]))
     return fluxes

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from .errors import DegenerateError, ExprError
 from .expr import (ExpF, Jet, LogF, Sym, add, atoms_of, clear_equation,
                    derive_multi, diff_atom, div, exp_, from_monomial, is_zero,
-                   jets_of, log_, monomials, mul, solve_linear, sub,
-                   substitute, total_derivative, walk)
+                   jets_of, log_, monomials, mul, multi_diff, multi_unit,
+                   solve_linear, sub, substitute, total_derivative, walk)
 from .jets import PdeSystem, jet_rank
 from .linalg import adjugate, det
 from .linops import DerivativeTable
@@ -125,8 +125,9 @@ def invert_transformation(tr):
     src, tgt = tr.source, tr.target
     unknowns = list(src.independents) + [src.lookup(d) for d in src.dependents]
     if tr.kind == "contact":
-        dep = src.dependents[0]
-        unknowns += [Jet(dep, ((s.name, 1),)) for s in src.independents]
+        firsts = [src.jet(src.dependents[0], multi_unit(i, src.n))
+                  for i in range(src.n)]
+        unknowns += firsts
     pairs = []
     for i, p in enumerate(tr.phi):
         pairs.append((p, tgt.independents[i]))
@@ -136,8 +137,7 @@ def invert_transformation(tr):
         if tr.rho is None:
             raise ExprError("contact transformation lacks rho components")
         for i, r in enumerate(tr.rho):
-            pairs.append((r, Jet(tgt.dependents[0],
-                                 ((tgt.independents[i].name, 1),))))
+            pairs.append((r, tgt.jet(tgt.dependents[0], multi_unit(i, tgt.n))))
     solution = _solve_atoms(pairs, unknowns)
     if solution is None:
         return None, None
@@ -145,9 +145,7 @@ def invert_transformation(tr):
     inv_psi = tuple(solution[src.lookup(d)] for d in src.dependents)
     inv_rho = None
     if tr.kind == "contact":
-        dep = src.dependents[0]
-        inv_rho = tuple(solution[Jet(dep, ((s.name, 1),))]
-                        for s in src.independents)
+        inv_rho = tuple(solution[j] for j in firsts)
     inv = Transformation(tr.kind, tgt, src, inv_phi, inv_psi, inv_rho)
     return inv, solution
 
@@ -268,10 +266,9 @@ def apply_transformation(sys, tr):
                           src.independents, chain)
     if tr.kind == "contact":
         # the inverse gives the old first-order jets outright
-        dep = src.dependents[0]
-        for i, s in enumerate(src.independents):
-            K = tuple(int(k == i) for k in range(src.n))
-            old.cache[(0, K)] = solution[Jet(dep, ((s.name, 1),))]
+        for i in range(src.n):
+            K = multi_unit(i, src.n)
+            old.cache[(0, K)] = solution[src.jet(src.dependents[0], K)]
 
     raw_eqs = []
     for g in sys.equations:
@@ -308,16 +305,17 @@ def _triangularize(eqs, ws):
             target = None
             for j in sorted(jets_of(eq), key=lambda j: jet_rank(ws, j), reverse=True):
                 for lead, red in pivots:
-                    if j.dep == lead.dep and _midx_geq(j, lead):
-                        target = (j, lead, red)
+                    delta = multi_diff(ws.jet_vector(j), ws.jet_vector(lead)) \
+                        if j.dep == lead.dep else None
+                    if delta is not None:
+                        target = (j, delta, red)
                         break
                 if target:
                     break
             if target is None:
                 break
-            j, lead, red = target
-            r = derive_multi(red, ws.derivative_steps(_midx_diff(j, lead)),
-                             total_derivative)
+            j, delta, red = target
+            r = derive_multi(red, ws.independents, delta, total_derivative)
             ce = diff_atom(eq, j)
             cr = diff_atom(r, j)
             if not is_zero(diff_atom(ce, j)) or not is_zero(diff_atom(cr, j)):
@@ -342,41 +340,24 @@ def _triangularize(eqs, ws):
     return out, messages
 
 
-def _midx_geq(a, b):
-    da, db = dict(a.midx), dict(b.midx)
-    return all(da.get(v, 0) >= o for v, o in db.items())
-
-
-def _midx_diff(a, b):
-    da, db = dict(a.midx), dict(b.midx)
-    out = []
-    for v, o in da.items():
-        d = o - db.get(v, 0)
-        if d > 0:
-            out.append((v, d))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # comparison up to nonzero factors
 # ---------------------------------------------------------------------------
 
 
-def equations_match_up_to_factor(got, want, seed=None):
+def equations_match_up_to_factor(got, want):
     """Bijective matching: each produced equation is a jet-free nonzero
-    multiple of one expected equation.  Factors are probed from `seed`
-    (default: the base probe seed + 17)."""
+    multiple of one expected equation.  Factors are probed from the base
+    probe seed + 17."""
     if len(got) != len(want):
         return False
-    if seed is None:
-        seed = default_probe_seed() + 17
     used = set()
     for g in got:
         hit = None
         for i, w in enumerate(want):
             if i in used:
                 continue
-            r = _factor_ratio(g, w, seed)
+            r = _factor_ratio(g, w)
             if r is not None:
                 hit = i
                 break
@@ -386,7 +367,7 @@ def equations_match_up_to_factor(got, want, seed=None):
     return True
 
 
-def _factor_ratio(a, b, seed):
+def _factor_ratio(a, b):
     """A jet-free nonzero r with a == r*b, tried from monomial ratios of
     leading terms (sums do not cancel in quotient-free canonical form)."""
     if is_zero(a) or is_zero(b):
@@ -405,7 +386,8 @@ def _factor_ratio(a, b, seed):
     for r in candidates:
         if jets_of(r):
             continue
-        if is_zero(sub(mul(r, b), a)) and probe_nonzero_robust(r, seed):
+        if is_zero(sub(mul(r, b), a)) and \
+                probe_nonzero_robust(r, default_probe_seed() + 17):
             return r
     return None
 
@@ -428,9 +410,8 @@ def push_solution(sys, tr, solution):
     def rules_for(e):
         out = {}
         for j in jets_of(e):
-            out[j] = derive_multi(solution[j.dep],
-                                  src.derivative_steps(j.midx),
-                                  total_derivative)
+            out[j] = derive_multi(solution[j.dep], src.independents,
+                                  src.jet_vector(j), total_derivative)
         return out
 
     for name, g in zip(sys.names, sys.equations):

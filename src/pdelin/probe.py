@@ -25,6 +25,11 @@ from .expr import (Add, ExpF, Expr, LogF, Mul, Pow, Rat, SPow, atoms_of,
 
 TARGET_WIDTH = Fraction(1, 10 ** 40)
 
+# numeric_probe starts at START_PRECISION bits and doubles the precision
+# until an enclosure decides; past MAX_PRECISION bits it gives up
+START_PRECISION = 80
+MAX_PRECISION = 4000
+
 # the inclusive range of numerators of random probe values
 PROBE_NUMERATORS = (-6, 6)
 
@@ -176,10 +181,11 @@ def numeric_probe(e, assignment):
 
     Returns an exact Fraction when the expression is rational in its kernels,
     otherwise an Interval certified to be narrower than TARGET_WIDTH
-    (relative to magnitude) or to exclude zero.  Raises ProbeUndecidedError
-    when neither holds once the precision passes 4000 bits.
+    (relative to magnitude) or to exclude zero.  Precision starts at
+    START_PRECISION bits and doubles; raises ProbeUndecidedError when
+    neither holds once it passes MAX_PRECISION bits.
     """
-    prec = 80
+    prec = START_PRECISION
     while True:
         v = _eval(e, assignment, prec, {})
         if isinstance(v, Fraction):
@@ -187,9 +193,10 @@ def numeric_probe(e, assignment):
         scale = max(Fraction(1), abs(v.lo), abs(v.hi))
         if v.width <= TARGET_WIDTH * scale or v.excludes_zero():
             return v
-        if prec > 4000:
+        if prec > MAX_PRECISION:
             raise ProbeUndecidedError(
-                f"probe undecided at {prec} bits: an interval of width "
+                f"probe undecided at {prec} bits, past the cap MAX_PRECISION "
+                f"= {MAX_PRECISION} bits: an interval of width "
                 f"{float(v.width):.3g} still contains zero")
         prec *= 2
 

@@ -82,10 +82,10 @@ class Workspace:
         declaration order."""
         return tuple(dict(j.midx).get(s.name, 0) for s in self.independents)
 
-    def derivative_steps(self, midx):
-        """(independent symbol, order) for each (name, order) of a jet
-        multi-index, the steps `expr.derive_multi` takes."""
-        return [(self.independent(v), o) for v, o in midx]
+    def jet(self, dep, K):
+        """The jet of `dep` with derivative orders K along the independents,
+        the inverse of `jet_vector`."""
+        return Jet(dep, zip((s.name for s in self.independents), K))
 
     def dep_index(self, name):
         return self.dependents.index(name)

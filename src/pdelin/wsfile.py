@@ -6,11 +6,12 @@ use the expression grammar, in the variables declared by [vars]."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .conslaw import MultiplierAnsatz, MultiplierFamily
 from .constraints import LinearConstraints
-from .errors import WorkspaceError
+from .errors import ExprError, WorkspaceError
 from .expr import Jet, Sym, fun_kernels_of, is_atom, substitute
 from .grammar import parse
 from .jets import PdeSystem
@@ -37,7 +38,8 @@ class WorkspaceFile:
 
 
 def _split_sections(text):
-    sections = {}
+    """{section: [(key, value, line)]} and {section: header line}."""
+    sections, headers = {}, {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
@@ -53,6 +55,7 @@ def _split_sections(text):
             if name in sections:
                 raise WorkspaceError(f"line {lineno}: duplicate section [{name}]")
             sections[name] = []
+            headers[name] = lineno
             current = name
             continue
         if current is None:
@@ -61,7 +64,18 @@ def _split_sections(text):
             raise WorkspaceError(f"line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         sections[current].append((key.strip(), value.strip(), lineno))
-    return sections
+    return sections, headers
+
+
+@contextmanager
+def _section(headers, name):
+    """Re-raise an ExprError from building a section's values as an input
+    error naming the section and its line."""
+    try:
+        yield
+    except ExprError as exc:
+        raise WorkspaceError(
+            f"line {headers[name]}: [{name}]: {exc}") from exc
 
 
 def _names(value):
@@ -72,7 +86,7 @@ def _names(value):
 
 
 def load_workspace_text(text):
-    sections = _split_sections(text)
+    sections, headers = _split_sections(text)
     if "vars" not in sections or "system" not in sections:
         raise WorkspaceError("a workspace file needs [vars] and [system]")
 
@@ -87,21 +101,22 @@ def load_workspace_text(text):
     ws = Workspace(decl["independents"], decl["dependents"],
                    decl["parameters"], decl["coordinates"])
 
-    eq_names, equations = [], []
-    for key, value, lineno in sections["system"]:
-        eq_names.append(key)
-        equations.append(parse(value, ws))
+    eq_names = [key for key, _, _ in sections["system"]]
+    with _section(headers, "system"):
+        equations = [parse(value, ws) for _, value, _ in sections["system"]]
 
     leading = {}
     for key, value, lineno in sections.get("leading", []):
         if key not in eq_names:
             raise WorkspaceError(f"line {lineno}: [leading] names unknown "
                                  f"equation '{key}'")
-        jet = parse(value, ws)
+        with _section(headers, "leading"):
+            jet = parse(value, ws)
         if not isinstance(jet, Jet):
             raise WorkspaceError(f"line {lineno}: leading value must be a jet")
         leading[eq_names.index(key)] = jet
-    system = PdeSystem(ws, equations, leading=leading, names=eq_names)
+    with _section(headers, "system"):
+        system = PdeSystem(ws, equations, leading=leading, names=eq_names)
 
     out = WorkspaceFile(workspace=ws, system=system, equation_names=eq_names)
 
@@ -131,17 +146,20 @@ def load_workspace_text(text):
         out.ansatz = MultiplierAnsatz(order=order, restrict_to=restrict)
 
     if "multipliers" in sections:
-        out.family = _load_family(sections["multipliers"], ws, system)
+        with _section(headers, "multipliers"):
+            out.family = _load_family(sections["multipliers"], ws, system)
 
     if "transformation" in sections:
-        out.transformation, out.target_workspace = _load_transformation(
-            sections["transformation"], ws)
+        with _section(headers, "transformation"):
+            out.transformation, out.target_workspace = _load_transformation(
+                sections["transformation"], ws)
 
     if "target" in sections:
         if out.transformation is None:
             raise WorkspaceError("[target] requires [transformation]")
-        out.target_equations = [parse(value, out.target_workspace)
-                                for key, value, lineno in sections["target"]]
+        with _section(headers, "target"):
+            out.target_equations = [parse(value, out.target_workspace)
+                                    for _, value, _ in sections["target"]]
     return out
 
 

@@ -186,6 +186,19 @@ def test_corrupted_rho_rejected(tmp_path, capsys):
     assert "violated" in out
 
 
+# (bundled system, the one line that starts with the key, its replacement,
+# header line of the section the message names): values the constructors
+# or the expression kernel reject while the file loads
+BAD_SECTIONS = [
+    ("burgers", "z2 =", "z2 = u2_t", 20),
+    ("burgers", "kind =", "kind = contact", 20),
+    ("pipeline", "row1 =", "row1 = X*T", 18),
+    ("burgers", "G1 =", "G1 = x", 10),
+    ("burgers", "G1 =", "G1 = u2_x^2 - u1^2", 10),
+    ("burgers", "H1 =", "H1 = w1/0", 29),
+]
+
+
 def test_input_errors_exit_3(tmp_path, capsys):
     assert run(tmp_path, "[vars]\nbogus = 1\n", "detsys") == 3
     capsys.readouterr()
@@ -193,6 +206,15 @@ def test_input_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["detsys", "/nonexistent/nowhere.ws"]) == 3
     capsys.readouterr()
+    for name, key, new, line in BAD_SECTIONS:
+        lines = bundled_path(name).read_text().splitlines()
+        assert sum(ln.startswith(key) for ln in lines) == 1
+        text = "\n".join(new if ln.startswith(key) else ln for ln in lines)
+        for command in ("detsys", "linearize", "verify"):
+            assert run(tmp_path, text, command, "--json") == 3
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["status"] == "error"
+            assert doc["message"].startswith(f"line {line}: [")
 
 
 def test_unknown_keys_are_errors():

@@ -3,6 +3,7 @@
 import contextvars
 import types
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,9 +15,11 @@ from pdelin.cli import main
 from pdelin.errors import ExprError
 from pdelin.expr import (Add, ExpF, Fun, Jet, Mul, Pow, Rat, Sym, add,
                          canonicalize, clear_denominators, div, equal, exp_,
-                         is_zero, log_, mul, neg, normalize_equation, pow_int,
-                         rat, set_max_terms, solve_linear, sub, substitute,
-                         sym_pow, total_derivative, walk)
+                         is_zero, log_, mul, multi_binom, multi_diff,
+                         multi_indices, multi_lower, multi_unit, neg,
+                         normalize_equation, pow_int, rat, set_max_terms,
+                         solve_linear, sub, substitute, sym_pow,
+                         total_derivative, walk)
 from pdelin.grammar import parse, to_text
 from pdelin.probe import probe_is_zero
 from pdelin.workspace import Workspace
@@ -289,3 +292,34 @@ def test_zero_decisions_agree_with_sympy():
             oracle = sp.expand(sp.numer(sp.together(d))) == 0
             assert oracle == equal_by_construction
             assert is_zero(sub(lhs, rhs)) == oracle
+
+
+# -- multi-index vocabulary --------------------------------------------------
+
+
+def test_multi_diff_is_none_unless_greater_or_equal():
+    assert multi_diff((2, 1, 0), (1, 1, 0)) == (1, 0, 0)
+    assert multi_diff((2, 1), (2, 1)) == (0, 0)
+    assert multi_diff((2, 0), (1, 1)) is None
+    assert multi_diff((0, 2), (1, 1)) is None
+
+
+def test_multi_binomials_sum_to_powers_of_two():
+    for K in [(0,), (3,), (2, 1), (1, 2, 3), (0, 4, 0)]:
+        assert sum(multi_binom(K, J) for J in multi_indices(K)) == 2 ** sum(K)
+
+
+def test_multi_indices_of_bounded_total():
+    for n in range(1, 4):
+        for k in range(4):
+            got = list(multi_indices((k,) * n, k))
+            assert len(got) == comb(n + k, k)
+            assert len(set(got)) == len(got)
+            assert all(sum(J) <= k for J in got)
+
+
+def test_multi_unit_and_lower():
+    assert multi_unit(1, 3) == (0, 1, 0)
+    assert multi_lower((0, 2, 1)) == (1, (0, 1, 1))
+    for i in range(3):
+        assert multi_lower(multi_unit(i, 3)) == (i, (0, 0, 0))

@@ -6,8 +6,9 @@ from helpers import (burgers_workspace, pipeline_workspace, random_expression,
                      random_jets, seeded, telegraph_workspace)
 from pdelin.constraints import LinearConstraints
 from pdelin.errors import CyclicRuleError
-from pdelin.expr import (Jet, add, equal, exp_, is_zero, mul, neg, pow_int,
-                         rat, sub, substitute, sym_pow, total_derivative)
+from pdelin.expr import (Jet, add, equal, exp_, is_zero, mul, multi_indices,
+                         neg, pow_int, rat, sub, substitute, sym_pow,
+                         total_derivative)
 from pdelin.grammar import parse
 from pdelin.jets import (PdeSystem, SymmetryGenerator, euler_operator,
                          prolong_rules, verify_point_symmetry)
@@ -196,3 +197,16 @@ def test_corrupted_generator_rejected():
     gen = SymmetryGenerator(xi=(rat(0), rat(0)), eta=(eta1, eta2), constraints=heat)
     rep = verify_point_symmetry(sys, gen)
     assert not rep.ok and rep.messages
+
+
+def test_jet_vector_round_trip():
+    # Burgers declares x before t, the reverse of the name order a jet's
+    # own (name, order) pairs are sorted in
+    assert [s.name for s in ws.independents] == ["x", "t"]
+    jets = [ws.jet(dep, K) for dep in ws.dependents
+            for K in multi_indices((3, 3), 3)]
+    assert len(jets) == 2 * 10
+    for j in jets:
+        assert ws.jet(j.dep, ws.jet_vector(j)) == j
+    assert ws.jet_vector(parse("u1_xtt", ws)) == (1, 2)
+    assert ws.jet("u1", (1, 2)) == parse("u1_ttx", ws)

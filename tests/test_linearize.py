@@ -21,8 +21,8 @@ from pdelin.linearize import (Rejection, augmented_identity, build_mapping,
                               match_multiplier_form, target_system,
                               verify_linearization)
 from pdelin.mapping import ChainRule, equations_match_up_to_factor
-from pdelin.probe import (probe_is_zero, random_assignment,
-                          set_default_probe_seed)
+from pdelin.probe import (probe_is_zero, probe_nonzero_robust,
+                          random_assignment, set_default_probe_seed)
 from pdelin.workspace import Workspace
 
 
@@ -439,13 +439,14 @@ def test_seed_reaches_equations_match_up_to_factor(monkeypatch):
     pdelin_modules = [m for name, m in sys.modules.items()
                       if name.startswith("pdelin.")]
 
-    def run(**kwargs):
-        return lambda: equations_match_up_to_factor(got, want, **kwargs)
-
-    draws = [_draws_under_seed(monkeypatch, seed, pdelin_modules, run())
-             for seed in (0, 1)]
+    draws = [_draws_under_seed(
+        monkeypatch, seed, pdelin_modules,
+        lambda: equations_match_up_to_factor(got, want)) for seed in (0, 1)]
     assert draws[0] and draws[1]
     assert draws[0] != draws[1]
-    # seed 0 draws the points of the former fixed probe seed
-    assert draws[0] == _draws_under_seed(monkeypatch, 0, pdelin_modules,
-                                         run(seed=17))
+    # seed 0 draws the points of the former fixed probe seed, 17, for the
+    # factor 3*x^2*t^3
+    factor = parse("3*x^2*t^3", ws)
+    assert draws[0] == _draws_under_seed(
+        monkeypatch, 0, pdelin_modules,
+        lambda: probe_nonzero_robust(factor, 17))

@@ -1,8 +1,9 @@
 """Import discipline of the package: no function-level relative imports (they
 hide import cycles), no module reaches into the expression kernel's private
-helpers, and no module-level import is left unused.  No function mutates
-module-level state; the two settings the README names are per context.
-Every loop cap is a named constant."""
+helpers, no module outside the kernel, the printer and the workspace reads a
+jet's (name, order) pairs, and no module-level import is left unused.  No
+function mutates module-level state; the two settings the README names are
+per context.  Every loop cap is a named constant."""
 
 import ast
 import pathlib
@@ -49,6 +50,21 @@ def test_no_private_expr_names_imported_elsewhere():
            if mod != "expr" and node.module in ("expr", "pdelin.expr")
            for alias in node.names if alias.name.startswith("_")]
     assert not bad, bad
+
+
+# the modules that read a jet's (name, order) pairs; everywhere else a
+# multi-index is an integer vector (`Workspace.jet_vector`, `Workspace.jet`)
+MIDX_READERS = {"expr", "grammar", "workspace"}
+
+
+def test_only_kernel_printer_and_workspace_read_jet_pairs():
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Attribute) and node.attr == "midx"
+               for node in ast.walk(tree)):
+            readers.add(path.stem)
+    assert readers <= MIDX_READERS, sorted(readers - MIDX_READERS)
 
 
 def _exported(tree):
