@@ -7,13 +7,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .constraints import LinearConstraints
 from .errors import ExprError, NotADivergenceError, WorkspaceError
-from .expr import (ExpF, Fun, Jet, Rat, Sym, add, atoms_of, derive_multi,
-                   diff_atom, div, exp_, from_monomial, fun_kernels_of,
-                   is_zero, jets_of, log_, monomial_signature, monomials, mul,
-                   multi_diff, multi_indices, multi_lower, multi_unit, neg,
+from .expr import (KIND_PARAMETER, ExpF, Fun, Jet, Rat, Sym, add, atoms_of,
+                   derive_multi, diff_atom, div, exp_, from_monomial,
+                   fun_kernels_of, is_zero, jets_of, linear_form, log_,
+                   monomial_signature, monomials, mul, multi_diff,
+                   multi_indices, multi_lower, multi_unit, neg,
                    normalize_equation, pow_int, rat, solve_linear, sub,
                    substitute, substitute_kernels, total_derivative, walk)
 from .grammar import to_text
@@ -281,6 +283,25 @@ MAX_REDUCER_PASSES = 64
 MAX_REWRITE_ROUNDS = 32
 
 
+class _LiveEquation:
+    """A live reducer equation, its unknown-function kernels, and its linear
+    form over them, computed on first use."""
+
+    def __init__(self, eq, kernels):
+        self.eq = eq
+        self.kernels = kernels
+
+    @cached_property
+    def form(self):
+        """(coefficients, rest), or None when not linear in the kernels."""
+        return linear_form(self.eq, self.kernels)
+
+    def homogeneous(self):
+        """The coefficients when the form has no kernel-free part."""
+        form = self.form
+        return form[0] if form is not None and is_zero(form[1]) else None
+
+
 class _ReducerState:
     """Rewrites unknown-function kernels through accumulated substitutions.
 
@@ -344,13 +365,16 @@ class _ReducerState:
     # -- the pass loop ------------------------------------------------------
 
     def run(self):
+        passes = (self._pass_drop_dependency, self._pass_algebraic,
+                  self._pass_potential, self._pass_exponential,
+                  self._pass_transport)
         for _ in range(MAX_REDUCER_PASSES):
             self.equations = self.live_equations()
             if not self.equations:
                 return
-            if not (self._pass_drop_dependency() or self._pass_algebraic()
-                    or self._pass_potential() or self._pass_exponential()
-                    or self._pass_transport()):
+            live = [_LiveEquation(eq, self._kernels(eq))
+                    for eq in self.equations]
+            if not any(p(live) for p in passes):
                 return
         self.steps.append(f"reducer stopped: pass cap MAX_REDUCER_PASSES = "
                           f"{MAX_REDUCER_PASSES} exhausted")
@@ -363,19 +387,12 @@ class _ReducerState:
         self.subs[name] = body
         self.steps.append(note)
 
-    def _fun_free(self, e):
-        return not self._kernels(e)
-
     # pass: c * g_K = 0 with a single kernel
-    def _pass_drop_dependency(self):
-        for eq in self.equations:
-            ks = self._kernels(eq)
-            if len(ks) != 1:
+    def _pass_drop_dependency(self, live):
+        for e in live:
+            if len(e.kernels) != 1 or e.homogeneous() is None:
                 continue
-            k = ks[0]
-            c = diff_atom(eq, k)
-            if not self._fun_free(c) or not is_zero(sub(eq, mul(c, k))):
-                continue
+            k = e.kernels[0]
             if sum(k.dmidx) == 0:
                 self._register(k.name, rat(0), f"{k.name} = 0 forced")
                 return True
@@ -400,19 +417,19 @@ class _ReducerState:
                        f"{name} does not depend on argument {pos + 1}; "
                        f"renamed to {new}")
 
-    # pass: solve one equation algebraically for an underived kernel
-    def _pass_algebraic(self):
-        for eq in self.equations:
-            for k in self._kernels(eq):
-                if sum(k.dmidx) != 0:
+    # pass: solve one equation algebraically for an underived kernel; the
+    # only pass that accepts a kernel-free part
+    def _pass_algebraic(self, live):
+        for e in live:
+            for k in e.kernels:
+                if sum(k.dmidx) != 0 or e.form is None:
                     continue
-                solved = solve_linear(eq, k)
-                if solved is None or not self._fun_free(solved[0]):
+                if any(kk != k and kk.name == k.name for kk in e.kernels):
                     continue
-                rhs = solved[1]
-                if any(kk.name == k.name for kk in self._kernels(rhs)):
+                solved = solve_linear(e.eq, k)
+                if solved is None:
                     continue
-                body = self._to_placeholders(rhs, k.name, k.args)
+                body = self._to_placeholders(solved[1], k.name, k.args)
                 if body is None:
                     continue
                 self._register(k.name, body, f"{k.name} eliminated algebraically")
@@ -430,23 +447,14 @@ class _ReducerState:
                 return None
             mapping[a] = p
         out = substitute(e, mapping)
-        for a in atoms_of(out):
-            if isinstance(a, Fun):
-                continue
-            if a in ph:
-                continue
-            if isinstance(a, Sym) and a.kind == "parameter":
-                continue
-            return None
-        return out
+        return out if _formal_over(out, ph) else None
 
     # pass: exactness  c*(g1_xi - g2_eta) = 0  ->  potential
-    def _pass_potential(self):
-        for eq in self.equations:
-            ks = self._kernels(eq)
-            if len(ks) != 2:
+    def _pass_potential(self, live):
+        for e in live:
+            if len(e.kernels) != 2:
                 continue
-            k1, k2 = ks
+            k1, k2 = e.kernels
             if k1.name == k2.name or k1.args != k2.args:
                 continue
             if sum(k1.dmidx) != 1 or sum(k2.dmidx) != 1:
@@ -454,9 +462,10 @@ class _ReducerState:
             p1, p2 = multi_lower(k1.dmidx)[0], multi_lower(k2.dmidx)[0]
             if p1 == p2:
                 continue
-            c1, c2 = diff_atom(eq, k1), diff_atom(eq, k2)
-            if not is_zero(add(c1, c2)) or not self._fun_free(c1):
+            cs = e.homogeneous()
+            if cs is None or not is_zero(add(*cs)):
                 continue
+            c1 = cs[0]
             if not (is_zero(sub(c1, rat(1))) or is_zero(add(c1, rat(1)))):
                 continue
             # c*(g1_{p1} - g2_{p2}) = 0: closed form, introduce h with
@@ -475,27 +484,21 @@ class _ReducerState:
         return False
 
     # pass: g_xi + a*g = 0 with a free of xi -> g = exp(-a xi) h(rest)
-    def _pass_exponential(self):
-        for eq in self.equations:
-            ks = self._kernels(eq)
-            if len(ks) != 2:
+    def _pass_exponential(self, live):
+        for e in live:
+            ks = e.kernels
+            if len(ks) != 2 or ks[0].name != ks[1].name:
                 continue
-            names = {k.name for k in ks}
-            if len(names) != 1:
+            i = 0 if sum(ks[0].dmidx) == 0 else 1  # the underived kernel
+            g, gk = ks[i], ks[1 - i]
+            if sum(g.dmidx) != 0 or sum(gk.dmidx) != 1:
                 continue
-            under = [k for k in ks if sum(k.dmidx) == 0]
-            first = [k for k in ks if sum(k.dmidx) == 1]
-            if len(under) != 1 or len(first) != 1:
+            cs = e.homogeneous()
+            if cs is None:
                 continue
-            g = under[0]
-            gk = first[0]
+            c0, c1 = cs[i], cs[1 - i]
             pos = multi_lower(gk.dmidx)[0]
-            c1 = diff_atom(eq, gk)
-            c0 = diff_atom(eq, g)
-            if not (self._fun_free(c0) and self._fun_free(c1)):
-                continue
-            a = div(c0, c1)
-            body_a = self._to_placeholders(a, g.name, g.args)
+            body_a = self._to_placeholders(div(c0, c1), g.name, g.args)
             if body_a is None:
                 continue
             ph = _placeholders(len(g.args))
@@ -511,20 +514,20 @@ class _ReducerState:
         return False
 
     # pass: transport g_xi + a*g_eta = 0 by characteristics
-    def _pass_transport(self):
-        for eq in self.equations:
-            ks = self._kernels(eq)
-            if len(ks) != 2:
+    def _pass_transport(self, live):
+        for e in live:
+            if len(e.kernels) != 2:
                 continue
-            k1, k2 = ks
+            k1, k2 = e.kernels
             if k1.name != k2.name or sum(k1.dmidx) != 1 or sum(k2.dmidx) != 1:
                 continue
             p1, p2 = multi_lower(k1.dmidx)[0], multi_lower(k2.dmidx)[0]
             if p1 == p2:
                 continue
-            c1, c2 = diff_atom(eq, k1), diff_atom(eq, k2)
-            if not (self._fun_free(c1) and self._fun_free(c2)):
+            cs = e.homogeneous()
+            if cs is None:
                 continue
+            c1, c2 = cs
             name = k1.name
             args = self.args[name]
             orderings = sorted([(p1, p2, c1, c2), (p2, p1, c2, c1)],
@@ -613,26 +616,20 @@ def _formalize(eq, fname, defs, coord_syms):
     for i, d in enumerate(defs):
         if isinstance(d, (Sym, Jet)):
             e = substitute(e, {d: coord_syms[i]})
-    for a in atoms_of(e):
-        if isinstance(a, Fun):
-            continue
-        if a in coord_syms or (isinstance(a, Sym) and a.kind == "parameter"):
-            continue
-        return None
-    return e
+    return e if _formal_over(e, coord_syms) else None
+
+
+def _formal_over(e, symbols):
+    """True when every atom of `e` other than a function kernel is one of
+    `symbols` or a parameter."""
+    return all(isinstance(a, Fun) or a in symbols or
+               (isinstance(a, Sym) and a.kind == KIND_PARAMETER)
+               for a in atoms_of(e))
 
 
 # ---------------------------------------------------------------------------
 # divergence test and flux reconstruction
 # ---------------------------------------------------------------------------
-
-
-def is_divergence(e, ws):
-    """True iff every Euler image vanishes; on success also a flux witness."""
-    for dep in ws.dependents:
-        if not is_zero(euler_operator(e, dep, ws)):
-            return False, None
-    return True, reconstruct_fluxes(e, ws)
 
 
 # absorption steps of the integration-by-parts sweep in reconstruct_fluxes;

@@ -11,8 +11,8 @@ constraints, for kernels instantiated at arbitrary argument expressions.
 from __future__ import annotations
 
 from .errors import ExprError
-from .expr import (derive_multi, diff_atom, fun_kernels_of, multi_diff,
-                   solve_linear, substitute, substitute_kernels)
+from .expr import (derive_multi, diff_atom, fun_kernels_of, linear_form,
+                   multi_diff, solve_linear, substitute, substitute_kernels)
 
 # rewrite caps of `_reduce_formal` (formal kernels of prolonged rules) and
 # of `reduce` (instantiated kernels), one rule applied per rewrite; a chain
@@ -52,13 +52,15 @@ class LinearConstraints:
         return out
 
     def _compile(self, row):
-        kernels = self._formal_kernels(row)
+        kernels = [k for k in fun_kernels_of(row) if k.name in self.functions]
+        for k in kernels:
+            if k.args != self.coords:
+                raise ExprError(f"constraint row holds {k!r} away from the "
+                                "coordinates")
         if not kernels:
             raise ExprError("constraint row contains no managed function kernel")
-        for k in kernels:
-            c = diff_atom(row, k)
-            if self._formal_kernels(c):
-                raise ExprError("constraint row is not linear in its function kernels")
+        if linear_form(row, kernels) is None:
+            raise ExprError("constraint row is not linear in its function kernels")
         lead = max(kernels, key=lambda k: _kernel_rank(self.names, k))
         solved = solve_linear(row, lead)
         if solved is None:

@@ -826,16 +826,10 @@ def diff_atom(e, atom):
     """Partial derivative treating `atom` as a variable and every other
     symbol, jet and function kernel as independent of it.  Function terms
     other than `atom` itself chain through their arguments."""
-    if isinstance(atom, Fun):
-        def leaf(a):
-            if a == atom:
-                return ONE
-            return rat(0) if not isinstance(a, Fun) else None
-    else:
-        def leaf(a):
-            if a == atom:
-                return ONE
-            return None if isinstance(a, Fun) else ZERO
+    def leaf(a):
+        if a == atom:
+            return ONE
+        return None if isinstance(a, Fun) else ZERO
     return _derive(e, leaf)
 
 
@@ -874,6 +868,16 @@ def solve_linear(e, kernel):
     if is_zero(c) or not is_zero(diff_kernel(c, kernel)):
         return None
     return c, neg(div(sub(e, mul(c, kernel)), c))
+
+
+def linear_form(e, kernels):
+    """(coefficients, rest) with e == sum(c_i * kernels[i]) + rest, where
+    c_i = diff_kernel(e, kernels[i]); None when a coefficient holds an
+    arbitrary-function kernel, so `e` is not linear in the kernels."""
+    coefficients = [diff_kernel(e, k) for k in kernels]
+    if any(fun_kernels_of(c) for c in coefficients):
+        return None
+    return coefficients, sub(e, add(*map(mul, coefficients, kernels)))
 
 
 def derive_multi(e, variables, K, derive):

@@ -17,10 +17,11 @@ from .constraints import LinearConstraints
 from .errors import DegenerateError, ExprError, ExtractionError
 from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, add,
                    clear_denominators, derive_multi, diff_kernel, div,
-                   fun_kernels_of, is_zero, jets_of, monomial_signature,
-                   monomials, mul, multi_diff, multi_lower, multi_unit, neg,
-                   normalize_equation, pow_int, rat, solve_linear, sub,
-                   substitute, substitute_kernels, total_derivative, walk)
+                   fun_kernels_of, is_zero, jets_of, linear_form,
+                   monomial_signature, monomials, mul, multi_diff,
+                   multi_lower, multi_unit, neg, normalize_equation, pow_int,
+                   rat, solve_linear, sub, substitute, substitute_kernels,
+                   total_derivative, walk)
 from .jets import PdeSystem
 from .linalg import det
 from .linops import DerivativeTable, LinearOperator, bilinear_identity
@@ -34,10 +35,6 @@ from .workspace import Workspace
 @dataclass
 class Rejection:
     reason: str
-    details: list = field(default_factory=list)
-
-    def __bool__(self):
-        return False
 
 
 @dataclass
@@ -232,31 +229,25 @@ def match_multiplier_form(fam, sys):
     if len(vnames) != M:
         return Rejection(f"{len(vnames)} arbitrary functions for {M} "
                          "equations; Q cannot be square")
-    args = fam.definitions
     chain = ChainRule(X, ws.independents, coords)
     J = chain.det
     if is_zero(J) or not probe_nonzero_robust(J):
         return Rejection("coordinate definitions are functionally dependent "
                          "(Jacobian vanishes)")
+    kernels = [Fun(nm, fam.definitions) for nm in vnames]
     Q = []
     for nu, lam in enumerate(fam.components):
-        row = []
-        leftover = lam
-        for mu, nm in enumerate(vnames):
-            kernel = Fun(nm, args)
-            coeff = diff_kernel(lam, kernel)
-            if fun_kernels_of(coeff):
-                return Rejection(f"multiplier {nu + 1} is not linear in the "
-                                 "arbitrary functions")
-            row.append(div(coeff, J))
-            leftover = sub(leftover, mul(coeff, kernel))
-        if not is_zero(leftover):
+        form = linear_form(lam, kernels)
+        if form is None:
+            return Rejection(f"multiplier {nu + 1} is not linear in the "
+                             "arbitrary functions")
+        if not is_zero(form[1]):
             if not fun_kernels_of(lam):
                 return Rejection("multipliers carry no arbitrary function; "
                                  "factored-form recovery impossible")
             return Rejection(f"multiplier {nu + 1} holds derivative kernels "
                              "or a function-free part; not of the required form")
-        Q.append(row)
+        Q.append([div(c, J) for c in form[0]])
     detq = det(Q)
     if is_zero(detq) or not probe_nonzero_robust(detq):
         return Rejection("factor matrix Q is degenerate")

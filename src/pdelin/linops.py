@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from .errors import ExprError
 from .expr import (KIND_PARAMETER, Fun, Sym, add, atoms_of, derive_multi,
-                   diff_atom, fun_kernels_of, is_zero, mul, multi_binom,
-                   multi_diff, multi_indices, multi_lower, neg, rat, sub)
+                   diff_atom, fun_kernels_of, is_zero, linear_form, mul,
+                   multi_binom, multi_diff, multi_indices, multi_lower, neg,
+                   rat, sub)
 
 
 class LinearOperator:
@@ -41,17 +42,17 @@ class LinearOperator:
         coords = tuple(variables)
         coeffs = {}
         for nu, row in enumerate(rows):
-            seen = rat(0)
-            for k in fun_kernels_of(row):
+            kernels = fun_kernels_of(row)
+            for k in kernels:
                 if k.name not in func_names or k.args != coords:
                     raise ExprError(f"row {nu + 1} holds a foreign kernel {k!r}")
-                c = diff_atom(row, k)
-                if fun_kernels_of(c):
-                    raise ExprError(f"row {nu + 1} is not linear in {k!r}")
-                coeffs[(nu, func_names.index(k.name), k.dmidx)] = c
-                seen = add(seen, mul(c, k))
-            if not is_zero(sub(row, seen)):
+            form = linear_form(row, kernels)
+            if form is None:
+                raise ExprError(f"row {nu + 1} is not linear in its kernels")
+            if not is_zero(form[1]):
                 raise ExprError(f"row {nu + 1} has a kernel-free part")
+            for k, c in zip(kernels, form[0]):
+                coeffs[(nu, func_names.index(k.name), k.dmidx)] = c
         return cls(coords, len(rows), len(func_names), coeffs)
 
     def to_rows(self, func_names):

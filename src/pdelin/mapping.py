@@ -70,6 +70,9 @@ class Transformation:
             raise ExprError("contact transformations require one dependent variable")
         if len(self.phi) != self.source.n or len(self.psi) != self.source.m:
             raise ExprError("transformation component counts do not match")
+        if self.kind == "contact" and len(self.rho or ()) != self.source.n:
+            raise ExprError("contact transformations need one rho component "
+                            "per independent variable")
         max_order = 1 if self.kind == "contact" else 0
         for e in list(self.phi) + list(self.psi):
             for j in jets_of(e):
@@ -83,8 +86,8 @@ class Transformation:
 
 def check_contact_condition(tr):
     """D_{x_j} psi - sum_i rho_i D_{x_j} phi_i == 0 for every j."""
-    if tr.kind != "contact" or tr.rho is None:
-        raise ExprError("contact condition requires a contact transformation with rho")
+    if tr.kind != "contact":
+        raise ExprError("contact condition requires a contact transformation")
     psi = tr.psi[0]
     for xj in tr.source.independents:
         lhs = total_derivative(psi, xj)
@@ -134,8 +137,6 @@ def invert_transformation(tr):
     for s, p in enumerate(tr.psi):
         pairs.append((p, tgt.lookup(tgt.dependents[s])))
     if tr.kind == "contact":
-        if tr.rho is None:
-            raise ExprError("contact transformation lacks rho components")
         for i, r in enumerate(tr.rho):
             pairs.append((r, tgt.jet(tgt.dependents[0], multi_unit(i, tgt.n))))
     solution = _solve_atoms(pairs, unknowns)

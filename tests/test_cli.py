@@ -3,11 +3,15 @@ round-trips, and the documented rejection paths."""
 
 import json
 import os
+import random
+import re
+import signal
 import subprocess
 import sys
 
 import pytest
 
+from helpers import COMMANDS, SYSTEMS
 from pdelin import linearize, mapping
 from pdelin.cli import bundled_path, main
 from pdelin.grammar import parse
@@ -196,6 +200,13 @@ BAD_SECTIONS = [
     ("burgers", "G1 =", "G1 = x", 10),
     ("burgers", "G1 =", "G1 = u2_x^2 - u1^2", 10),
     ("burgers", "H1 =", "H1 = w1/0", 29),
+    # constraint kernels away from the coordinates X, T
+    ("pipeline", "row1 =", "row1 = v_{2}(X,T) + pow(X,p)*v_{1,1}(X,T)"
+     " + 2*p*pow(X,p-1)*v_{1}(p,T) + p*(p-1)*pow(X,p-2)*v(X,T)", 18),
+    ("pipeline", "row1 =", "row1 = v_{2}(X,T) + pow(X,p)*v_{1,1}(u,T)"
+     " + 2*p*pow(X,p-1)*v_{1}(X,T) + p*(p-1)*pow(X,p-2)*v(X,T)", 18),
+    # None deletes the lines: a contact transformation without rho1, rho2
+    ("pipeline", "rho", None, 24),
 ]
 
 
@@ -208,13 +219,62 @@ def test_input_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
     for name, key, new, line in BAD_SECTIONS:
         lines = bundled_path(name).read_text().splitlines()
-        assert sum(ln.startswith(key) for ln in lines) == 1
-        text = "\n".join(new if ln.startswith(key) else ln for ln in lines)
+        assert sum(ln.startswith(key) for ln in lines) == (2 if new is None else 1)
+        edited = [new if ln.startswith(key) else ln for ln in lines]
+        text = "\n".join(ln for ln in edited if ln is not None)
         for command in ("detsys", "linearize", "verify"):
             assert run(tmp_path, text, command, "--json") == 3
             doc = json.loads(capsys.readouterr().out)
             assert doc["status"] == "error"
             assert doc["message"].startswith(f"line {line}: [")
+
+
+TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|\S")
+
+
+def mutate_token(text, rng):
+    """Delete a token, replace it by another token of the same text, or
+    insert that other token before it."""
+    spans = [m.span() for m in TOKEN.finditer(text)]
+    a, b = spans[rng.randrange(len(spans))]
+    s, e = spans[rng.randrange(len(spans))]
+    op = rng.randrange(3)
+    if op == 0:
+        return text[:a] + text[b:]
+    if op == 1:
+        return text[:a] + text[s:e] + text[b:]
+    return text[:a] + text[s:e] + " " + text[a:]
+
+
+class Timeout(Exception):
+    pass
+
+
+def test_token_mutation_fuzz(tmp_path, capsys):
+    # seeded single-token mutations of the bundled files, spread over the
+    # three commands: each ends with an exit code well inside 30 s
+    rng = random.Random(7)
+    texts = [bundled_path(name).read_text() for name in SYSTEMS]
+
+    def alarm(signum, frame):
+        raise Timeout()
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        for case in range(99):
+            text = mutate_token(texts[case % 3], rng)
+            command = COMMANDS[case // 3 % 3]
+            signal.alarm(30)
+            try:
+                code = run(tmp_path, text, command)
+            except Timeout:
+                code = "alarm"
+            finally:
+                signal.alarm(0)
+            capsys.readouterr()
+            assert code in (0, 2, 3, 4), (case, command, text)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_unknown_keys_are_errors():

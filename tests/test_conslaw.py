@@ -6,9 +6,10 @@ import pytest
 import corpus
 from helpers import random_expression, seeded
 from pdelin import conslaw
+from pdelin.cli import bundled_path
 from pdelin.conslaw import (MultiplierAnsatz, MultiplierFamily,
-                            determining_system, is_divergence,
-                            reconstruct_fluxes, reduce_determining_system,
+                            determining_system, reconstruct_fluxes,
+                            reduce_determining_system,
                             reduce_family_constraints, verify_multipliers)
 from pdelin.errors import NotADivergenceError
 from pdelin.expr import (Fun, Jet, Sym, add, equal, exp_, is_zero, mul, neg,
@@ -17,6 +18,7 @@ from pdelin.grammar import parse, to_text
 from pdelin.jets import PdeSystem, euler_operator
 from pdelin.linearize import family_fluxes
 from pdelin.workspace import Workspace
+from pdelin.wsfile import load_workspace_text
 
 
 def div_of(fluxes, ws):
@@ -122,6 +124,17 @@ def test_reducer_integrates_telegraph_characteristics():
                  neg(mul(Fun(fname, args, (0, 1)), parse("1/u1", ws))))
 
 
+def test_reducer_leaves_an_inhomogeneous_transport_row_alone():
+    # f_x + f_u2 + 1 = 0 has no solution f = f1(x - u2, ...): the
+    # characteristics integrate only a row without a kernel-free part
+    text = bundled_path("telegraph").read_text().replace(
+        "row1 = f_{1}(x,t,u1,u2) + f_{4}(x,t,u1,u2)",
+        "row1 = f_{1}(x,t,u1,u2) + f_{4}(x,t,u1,u2) + 1")
+    wf = load_workspace_text(text)
+    _, steps = reduce_family_constraints(wf.family, wf.system)
+    assert steps == ["f rides characteristics of args 2,3; new function f1"]
+
+
 # -- verification -------------------------------------------------------------
 
 
@@ -180,11 +193,10 @@ def test_is_divergence_examples():
     ws = Workspace("xt", ["u"])
     ux = Jet("u", (("x", 1),))
     uxt = Jet("u", (("x", 1), ("t", 1)))
-    ok, fluxes = is_divergence(mul(ux, uxt), ws)
-    assert ok
+    fluxes = reconstruct_fluxes(mul(ux, uxt), ws)
     assert equal(div_of(fluxes, ws), mul(ux, uxt))
-    bad, _ = is_divergence(mul(ux, Jet("u", (("t", 1),))), ws)
-    assert not bad
+    with pytest.raises(NotADivergenceError):
+        reconstruct_fluxes(mul(ux, Jet("u", (("t", 1),))), ws)
     e = euler_operator(mul(ux, Jet("u", (("t", 1),))), "u", ws)
     assert equal(e, mul(rat(-2), uxt))
 
@@ -198,8 +210,7 @@ def test_augmented_combination_is_divergence_in_joint_jet_space():
         " + V1*exp(-u2/4)*(u2_t - 2*u1_x + u1^2)"
         " - 2*u1*exp(-u2/4)*(V1_x - V2)"
         " - 4*exp(-u2/4)*(V2_x + V1_t)", ws)
-    ok, fluxes = is_divergence(lhs, ws)
-    assert ok
+    fluxes = reconstruct_fluxes(lhs, ws)
     # reconstructed fluxes differ from the display by a curl only
     disp_x = parse("exp(-u2/4)*(-4*V2 - 2*u1*V1)", ws)
     disp_t = parse("-4*V1*exp(-u2/4)", ws)

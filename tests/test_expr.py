@@ -15,8 +15,9 @@ from pdelin.cli import main
 from pdelin.errors import ExprError
 from pdelin.expr import (Add, ExpF, Fun, Jet, Mul, Pow, Rat, Sym, add,
                          canonicalize, clear_denominators, div, equal, exp_,
-                         is_zero, log_, mul, multi_binom, multi_diff,
-                         multi_indices, multi_lower, multi_unit, neg,
+                         is_zero, linear_form, log_, mul, multi_binom,
+                         multi_diff, multi_indices, multi_lower, multi_unit,
+                         neg,
                          normalize_equation, pow_int, rat, set_max_terms,
                          solve_linear, sub, substitute, sym_pow,
                          total_derivative, walk)
@@ -153,6 +154,34 @@ def test_solve_linear():
     assert solve_linear(e, u2) is None
     # the kernel occurs nonlinearly
     assert solve_linear(add(mul(u1, u1), x), u1) is None
+
+
+def test_linear_form_coefficients_and_rest():
+    f, g = Fun("f", (x, t)), Fun("g", (x, t), (1, 0))
+    e = parse("x*f(x,t) - exp(t)*g_{1}(x,t) + u1^2 + 3", ws)
+    coefficients, rest = linear_form(e, [f, g])
+    assert coefficients == [x, neg(exp_(t))]
+    assert equal(rest, parse("u1^2 + 3", ws))
+    assert linear_form(e, []) == ([], e)
+
+
+def test_linear_form_rejects_a_product_of_kernels():
+    e = parse("f(x,t)*g(x,t) + f(x,t)", ws)
+    assert linear_form(e, [Fun("f", (x, t)), Fun("g", (x, t))]) is None
+
+
+def test_linear_form_rebuilds_random_combinations():
+    rng = seeded(12)
+    kernels = [Fun("f", (x, t)), Fun("f", (x, t), (0, 1)),
+               Fun("g", (x, t), (2, 0))]
+    for _ in range(30):
+        coeffs = [random_expression(rng, [x, t, u1, u2], depth=3)
+                  for _ in kernels]
+        rest = random_expression(rng, [x, t, u1, u2], depth=3)
+        e = add(rest, *map(mul, coeffs, kernels))
+        got, got_rest = linear_form(e, kernels)
+        assert all(equal(a, b) for a, b in zip(got, coeffs))
+        assert equal(e, add(got_rest, *map(mul, got, kernels)))
 
 
 def test_clear_denominators_reports_its_pass_cap(monkeypatch):
