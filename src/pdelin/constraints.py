@@ -1,35 +1,34 @@
 """Linear constraint systems on arbitrary-function kernels.
 
-A constraint system holds rows that are linear PDEs for one or more named
-arbitrary functions over formal coordinate atoms (symbols or zero-order
-jets).  Each row is compiled into a rewrite rule that solves for its
-highest-ranked derivative kernel; rules are prolonged on demand by formal
-differentiation.  `reduce` rewrites any expression to normal form modulo the
-constraints, for kernels instantiated at arbitrary argument expressions.
+A constraint system holds rows that are homogeneous linear PDEs for one or
+more named arbitrary functions over formal coordinate atoms (symbols or
+zero-order jets).  The rows are read once, as the coefficient table of one
+`LinearOperator`; each row becomes a rewrite rule that solves for its
+highest-ranked derivative kernel, and rules are prolonged on demand by
+formal differentiation.  `reduce` rewrites any expression to normal form
+modulo the constraints, for kernels instantiated at arbitrary argument
+expressions.
 """
 
 from __future__ import annotations
 
 from .errors import ExprError
-from .expr import (derive_multi, diff_atom, fun_kernels_of, linear_form,
-                   multi_diff, solve_linear, substitute, substitute_kernels)
+from .expr import (Fun, add, diff_atom, div, fun_kernels_of, mul, multi_diff,
+                   neg, substitute, substitute_kernels)
+from .linops import DerivativeTable, LinearOperator
 
-# rewrite caps of `_reduce_formal` (formal kernels of prolonged rules) and
-# of `reduce` (instantiated kernels), one rule applied per rewrite; a chain
-# that does not end within them is an error
-MAX_FORMAL_REWRITES = 64
-MAX_REDUCE_REWRITES = 256
-
-
-def _kernel_rank(fn_names, k):
-    return (sum(k.dmidx), k.dmidx, -fn_names.index(k.name))
+# rounds of `reduce`, each rewriting every reducible kernel at once; a chain
+# that does not settle within them is an error
+MAX_REDUCE_ROUNDS = 64
 
 
 class LinearConstraints:
     def __init__(self, functions, rows):
         """`functions`: dict name -> tuple of formal coordinate atoms (all
         functions must share the same coordinates); `rows`: expressions
-        linear in the functions' kernels, each row understood as `= 0`."""
+        homogeneous and linear in the functions' kernels at the coordinates,
+        with coefficients over the coordinates and parameters, each row
+        understood as `= 0`."""
         self.functions = dict(functions)
         self.names = list(self.functions)
         coords = {tuple(c) for c in self.functions.values()}
@@ -37,97 +36,52 @@ class LinearConstraints:
             raise ExprError("constraint functions must share one coordinate tuple")
         self.coords = next(iter(coords))
         self.rows = list(rows)
-        self._rules = {}
-        self._derived = {}
-        for row in self.rows:
-            self._compile(row)
+        self.operator = LinearOperator.from_rows(self.rows, self.names,
+                                                 self.coords)
+        # (name, lead multi-index) -> d^K of the lead's right-hand side
+        self._tables = {}
+        for nu in range(len(self.rows)):
+            entries = {(alpha, K): c for (r, alpha, K), c
+                       in self.operator.coeffs.items() if r == nu}
+            if not entries:
+                raise ExprError(f"row {nu + 1} holds no function kernel")
+            alpha, K = max(entries, key=lambda aK: (sum(aK[1]), aK[1], -aK[0]))
+            lead = entries.pop((alpha, K))
+            key = (self.names[alpha], K)
+            if key in self._tables:
+                raise ExprError("two constraint rows solve for the same kernel "
+                                f"{Fun(key[0], self.coords, K)!r}")
+            others = add(*[mul(c, Fun(self.names[b], self.coords, L))
+                           for (b, L), c in entries.items()])
+            self._tables[key] = DerivativeTable(
+                [neg(div(others, lead))], self.coords,
+                lambda e, x: self.reduce(diff_atom(e, x)))
 
-    # -- compilation -------------------------------------------------------
-
-    def _formal_kernels(self, e):
-        out = []
-        for k in fun_kernels_of(e):
-            if k.name in self.functions and k.args == self.coords:
-                out.append(k)
-        return out
-
-    def _compile(self, row):
-        kernels = [k for k in fun_kernels_of(row) if k.name in self.functions]
-        for k in kernels:
-            if k.args != self.coords:
-                raise ExprError(f"constraint row holds {k!r} away from the "
-                                "coordinates")
-        if not kernels:
-            raise ExprError("constraint row contains no managed function kernel")
-        if linear_form(row, kernels) is None:
-            raise ExprError("constraint row is not linear in its function kernels")
-        lead = max(kernels, key=lambda k: _kernel_rank(self.names, k))
-        solved = solve_linear(row, lead)
-        if solved is None:
-            raise ExprError(f"constraint row does not solve for {lead!r}")
-        rhs = solved[1]
-        key = (lead.name, lead.dmidx)
-        if key in self._rules:
-            raise ExprError(f"two constraint rows solve for the same kernel {lead!r}")
-        self._rules[key] = rhs
-
-    # -- prolongation ------------------------------------------------------
-
-    def _rule_for(self, name, dmidx):
-        """Formal right-hand side rewriting the kernel (name, dmidx), or None."""
-        key = (name, dmidx)
-        if key in self._rules:
-            return self._rules[key]
-        if key in self._derived:
-            return self._derived[key]
-        best = None
-        for (rname, rd) in self._rules:
-            if rname == name and multi_diff(dmidx, rd) is not None:
-                if best is None or sum(rd) > sum(best) or (sum(rd) == sum(best) and rd < best):
-                    best = rd
-        if best is None:
+    def _rewrite(self, k):
+        """The right-hand side for an instantiated managed kernel that a rule
+        covers, or None.  The rule is prolonged from the base with the
+        largest order, then the lexicographically smallest multi-index."""
+        if k.name not in self.functions or len(k.args) != len(self.coords):
             return None
-        d = derive_multi(self._rules[(name, best)], self.coords,
-                         multi_diff(dmidx, best),
-                         lambda e, x: self._reduce_formal(diff_atom(e, x)))
-        self._derived[key] = d
-        return d
-
-    def _reduce_formal(self, e):
-        for _ in range(MAX_FORMAL_REWRITES):
-            hit = None
-            for k in self._formal_kernels(e):
-                if (k.name, k.dmidx) in self._rules:
-                    hit = (k, self._rules[(k.name, k.dmidx)])
-                    break
-            if hit is None:
-                return e
-            e = substitute_kernels(e, {hit[0]: hit[1]})
-        raise ExprError("constraint reduction did not terminate: rewrite cap "
-                        f"MAX_FORMAL_REWRITES = {MAX_FORMAL_REWRITES} "
-                        "exhausted")
-
-    def _reducible(self, k):
-        return any(rname == k.name and multi_diff(k.dmidx, rd) is not None
-                   for rname, rd in self._rules)
-
-    # -- reduction of instantiated expressions ------------------------------
+        bases = [K for name, K in self._tables
+                 if name == k.name and multi_diff(k.dmidx, K) is not None]
+        if not bases:
+            return None
+        base = min(bases, key=lambda K: (-sum(K), K))
+        rhs = self._tables[(k.name, base)](0, multi_diff(k.dmidx, base))
+        return substitute(rhs, dict(zip(self.coords, k.args)))
 
     def reduce(self, e):
         """Normal form of `e` modulo the constraints.  Managed function
         kernels may be instantiated at arbitrary argument expressions."""
-        for _ in range(MAX_REDUCE_REWRITES):
-            target = None
+        for _ in range(MAX_REDUCE_ROUNDS):
+            repl = {}
             for k in fun_kernels_of(e):
-                if k.name in self.functions and len(k.args) == len(self.coords) \
-                        and self._reducible(k):
-                    if target is None or _kernel_rank(self.names, k) > _kernel_rank(self.names, target):
-                        target = k
-            if target is None:
+                rhs = self._rewrite(k)
+                if rhs is not None:
+                    repl[k] = rhs
+            if not repl:
                 return e
-            rhs = self._rule_for(target.name, target.dmidx)
-            inst = substitute(rhs, dict(zip(self.coords, target.args)))
-            e = substitute_kernels(e, {target: inst})
-        raise ExprError("constraint reduction did not terminate: rewrite cap "
-                        f"MAX_REDUCE_REWRITES = {MAX_REDUCE_REWRITES} "
-                        "exhausted")
+            e = substitute_kernels(e, repl)
+        raise ExprError("constraint reduction did not settle: round cap "
+                        f"MAX_REDUCE_ROUNDS = {MAX_REDUCE_ROUNDS} exhausted")

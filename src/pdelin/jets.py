@@ -18,6 +18,12 @@ def jet_rank(ws, j):
     return (j.order, ws.dep_index(j.dep), ws.jet_vector(j))
 
 
+def _derives(ws, j, r):
+    """Whether jet `j` is `r` or one of its derivatives."""
+    return j.dep == r.dep and \
+        multi_diff(ws.jet_vector(j), ws.jet_vector(r)) is not None
+
+
 def leading_solve(ws, equation):
     """Solve an equation for its highest-ranked jet, if linear in it."""
     js = jets_of(equation)
@@ -31,27 +37,54 @@ def leading_solve(ws, equation):
 
 
 class PdeSystem:
-    """A declared system {G^nu[u] = 0} with optional leading-solve overrides."""
+    """A declared system {G^nu[u] = 0} with optional leading-solve overrides.
+
+    In increasing rank of their leading jets, each equation is reduced on the
+    prolonged rules of those before it and solved again, and its rule is
+    substituted into the earlier right-hand sides, so none holds a ruled jet.
+    An equation left with no jet, or a rule holding a derivative of its own
+    jet, is an error."""
 
     def __init__(self, workspace, equations, leading=None, names=None):
         self.workspace = workspace
         self.equations = list(equations)
         self.names = list(names) if names else [f"G{i+1}" for i in range(len(equations))]
         self.order = max((max_jet_order(g) for g in self.equations), default=0)
-        self.leading = {}
         leading = leading or {}
-        for i, g in enumerate(self.equations):
+
+        def solve(i, g):
             if i in leading:
-                jet = leading[i]
-                found = solve_linear(g, jet)
+                found = solve_linear(g, leading[i])
                 if found is None:
-                    raise ExprError(f"equation {self.names[i]} is not linear in {jet!r}")
-                solved = found[1]
+                    raise ExprError(f"equation {self.names[i]} is not linear "
+                                    f"in {leading[i]!r}")
+                jet, solved = leading[i], found[1]
             else:
                 jet, solved = leading_solve(workspace, g)
             if not is_zero(substitute(g, {jet: solved})):
                 raise ExprError(f"leading solve for {self.names[i]} does not close")
-            self.leading[i] = (jet, solved)
+            return jet, solved
+
+        solves = [solve(i, g) for i, g in enumerate(self.equations)]
+        self.rules = {}
+        for i in sorted(range(len(solves)),
+                        key=lambda i: jet_rank(workspace, solves[i][0])):
+            g = self.equations[i]
+            if any(_derives(workspace, j, r) for j in jets_of(g) for r in self.rules):
+                g = substitute(g, prolong_rules(self.rules, max_jet_order(g),
+                                                workspace))
+                if not jets_of(g):
+                    raise ExprError(f"equation {self.names[i]} determines no "
+                                    "new jet on the leading rules of the others")
+                solves[i] = solve(i, g)
+            jet, solved = solves[i]
+            own = [j for j in jets_of(solved) if _derives(workspace, j, jet)]
+            if own:
+                raise ExprError(f"leading rule for {jet!r} holds its own "
+                                f"derivative {own[0]!r}")
+            self.rules = {j: substitute(r, {jet: solved})
+                          for j, r in self.rules.items()}
+            self.rules[jet] = solved
 
     @property
     def m(self):
@@ -62,11 +95,10 @@ class PdeSystem:
         return self.workspace.n
 
     def leading_rules(self):
-        return {jet: solved for jet, solved in self.leading.values()}
+        return dict(self.rules)
 
     def prolonged_rules(self, order):
-        return prolong_rules(self.leading_rules(), order, self.workspace,
-                             complete=True)
+        return prolong_rules(self.rules, order, self.workspace, complete=True)
 
     def reduce_on_solutions(self, e):
         """`e` with each jet that a prolonged leading-solve rule covers

@@ -251,13 +251,16 @@ def match_multiplier_form(fam, sys):
     detq = det(Q)
     if is_zero(detq) or not probe_nonzero_robust(detq):
         return Rejection("factor matrix Q is degenerate")
-    if fam.constraints is None or len(fam.constraints.rows) != ws.m:
-        have = 0 if fam.constraints is None else len(fam.constraints.rows)
+    cons = fam.constraints
+    if cons is None or len(cons.rows) != ws.m:
+        have = 0 if cons is None else len(cons.rows)
         return Rejection(f"constraint operator has {have} rows; need m = {ws.m}")
-    Lop = LinearOperator.from_rows(fam.constraints.rows, vnames, coords)
+    if cons.names != vnames or cons.coords != tuple(coords):
+        return Rejection("constraint operator is not over the family's "
+                         "functions and coordinates")
     return LinearizationCandidate(family=fam, system=sys, coords=tuple(coords),
                                   X=tuple(X), Q=Q, chain_rule=chain,
-                                  constraint_op=Lop,
+                                  constraint_op=cons.operator,
                                   vnames=vnames)
 
 

@@ -199,12 +199,21 @@ BAD_SECTIONS = [
     ("pipeline", "row1 =", "row1 = X*T", 18),
     ("burgers", "G1 =", "G1 = x", 10),
     ("burgers", "G1 =", "G1 = u2_x^2 - u1^2", 10),
+    # G1 repeats G2, and a leading rule u1 = u1_x^2
+    ("burgers", "G1 =", "G1 = u2_t - 2*u1_x + u1^2", 10),
+    ("burgers", "G1 =", "G1 = u1 - u1_x^2", 10),
     ("burgers", "H1 =", "H1 = w1/0", 29),
     # constraint kernels away from the coordinates X, T
     ("pipeline", "row1 =", "row1 = v_{2}(X,T) + pow(X,p)*v_{1,1}(X,T)"
      " + 2*p*pow(X,p-1)*v_{1}(p,T) + p*(p-1)*pow(X,p-2)*v(X,T)", 18),
     ("pipeline", "row1 =", "row1 = v_{2}(X,T) + pow(X,p)*v_{1,1}(u,T)"
      " + 2*p*pow(X,p-1)*v_{1}(X,T) + p*(p-1)*pow(X,p-2)*v(X,T)", 18),
+    # a constraint coefficient outside the coordinates and parameters
+    ("pipeline", "row1 =", "row1 = v_{2}(X,T) + x*pow(X,p)*v_{1,1}(X,T)"
+     " + 2*p*pow(X,p-1)*v_{1}(X,T) + p*(p-1)*pow(X,p-2)*v(X,T)", 18),
+    # an inhomogeneous constraint row
+    ("telegraph", "row1 =",
+     "row1 = f_{1}(x,t,u1,u2) + f_{4}(x,t,u1,u2) + 1", 18),
     # None deletes the lines: a contact transformation without rho1, rho2
     ("pipeline", "rho", None, 24),
 ]
@@ -250,9 +259,17 @@ class Timeout(Exception):
     pass
 
 
+# the messages with which the commands themselves report a residual failure
+RESIDUAL_MESSAGES = {"derived family fails verification",
+                     "augmented identity residual is nonzero",
+                     "linearization verification failed",
+                     "verification reported a nonzero residual"}
+
+
 def test_token_mutation_fuzz(tmp_path, capsys):
     # seeded single-token mutations of the bundled files, spread over the
-    # three commands: each ends with an exit code well inside 30 s
+    # three commands: each ends with an exit code well inside 30 s, and an
+    # exit 4 is a residual failure, never an error escaping to the catch-all
     rng = random.Random(7)
     texts = [bundled_path(name).read_text() for name in SYSTEMS]
 
@@ -266,15 +283,33 @@ def test_token_mutation_fuzz(tmp_path, capsys):
             command = COMMANDS[case // 3 % 3]
             signal.alarm(30)
             try:
-                code = run(tmp_path, text, command)
+                code = run(tmp_path, text, command, "--json")
             except Timeout:
                 code = "alarm"
             finally:
                 signal.alarm(0)
-            capsys.readouterr()
+            out = capsys.readouterr().out
             assert code in (0, 2, 3, 4), (case, command, text)
+            if code == 4:
+                message = json.loads(out)["message"]
+                assert message in RESIDUAL_MESSAGES, (case, command, message)
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_leading_rules_are_reduced_against_each_other(tmp_path, capsys):
+    # G1 = -2*u1 rules u1, on which G2 rules u2_t; G1 = u2_t - u1_x shares
+    # the lead u2_t with G2, which then rules u1_x: no command reports a
+    # cyclic rule set, and both equations stay on the solution manifold
+    lines = bundled_path("burgers").read_text().splitlines()
+    for new in ("G1 = - 2*u1", "G1 = u2_t - u1_x"):
+        text = "\n".join(new if ln.startswith("G1 =") else ln for ln in lines)
+        assert len(load_workspace_text(text).system.leading_rules()) == 2
+        for command, want in (("detsys", 0), ("linearize", 2), ("verify", 4)):
+            assert run(tmp_path, text, command, "--json") == want
+            doc = json.loads(capsys.readouterr().out)
+            if want == 4:
+                assert doc["message"] in RESIDUAL_MESSAGES
 
 
 def test_unknown_keys_are_errors():

@@ -6,10 +6,9 @@ import pytest
 import corpus
 from helpers import random_expression, seeded
 from pdelin import conslaw
-from pdelin.cli import bundled_path
-from pdelin.conslaw import (MultiplierAnsatz, MultiplierFamily,
-                            determining_system, reconstruct_fluxes,
-                            reduce_determining_system,
+from pdelin.conslaw import (DeterminingSystem, MultiplierAnsatz,
+                            MultiplierFamily, determining_system,
+                            reconstruct_fluxes, reduce_determining_system,
                             reduce_family_constraints, verify_multipliers)
 from pdelin.errors import NotADivergenceError
 from pdelin.expr import (Fun, Jet, Sym, add, equal, exp_, is_zero, mul, neg,
@@ -18,7 +17,6 @@ from pdelin.grammar import parse, to_text
 from pdelin.jets import PdeSystem, euler_operator
 from pdelin.linearize import family_fluxes
 from pdelin.workspace import Workspace
-from pdelin.wsfile import load_workspace_text
 
 
 def div_of(fluxes, ws):
@@ -126,12 +124,19 @@ def test_reducer_integrates_telegraph_characteristics():
 
 def test_reducer_leaves_an_inhomogeneous_transport_row_alone():
     # f_x + f_u2 + 1 = 0 has no solution f = f1(x - u2, ...): the
-    # characteristics integrate only a row without a kernel-free part
-    text = bundled_path("telegraph").read_text().replace(
-        "row1 = f_{1}(x,t,u1,u2) + f_{4}(x,t,u1,u2)",
-        "row1 = f_{1}(x,t,u1,u2) + f_{4}(x,t,u1,u2) + 1")
-    wf = load_workspace_text(text)
-    _, steps = reduce_family_constraints(wf.family, wf.system)
+    # characteristics integrate only a row without a kernel-free part.  A
+    # constraint row must be homogeneous, so the three telegraph rows reach
+    # the reducer as a determining system
+    ws, sys = corpus.telegraph()
+    args = (*ws.independents, ws.lookup("u1"), ws.lookup("u2"))
+    rows = [parse(text, ws) for text in (
+        "f_{1}(x,t,u1,u2) + f_{4}(x,t,u1,u2) + 1",
+        "f_{2}(x,t,u1,u2) + u1*f_{3}(x,t,u1,u2)",
+        "u1^2*f_{3,3}(x,t,u1,u2) + 2*u1*f_{3}(x,t,u1,u2)"
+        " - f_{4,4}(x,t,u1,u2)")]
+    det = DeterminingSystem(sys, MultiplierAnsatz(), ["f"], args,
+                            [(0, "1", row) for row in rows])
+    steps = reduce_determining_system(det).steps
     assert steps == ["f rides characteristics of args 2,3; new function f1"]
 
 

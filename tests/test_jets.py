@@ -5,7 +5,7 @@ import pytest
 from helpers import (burgers_workspace, pipeline_workspace, random_expression,
                      random_jets, seeded, telegraph_workspace)
 from pdelin.constraints import LinearConstraints
-from pdelin.errors import CyclicRuleError
+from pdelin.errors import CyclicRuleError, ExprError
 from pdelin.expr import (Jet, add, equal, exp_, is_zero, mul, multi_indices,
                          neg, pow_int, rat, sub, substitute, sym_pow,
                          total_derivative)
@@ -110,6 +110,21 @@ def test_prolong_cyclic_rejected():
     with pytest.raises(CyclicRuleError):
         prolong_rules({Jet("u1", (("x", 1),)): Jet("u2", (("t", 1),)),
                        Jet("u2", (("t", 1),)): u1}, 2, ws)
+
+
+def test_leading_rules_are_reduced_against_each_other():
+    # u1 = 0 rules out u1_x, so G2 rules u2_t = 0; a second lead u2_t makes
+    # its equation rule u1_x instead
+    def rules(g1, g2="u2_t - 2*u1_x + u1^2"):
+        return PdeSystem(ws, [parse(g1, ws), parse(g2, ws)]).leading_rules()
+
+    assert rules("-2*u1") == {u1: rat(0), parse("u2_t", ws): rat(0)}
+    assert rules("u2_t - u1_x") == {parse("u2_t", ws): parse("u1^2", ws),
+                                    parse("u1_x", ws): parse("u1^2", ws)}
+    with pytest.raises(ExprError, match="G2 determines no new jet"):
+        rules("u2_t - 2*u1_x + u1^2")
+    with pytest.raises(ExprError, match="holds its own derivative <u1_x>"):
+        rules("u1 - u1_x^2")
 
 
 def test_commutativity_and_leibniz():

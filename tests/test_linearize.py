@@ -116,6 +116,16 @@ def test_match_rejects_dependent_coordinates():
     assert isinstance(cand, Rejection) and "Jacobian" in cand.reason
 
 
+def test_match_rejects_constraints_over_other_functions():
+    # the operator's columns follow the constraint system's functions, so
+    # they must be the family's functions in the family's order
+    ws, sys = corpus.burgers()
+    fam = corpus.burgers_family_v(ws)
+    fam.function_names = ["v2", "v1"]
+    cand = match_multiplier_form(fam, sys)
+    assert isinstance(cand, Rejection) and "not over" in cand.reason
+
+
 # -- augmented identity -------------------------------------------------------
 
 

@@ -2,10 +2,11 @@
 
 import pytest
 
-from helpers import seeded
+import corpus
+from helpers import random_expression, seeded
 from pdelin.errors import ExprError
-from pdelin.expr import (Fun, add, equal, is_zero, mul, neg, rat, sub,
-                         sym_pow)
+from pdelin.expr import (Fun, add, derive_multi, diff_atom, equal, is_zero,
+                         mul, multi_indices, neg, rat, sub, sym_pow)
 from pdelin.grammar import parse
 from pdelin.linalg import adjugate, det
 from pdelin.linops import LinearOperator, bilinear_identity, identity_residual
@@ -199,3 +200,30 @@ def test_coefficient_dependence_validated():
     stray = Workspace("y").independents[0]
     with pytest.raises(ExprError):
         LinearOperator((X, T), 1, 1, {(0, 0, (0, 0)): stray})
+
+
+CORPUS_FAMILIES = [(corpus.burgers, corpus.burgers_family_v),
+                   (corpus.burgers, corpus.burgers_family_f),
+                   (corpus.pipeline, corpus.pipeline_family),
+                   (corpus.telegraph, corpus.telegraph_family),
+                   (corpus.telegraph, corpus.telegraph_family_potential)]
+
+
+def test_constraint_operator_reduces_its_rows_and_their_derivatives():
+    # a constraint system reads its rows once, as one operator; every row and
+    # every derivative of a row up to order 2 reduces to zero, alone and in a
+    # seeded combination with coefficients over the coordinates
+    rng = seeded(14)
+    for make_system, make_family in CORPUS_FAMILIES:
+        ws, _ = make_system()
+        cons = make_family(ws).constraints
+        assert cons.operator.to_rows(cons.names) == cons.rows
+        derived = [derive_multi(row, cons.coords, K, diff_atom)
+                   for row in cons.rows
+                   for K in multi_indices((2,) * len(cons.coords), 2)]
+        for d in derived:
+            assert is_zero(cons.reduce(d)), d
+        combination = add(*[
+            mul(random_expression(rng, list(cons.coords), 2, False), d)
+            for d in rng.sample(derived, 3)])
+        assert is_zero(cons.reduce(combination))

@@ -244,3 +244,22 @@ def test_loop_caps_are_named():
     # an iteration cap is a named module constant that its error or report
     # can quote, never a bare number in a range()
     assert not list(_literal_range_loops())
+
+
+# the modules that call `LinearOperator.from_rows`: the operator itself and
+# the constraint system, which reads its rows once through it
+ROW_PARSERS = {"constraints", "linops"}
+
+
+def test_one_row_parser():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Call) and
+               isinstance(node.func, ast.Attribute) and
+               node.func.attr == "from_rows" for node in ast.walk(tree)):
+            callers.add(path.stem)
+    assert callers <= ROW_PARSERS, sorted(callers - ROW_PARSERS)
+    imported = {alias.name for mod, _, node in _imports()
+                if mod == "constraints" for alias in node.names}
+    assert not imported & {"linear_form", "solve_linear"}
