@@ -20,7 +20,7 @@ from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, add,
                    fun_kernels_of, is_zero, jets_of, linear_form,
                    monomial_signature, monomials, mul, multi_diff,
                    multi_lower, multi_unit, neg, normalize_equation, pow_int,
-                   rat, solve_linear, sub, substitute, substitute_kernels,
+                   rat, sub, substitute, substitute_kernels,
                    total_derivative, walk)
 from .jets import PdeSystem
 from .linalg import det
@@ -126,7 +126,10 @@ def to_first_order_system(fam, sys):
     coords = fam.coordinates
     vnames = [f"v{i+1}" for i in range(M)]
     named = {k: i for i, k in enumerate(kernels)}
-    cons = fam.constraints
+    # the first constraint row as {multi-index: coefficient}
+    first_row = ({} if fam.constraints is None else
+                 {K: c for (nu, _, K), c
+                  in fam.constraints.operator.coeffs.items() if nu == 0})
 
     def express(dmidx, exclude):
         """dmidx of the scalar function in terms of named kernels and their
@@ -137,10 +140,12 @@ def to_first_order_system(fam, sys):
         direct = _as_named_or_derivative(dmidx, exclude)
         if direct is not None:
             return direct
-        found = solve_linear(cons.rows[0], Fun(name, coords, dmidx))
-        if found is None:
+        lead = first_row.get(dmidx)
+        if lead is None:
             return None
-        solved = found[1]
+        solved = neg(div(add(*[mul(c, Fun(name, coords, K))
+                               for K, c in first_row.items() if K != dmidx]),
+                           lead))
         out = []
         for k in fun_kernels_of(solved, name):
             repl = _as_named_or_derivative(k.dmidx, exclude)

@@ -2,15 +2,24 @@
 arithmetic for the transcendental kernels.
 
 An assignment maps every kernel atom of an expression (symbols, jets,
-arbitrary-function kernels) to a rational.  Rational subexpressions evaluate
-exactly; exp, log and symbolic powers fall back to mpmath's low-level
-interval functions at increasing precision until the result interval is
-narrower than 1e-40 or excludes zero.  Each endpoint is rounded outward into
-a raw mpmath value and read back as an exact rational, and no mpmath context
-setting is read or written; mpmath is imported only when the first
-transcendental is evaluated.  When the precision cap is reached first, the
-probe raises ProbeUndecidedError instead of answering.  This is the
-independent oracle backing the symbolic zero-tests.
+arbitrary-function kernels) to a rational.  One evaluation at `prec` bits
+runs on Python integers only.  A rational subexpression is exact: an integer
+pair (n, d) with d > 0, not reduced; products multiply numerators and
+denominators, sums combine over the least common multiple of the
+denominators.  exp, log and symbolic powers make enclosures: integer pairs
+[lo, hi] standing for [lo, hi] / 2**prec, a fixed-point grid on which every
+operation rounds lo down and hi up.  An exact value is a tuple and an
+enclosure a list, which tells the two apart.  exp and log run mpmath's
+low-level interval functions on those endpoints, read exactly as raw mpmath
+values, and their results are rounded outward back onto the grid; no mpmath
+context setting is read or written, and mpmath is imported only when the first
+transcendental is evaluated.  Precision starts at START_PRECISION bits and
+doubles until the result is narrower than 1e-40 or excludes zero; an enclosure
+through zero where a sign is needed (a reciprocal, a log argument, a
+symbolic-power base) is retried at double precision too.  Only the result
+becomes rational: a Fraction, or an Interval with rational endpoints.  When the
+precision cap is reached first, the probe raises ProbeUndecidedError instead of
+answering.  This is the independent oracle backing the symbolic zero-tests.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import random
 from contextvars import ContextVar
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, ProbeUndecidedError, UncoveredKernelError
 from .expr import (Add, ExpF, Expr, LogF, Mul, Pow, Rat, SPow, atoms_of,
@@ -69,85 +79,141 @@ class Interval:
         return self.lo > 0 or self.hi < 0
 
 
-def _add(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    ia, ib = _as_interval(a), _as_interval(b)
-    return Interval(ia.lo + ib.lo, ia.hi + ib.hi)
-
-
 def _as_interval(v):
     return v if isinstance(v, Interval) else Interval(v, v)
 
 
-def _mul(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    ia, ib = _as_interval(a), _as_interval(b)
-    cands = [ia.lo * ib.lo, ia.lo * ib.hi, ia.hi * ib.lo, ia.hi * ib.hi]
-    return Interval(min(cands), max(cands))
+class _SignUndecided(Exception):
+    """An enclosure through zero where the evaluation needs a sign: the
+    probe retries at double precision."""
 
 
-def _ipow(v, n):
-    if isinstance(v, Fraction):
-        if v == 0 and n < 0:
-            raise DomainError("zero raised to a negative power")
-        return v ** n
-    iv = v
-    if n < 0:
-        if iv.includes_zero():
-            raise DomainError("interval through zero raised to a negative power")
-        lo, hi = 1 / iv.hi, 1 / iv.lo
-        return _ipow(Interval(lo, hi), -n)
-    if n == 0:
-        return Fraction(1)
-    out = Interval(Fraction(1), Fraction(1))
-    for _ in range(n):
-        out = _as_interval(_mul(out, iv))
+def _add(values, prec):
+    """The sum of exact values and enclosures: exact terms add exactly, and
+    their sum is rounded onto the grid once."""
+    n, d = 0, 1
+    out = None
+    for v in values:
+        if type(v) is tuple:
+            vn, vd = v
+            if vd == d:
+                n += vn
+            else:
+                m = lcm(d, vd)
+                n, d = n * (m // d) + vn * (m // vd), m
+        elif out is None:
+            out = v
+        else:
+            out = [out[0] + v[0], out[1] + v[1]]
+    if out is None:
+        return n, d
+    if n:
+        m = n << prec
+        out = [out[0] + m // d, out[1] - (-m // d)]
     return out
+
+
+def _mul(values, prec):
+    """The product of exact values and enclosures: exact factors multiply
+    exactly and scale the product of the enclosures once."""
+    n, d = 1, 1
+    out = None
+    for v in values:
+        if type(v) is tuple:
+            n *= v[0]
+            d *= v[1]
+        elif out is None:
+            out = v
+        else:
+            ps = (out[0] * v[0], out[0] * v[1], out[1] * v[0], out[1] * v[1])
+            out = [min(ps) >> prec, -(-max(ps) >> prec)]
+    if out is None:
+        return n, d
+    lo, hi = out if n >= 0 else out[::-1]
+    return [n * lo // d, -(-n * hi // d)]
+
+
+def _ipow(v, k, prec):
+    """`v` raised to the integer `k`."""
+    if type(v) is tuple:
+        n, d = v
+        if k < 0:
+            if n == 0:
+                raise DomainError("zero raised to a negative power")
+            n, d, k = (d, n, -k) if n > 0 else (-d, -n, -k)
+        return n ** k, d ** k
+    if k == 0:
+        return 1, 1
+    lo, hi = v
+    if k < 0:
+        if lo <= 0 <= hi:
+            raise _SignUndecided(
+                "an enclosure through zero raised to a negative power")
+        one = 1 << (2 * prec)
+        lo, hi, k = one // hi, -(-one // lo), -k
+    if k % 2 == 0 and lo < 0:
+        # an even power of an enclosure reaching below zero
+        lo, hi = (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
+    s = (k - 1) * prec
+    return [lo ** k >> s, -(-(hi ** k) >> s)]
+
+
+def _positive(v, what):
+    """`v`, checked to be positive; `what` names the operation that needs
+    it."""
+    if type(v) is tuple:
+        if v[0] <= 0:
+            raise DomainError(what)
+    elif v[0] <= 0:
+        if v[1] < 0:
+            raise DomainError(what)
+        raise _SignUndecided(f"{what}: an enclosure through zero")
+    return v
 
 
 def _transcendental(name, v, prec):
     """An enclosure of exp(v) or log(v) (`name` "exp" or "log") computed at
-    `prec` bits on raw mpmath endpoints: the low endpoint of `v` is rounded
-    down, the high one up, and the result's endpoints are read back
-    exactly."""
-    from mpmath.libmp import (finf, fnan, fninf, from_rational, libmpi,
-                              round_ceiling, round_floor, to_rational)
-    iv = _as_interval(v)
-    s = (from_rational(iv.lo.numerator, iv.lo.denominator, prec, round_floor),
-         from_rational(iv.hi.numerator, iv.hi.denominator, prec,
-                       round_ceiling))
+    `prec` bits on raw mpmath endpoints: an enclosure's endpoints are read
+    exactly, an exact value is rounded outward, and the result's endpoints
+    are rounded outward onto the 2**-prec grid."""
+    from mpmath.libmp import (finf, fnan, fninf, from_man_exp, from_rational,
+                              libmpi, mpf_neg, round_ceiling, round_floor,
+                              to_fixed)
+    if type(v) is tuple:
+        n, d = v
+        s = (from_rational(n, d, prec, round_floor),
+             from_rational(n, d, prec, round_ceiling))
+    else:
+        s = (from_man_exp(v[0], -prec), from_man_exp(v[1], -prec))
     fn = libmpi.mpi_exp if name == "exp" else libmpi.mpi_log
-    ends = fn(s, prec)
-    if any(x in (finf, fninf, fnan) for x in ends):
+    lo, hi = fn(s, prec)
+    if lo in (finf, fninf, fnan) or hi in (finf, fninf, fnan):
         raise DomainError(f"non-finite value in interval evaluation of {name}")
-    lo, hi = (Fraction(*to_rational(x)) for x in ends)
-    return Interval(lo, hi)
+    return [to_fixed(lo, prec), -to_fixed(mpf_neg(hi), prec)]
 
 
 def _eval(e, assignment, prec, memo):
-    """The value of `e` at `prec` bits; `memo` keeps the value of each
-    distinct exp, log and symbolic power met at this precision."""
+    """The value of `e` at `prec` bits, an exact pair or an enclosure;
+    `memo` keeps the value of each distinct exp, log and symbolic power met
+    at this precision."""
     if isinstance(e, Rat):
-        return e.value
+        v = e.value
+        return v.numerator, v.denominator
     if is_atom(e):
         v = assignment.get(e)
         if v is None:
             raise UncoveredKernelError(f"assignment does not cover {e!r}")
-        return Fraction(v) if not isinstance(v, (Fraction, Interval)) else v
+        if not isinstance(v, (int, Fraction)):
+            v = Fraction(v)
+        return v.numerator, v.denominator
     if isinstance(e, Add):
-        out = Fraction(0)
-        for t in e.terms:
-            out = _add(out, _eval(t, assignment, prec, memo))
-        return out
+        return _add([_eval(t, assignment, prec, memo) for t in e.terms],
+                    prec)
     if isinstance(e, Mul):
-        out = Fraction(1)
-        for f in e.factors:
-            out = _mul(out, _eval(f, assignment, prec, memo))
-        return out
+        return _mul([_eval(f, assignment, prec, memo) for f in e.factors],
+                    prec)
     if isinstance(e, Pow):
-        return _ipow(_eval(e.base, assignment, prec, memo), e.exponent)
+        return _ipow(_eval(e.base, assignment, prec, memo), e.exponent, prec)
     if isinstance(e, (ExpF, LogF, SPow)):
         v = memo.get(e)
         if v is None:
@@ -163,17 +229,15 @@ def _eval_kernel(e, assignment, prec, memo):
                                prec)
     if isinstance(e, LogF):
         v = _eval(e.arg, assignment, prec, memo)
-        if (isinstance(v, Fraction) and v <= 0) or (isinstance(v, Interval) and v.lo <= 0):
-            raise DomainError("log of a nonpositive value")
-        return _transcendental("log", v, prec)
+        return _transcendental(
+            "log", _positive(v, "log of a nonpositive value"), prec)
     b = _eval(e.base, assignment, prec, memo)
     q = _eval(e.expo, assignment, prec, memo)
-    if isinstance(q, Fraction) and q.denominator == 1:
-        return _ipow(b, int(q))
-    if (isinstance(b, Fraction) and b <= 0) or (isinstance(b, Interval) and b.lo <= 0):
-        raise DomainError("symbolic power of a nonpositive base")
-    lg = _transcendental("log", b, prec)
-    return _transcendental("exp", _mul(q, lg), prec)
+    if type(q) is tuple and q[0] % q[1] == 0:
+        return _ipow(b, q[0] // q[1], prec)
+    lg = _transcendental(
+        "log", _positive(b, "symbolic power of a nonpositive base"), prec)
+    return _transcendental("exp", _mul((q, lg), prec), prec)
 
 
 def numeric_probe(e, assignment):
@@ -182,22 +246,32 @@ def numeric_probe(e, assignment):
     Returns an exact Fraction when the expression is rational in its kernels,
     otherwise an Interval certified to be narrower than TARGET_WIDTH
     (relative to magnitude) or to exclude zero.  Precision starts at
-    START_PRECISION bits and doubles; raises ProbeUndecidedError when
-    neither holds once it passes MAX_PRECISION bits.
+    START_PRECISION bits and doubles, also when an enclosure through zero
+    meets a reciprocal, a log or a symbolic power; raises
+    ProbeUndecidedError when neither holds once it passes MAX_PRECISION
+    bits.
     """
     prec = START_PRECISION
     while True:
-        v = _eval(e, assignment, prec, {})
-        if isinstance(v, Fraction):
-            return v
-        scale = max(Fraction(1), abs(v.lo), abs(v.hi))
-        if v.width <= TARGET_WIDTH * scale or v.excludes_zero():
-            return v
+        one = 1 << prec
+        try:
+            v = _eval(e, assignment, prec, {})
+        except _SignUndecided as exc:
+            undecided = str(exc)
+        else:
+            if type(v) is tuple:
+                return Fraction(*v)
+            lo, hi = v
+            scale = max(one, abs(lo), abs(hi))
+            if ((hi - lo) * TARGET_WIDTH.denominator
+                    <= TARGET_WIDTH.numerator * scale or lo > 0 or hi < 0):
+                return Interval(Fraction(lo, one), Fraction(hi, one))
+            undecided = (f"an interval of width {(hi - lo) / one:.3g} still "
+                         "contains zero")
         if prec > MAX_PRECISION:
             raise ProbeUndecidedError(
                 f"probe undecided at {prec} bits, past the cap MAX_PRECISION "
-                f"= {MAX_PRECISION} bits: an interval of width "
-                f"{float(v.width):.3g} still contains zero")
+                f"= {MAX_PRECISION} bits: {undecided}")
         prec *= 2
 
 

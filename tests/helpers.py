@@ -6,7 +6,10 @@ import random
 import re
 from fractions import Fraction
 
-from pdelin.expr import (Jet, add, exp_, mul, neg, pow_int, rat)
+from pdelin.expr import (Add, ExpF, Jet, LogF, Mul, Pow, Rat, SPow, Sym,
+                         add, atoms_of, exp_, log_, mul, neg, pow_int, rat,
+                         sym_pow, walk)
+from pdelin.grammar import to_text
 from pdelin.workspace import Workspace
 
 
@@ -62,6 +65,65 @@ def random_expression(rng, atoms, depth=4, allow_exp=True):
     return neg(random_expression(rng, atoms, depth - 1, allow_exp))
 
 
+def random_transcendental_expression(rng, atoms, exponents, depth=3):
+    """Random canonical expression over the given atoms mixing
+    `random_expression`'s polynomials and exps with logs, symbolic powers
+    (exponents drawn from `exponents`), integer powers and reciprocals of
+    logs.  Log arguments and symbolic-power bases are sums of a positive
+    multiple of an atom and a positive rational, so they are positive
+    wherever `random_assignment` puts the atoms; a reciprocal is taken only
+    of a log whose argument exceeds 1."""
+    def positive():
+        a = atoms[rng.randrange(len(atoms))]
+        return add(mul(rat(rng.randint(1, 3), rng.randint(1, 4)), a),
+                   rat(rng.randint(1, 4), rng.randint(1, 4)))
+
+    def sub():
+        return random_transcendental_expression(rng, atoms, exponents,
+                                                depth - 1)
+
+    if depth == 0 or rng.random() < 0.2:
+        r = rng.random()
+        if r < 0.4:
+            return random_expression(rng, atoms, depth=1)
+        if r < 0.7:
+            return log_(positive())
+        return sym_pow(positive(), exponents[rng.randrange(len(exponents))])
+    op = rng.random()
+    if op < 0.3:
+        return add(*[sub() for _ in range(rng.randint(2, 3))])
+    if op < 0.6:
+        return mul(sub(), sub())
+    if op < 0.7:
+        return pow_int(sub(), 2)
+    if op < 0.8:
+        return pow_int(log_(add(positive(), rat(1))), -rng.randint(1, 2))
+    return exp_(mul(rat(rng.randint(-2, 2), rng.randint(1, 3)), sub()))
+
+
+def to_sympy(sp, e):
+    """The SymPy expression of a canonical expression built from rationals,
+    symbols, jets, sums, products, integer and symbolic powers, exp and
+    log; atoms become symbols named by their text."""
+    if isinstance(e, Rat):
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, (Sym, Jet)):
+        return sp.Symbol(to_text(e))
+    if isinstance(e, Add):
+        return sp.Add(*[to_sympy(sp, f) for f in e.terms])
+    if isinstance(e, Mul):
+        return sp.Mul(*[to_sympy(sp, f) for f in e.factors])
+    if isinstance(e, Pow):
+        return sp.Pow(to_sympy(sp, e.base), e.exponent)
+    if isinstance(e, SPow):
+        return sp.Pow(to_sympy(sp, e.base), to_sympy(sp, e.expo))
+    if isinstance(e, ExpF):
+        return sp.exp(to_sympy(sp, e.arg))
+    if isinstance(e, LogF):
+        return sp.log(to_sympy(sp, e.arg))
+    raise TypeError(f"no SymPy form for {e!r}")
+
+
 def random_jets(ws, max_order=2):
     """All jets of the workspace dependents up to the given order (n=2)."""
     out = []
@@ -82,8 +144,6 @@ def seeded(seed):
 def assignment_for(exprs, rng, lo=-6, hi=6):
     """One random-rational assignment covering every atom of several
     expressions, positive where any of them needs positivity."""
-    from pdelin.expr import atoms_of, walk, LogF, SPow
-
     need_positive = set()
     atoms = []
     seen = set()

@@ -9,11 +9,11 @@ import pytest
 
 from helpers import (COMMANDS, GENERATED_AT, SYSTEMS, burgers_workspace,
                      probe_sides_agree, random_expression, random_jets,
-                     reference_document, seeded)
+                     reference_document, seeded, to_sympy)
 from pdelin import expr
 from pdelin.cli import main
 from pdelin.errors import ExprError
-from pdelin.expr import (Add, ExpF, Fun, Jet, Mul, Pow, Rat, Sym, add,
+from pdelin.expr import (Add, Fun, Jet, Mul, Sym, add,
                          canonicalize, clear_denominators, div, equal, exp_,
                          is_zero, linear_form, log_, mul, multi_binom,
                          multi_diff, multi_indices, multi_lower, multi_unit,
@@ -280,24 +280,6 @@ def test_kernels_of_one_group_still_merge():
     assert mul(sym_pow(x, p), u1, sym_pow(x, neg(p))) == u1
 
 
-def _to_sympy(sp, e):
-    """The SymPy expression of a `random_expression` output; atoms become
-    symbols named by their text."""
-    if isinstance(e, Rat):
-        return sp.Rational(e.value.numerator, e.value.denominator)
-    if isinstance(e, (Sym, Jet)):
-        return sp.Symbol(to_text(e))
-    if isinstance(e, Add):
-        return sp.Add(*[_to_sympy(sp, f) for f in e.terms])
-    if isinstance(e, Mul):
-        return sp.Mul(*[_to_sympy(sp, f) for f in e.factors])
-    if isinstance(e, Pow):
-        return sp.Pow(_to_sympy(sp, e.base), e.exponent)
-    if isinstance(e, ExpF):
-        return sp.exp(_to_sympy(sp, e.arg))
-    raise TypeError(f"no SymPy form for {e!r}")
-
-
 def test_zero_decisions_agree_with_sympy():
     # an independent oracle for is_zero: SymPy brings the difference over
     # one denominator and expands the numerator, which is a normal form for
@@ -317,7 +299,7 @@ def test_zero_decisions_agree_with_sympy():
                  (add(mul(a, b), m), mul(b, a), False),
                  (div(add(a, m), s), div(a, s), False))
         for lhs, rhs, equal_by_construction in pairs:
-            d = _to_sympy(sp, lhs) - _to_sympy(sp, rhs)
+            d = to_sympy(sp, lhs) - to_sympy(sp, rhs)
             oracle = sp.expand(sp.numer(sp.together(d))) == 0
             assert oracle == equal_by_construction
             assert is_zero(sub(lhs, rhs)) == oracle

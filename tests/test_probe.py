@@ -5,12 +5,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from helpers import burgers_workspace, random_expression, seeded
+from helpers import (burgers_workspace, random_expression,
+                     random_transcendental_expression, seeded, to_sympy)
 from pdelin import probe
 from pdelin.errors import (DomainError, ProbeUndecidedError,
                            UncoveredKernelError)
-from pdelin.expr import (add, canonicalize, exp_, log_, mul, rat, sub, sym_pow)
-from pdelin.grammar import parse
+from pdelin.expr import (add, canonicalize, exp_, log_, mul, pow_int, rat, sub,
+                         sym_pow)
+from pdelin.grammar import parse, to_text
 from pdelin.probe import (Interval, numeric_probe, probe_is_zero,
                           random_assignment)
 from pdelin.workspace import Workspace
@@ -100,6 +102,100 @@ def test_each_transcendental_kernel_is_evaluated_once_per_precision(
     assert precisions == [80, 160]
     # the enclosure is the one that evaluating every occurrence gives
     assert (v.lo, v.hi) == (Fraction(-3, 2 ** 159), Fraction(3, 2 ** 159))
+
+
+def test_tiny_values_stay_decidable():
+    # exp(x) - 1 at x = 2^-100 lies below the 80-bit grid step, so its
+    # 80-bit enclosure touches zero; the reciprocal is retried at 160 bits
+    e = pow_int(add(exp_(x), rat(-1)), -1)
+    v = numeric_probe(e, {x: Fraction(1, 2 ** 100)})
+    assert isinstance(v, Interval) and v.excludes_zero()
+    assert 2 ** 99 < v.lo <= v.hi < 2 ** 101
+
+
+def test_reciprocal_of_zero_is_a_domain_error_naming_the_bits():
+    # log(u1) + log(1/u1) is zero: every enclosure of it contains zero, so
+    # its reciprocal stays undecided up to the precision cap
+    e = pow_int(add(log_(u1), log_(parse("1/u1", ws))), -1)
+    bits = probe.START_PRECISION
+    while bits <= probe.MAX_PRECISION:
+        bits *= 2
+    with pytest.raises(DomainError, match=f"at {bits} bits"):
+        numeric_probe(e, {u1: Fraction(7, 2)})
+
+
+def test_inner_loop_builds_no_fraction_per_term(monkeypatch):
+    # only the assignment reads and the returned Interval may build
+    # Fractions: the count must not grow with the number of terms
+    sums = [add(*[mul(rat(k), exp_(mul(rat(k, 7), x))) for k in range(1, n)])
+            for n in (11, 41)]
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    counts = []
+    for e in sums:
+        built.clear()
+        assert isinstance(numeric_probe(e, {x: Fraction(1, 3)}), Interval)
+        counts.append(len(built))
+    monkeypatch.undo()
+    assert counts[0] == counts[1]
+
+
+def test_products_and_powers_of_negative_enclosures():
+    # log(1/2) < 0: products, even and odd powers and reciprocals of a
+    # negative enclosure, and a negative multiple of a positive one, against
+    # 200-bit mpmath values
+    l2, e3 = log_(u1), exp_(x)
+    asg = {u1: Fraction(1, 2), x: Fraction(1, 3)}
+    with mpmath.workprec(200):
+        ln, ex = mpmath.log(mpmath.mpf(1) / 2), mpmath.exp(mpmath.mpf(1) / 3)
+        cases = [(mul(l2, e3), ln * ex), (mul(l2, l2, e3), ln * ln * ex),
+                 (pow_int(l2, 2), ln ** 2), (pow_int(l2, 3), ln ** 3),
+                 (pow_int(l2, -2), ln ** -2), (pow_int(l2, -3), ln ** -3),
+                 (mul(rat(-3, 2), e3), -3 * ex / 2)]
+        cases = [(e, Fraction(*mpmath.libmp.to_rational(v._mpf_)))
+                 for e, v in cases]
+    eps = Fraction(1, 2 ** 180)
+    for e, value in cases:
+        v = numeric_probe(e, asg)
+        assert v.lo <= value + eps and value - eps <= v.hi, e
+        assert v.width < Fraction(1, 2 ** 70), e
+
+
+def test_enclosures_contain_the_sympy_value():
+    # an independent oracle for the probe: SymPy's exact rational where the
+    # probe is exact, its 60-digit value inside every enclosure (up to that
+    # value's own error)
+    sp = pytest.importorskip("sympy")
+    ws2 = burgers_workspace()
+    p = ws2.declare_parameter("p")
+    atoms = [x, t, u1]
+    exponents = [p, rat(1, 2), rat(-2, 3), rat(5, 3)]
+    rng = seeded(47)
+    kinds = []
+    for _ in range(40):
+        e = random_transcendental_expression(rng, atoms, exponents)
+        asg = random_assignment(e, rng)
+        value = to_sympy(sp, e).xreplace(
+            {sp.Symbol(to_text(a)): sp.Rational(v.numerator, v.denominator)
+             for a, v in asg.items()})
+        got = numeric_probe(e, asg)
+        if isinstance(got, Fraction):
+            kinds.append("exact")
+            assert value == sp.Rational(got.numerator, got.denominator)
+            continue
+        kinds.append("interval")
+        approx = sp.Rational(value.evalf(60))
+        eps = sp.Rational(1, 10 ** 50) * max(1, abs(approx))
+        assert (sp.Rational(got.lo.numerator, got.lo.denominator) - eps
+                <= approx <=
+                sp.Rational(got.hi.numerator, got.hi.denominator) + eps), e
+    assert kinds.count("exact") >= 5 and kinds.count("interval") >= 20
 
 
 def test_precision_cap_is_undecided_not_zero(monkeypatch):

@@ -260,6 +260,9 @@ def test_one_row_parser():
                node.func.attr == "from_rows" for node in ast.walk(tree)):
             callers.add(path.stem)
     assert callers <= ROW_PARSERS, sorted(callers - ROW_PARSERS)
-    imported = {alias.name for mod, _, node in _imports()
-                if mod == "constraints" for alias in node.names}
-    assert not imported & {"linear_form", "solve_linear"}
+    imported = {(mod, alias.name) for mod, _, node in _imports()
+                for alias in node.names}
+    # constraint rows are read through `constraints.operator` only
+    assert not imported & {("constraints", "linear_form"),
+                           ("constraints", "solve_linear"),
+                           ("linearize", "solve_linear")}
