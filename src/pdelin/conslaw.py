@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .constraints import LinearConstraints
 from .errors import ExprError, NotADivergenceError, WorkspaceError
@@ -125,7 +124,9 @@ class DeterminingSystem:
 
     def check_family(self, candidates, constraints=None):
         """Substitute candidate expressions for the unknown multipliers into
-        every split equation and reduce modulo the given constraints."""
+        every split equation and reduce modulo the given constraints.  Only
+        tests call it; it is kept as the oracle that checks the parametric
+        split against known multiplier families."""
         out = []
         for (_, _, eq) in self.equations:
             e = _instantiate_unknowns(eq, self.unknowns, self.arguments, candidates)
@@ -283,23 +284,10 @@ MAX_REDUCER_PASSES = 64
 MAX_REWRITE_ROUNDS = 32
 
 
-class _LiveEquation:
-    """A live reducer equation, its unknown-function kernels, and its linear
-    form over them, computed on first use."""
-
-    def __init__(self, eq, kernels):
-        self.eq = eq
-        self.kernels = kernels
-
-    @cached_property
-    def form(self):
-        """(coefficients, rest), or None when not linear in the kernels."""
-        return linear_form(self.eq, self.kernels)
-
-    def homogeneous(self):
-        """The coefficients when the form has no kernel-free part."""
-        form = self.form
-        return form[0] if form is not None and is_zero(form[1]) else None
+def _homogeneous(form):
+    """The coefficients of a linear form with no kernel-free part, else
+    None."""
+    return form[0] if form is not None and is_zero(form[1]) else None
 
 
 class _ReducerState:
@@ -372,16 +360,18 @@ class _ReducerState:
             self.equations = self.live_equations()
             if not self.equations:
                 return
-            live = [_LiveEquation(eq, self._kernels(eq))
-                    for eq in self.equations]
+            live = [self._live(eq) for eq in self.equations]
             if not any(p(live) for p in passes):
                 return
         self.steps.append(f"reducer stopped: pass cap MAX_REDUCER_PASSES = "
                           f"{MAX_REDUCER_PASSES} exhausted")
 
-    def _kernels(self, e):
-        return [k for k in fun_kernels_of(e)
-                if k.name in self.args and k.name not in self.subs]
+    def _live(self, e):
+        """(e, its kernels of unknown functions, its linear form over
+        them)."""
+        kernels = [k for k in fun_kernels_of(e)
+                   if k.name in self.args and k.name not in self.subs]
+        return e, kernels, linear_form(e, kernels)
 
     def _register(self, name, body, note):
         self.subs[name] = body
@@ -389,10 +379,10 @@ class _ReducerState:
 
     # pass: c * g_K = 0 with a single kernel
     def _pass_drop_dependency(self, live):
-        for e in live:
-            if len(e.kernels) != 1 or e.homogeneous() is None:
+        for _, ks, form in live:
+            if len(ks) != 1 or _homogeneous(form) is None:
                 continue
-            k = e.kernels[0]
+            k = ks[0]
             if sum(k.dmidx) == 0:
                 self._register(k.name, rat(0), f"{k.name} = 0 forced")
                 return True
@@ -420,13 +410,13 @@ class _ReducerState:
     # pass: solve one equation algebraically for an underived kernel; the
     # only pass that accepts a kernel-free part
     def _pass_algebraic(self, live):
-        for e in live:
-            for k in e.kernels:
-                if sum(k.dmidx) != 0 or e.form is None:
+        for eq, ks, form in live:
+            for k in ks:
+                if sum(k.dmidx) != 0 or form is None:
                     continue
-                if any(kk != k and kk.name == k.name for kk in e.kernels):
+                if any(kk != k and kk.name == k.name for kk in ks):
                     continue
-                solved = solve_linear(e.eq, k)
+                solved = solve_linear(eq, k)
                 if solved is None:
                     continue
                 body = self._to_placeholders(solved[1], k.name, k.args)
@@ -451,10 +441,10 @@ class _ReducerState:
 
     # pass: exactness  c*(g1_xi - g2_eta) = 0  ->  potential
     def _pass_potential(self, live):
-        for e in live:
-            if len(e.kernels) != 2:
+        for _, ks, form in live:
+            if len(ks) != 2:
                 continue
-            k1, k2 = e.kernels
+            k1, k2 = ks
             if k1.name == k2.name or k1.args != k2.args:
                 continue
             if sum(k1.dmidx) != 1 or sum(k2.dmidx) != 1:
@@ -462,7 +452,7 @@ class _ReducerState:
             p1, p2 = multi_lower(k1.dmidx)[0], multi_lower(k2.dmidx)[0]
             if p1 == p2:
                 continue
-            cs = e.homogeneous()
+            cs = _homogeneous(form)
             if cs is None or not is_zero(add(*cs)):
                 continue
             c1 = cs[0]
@@ -485,15 +475,14 @@ class _ReducerState:
 
     # pass: g_xi + a*g = 0 with a free of xi -> g = exp(-a xi) h(rest)
     def _pass_exponential(self, live):
-        for e in live:
-            ks = e.kernels
+        for _, ks, form in live:
             if len(ks) != 2 or ks[0].name != ks[1].name:
                 continue
             i = 0 if sum(ks[0].dmidx) == 0 else 1  # the underived kernel
             g, gk = ks[i], ks[1 - i]
             if sum(g.dmidx) != 0 or sum(gk.dmidx) != 1:
                 continue
-            cs = e.homogeneous()
+            cs = _homogeneous(form)
             if cs is None:
                 continue
             c0, c1 = cs[i], cs[1 - i]
@@ -515,16 +504,16 @@ class _ReducerState:
 
     # pass: transport g_xi + a*g_eta = 0 by characteristics
     def _pass_transport(self, live):
-        for e in live:
-            if len(e.kernels) != 2:
+        for _, ks, form in live:
+            if len(ks) != 2:
                 continue
-            k1, k2 = e.kernels
+            k1, k2 = ks
             if k1.name != k2.name or sum(k1.dmidx) != 1 or sum(k2.dmidx) != 1:
                 continue
             p1, p2 = multi_lower(k1.dmidx)[0], multi_lower(k2.dmidx)[0]
             if p1 == p2:
                 continue
-            cs = e.homogeneous()
+            cs = _homogeneous(form)
             if cs is None:
                 continue
             c1, c2 = cs

@@ -871,13 +871,41 @@ def solve_linear(e, kernel):
 
 
 def linear_form(e, kernels):
-    """(coefficients, rest) with e == sum(c_i * kernels[i]) + rest, where
-    c_i = diff_kernel(e, kernels[i]); None when a coefficient holds an
-    arbitrary-function kernel, so `e` is not linear in the kernels."""
-    coefficients = [diff_kernel(e, k) for k in kernels]
-    if any(fun_kernels_of(c) for c in coefficients):
-        return None
-    return coefficients, sub(e, add(*map(mul, coefficients, kernels)))
+    """(coefficients, rest) with e == sum(c_i * kernels[i]) + rest over
+    distinct function kernels, read off the monomials in one pass.  A
+    monomial holding one listed kernel at exponent 1 and no other function
+    kernel adds to that kernel's coefficient, c_i = diff_kernel(e,
+    kernels[i]); one holding no listed kernel is rest.  None when `e` is not
+    linear in the kernels: a listed kernel at another exponent, inside
+    another node, or times another function kernel."""
+    index = {k: i for i, k in enumerate(kernels)}
+    parts = [[] for _ in kernels]
+    monos = monomials(e)
+    rest = []
+    for coeff, fmap in monos:
+        lead = None
+        other = False
+        for k, n in fmap.items():
+            # the function kernels in k: k itself first, when it is one
+            inner = [f for f in walk(k) if isinstance(f, Fun)]
+            if k in index:
+                if n != 1 or lead is not None:
+                    return None
+                lead, inner = k, inner[1:]
+            elif inner:
+                other = True
+            if any(f in index for f in inner):
+                return None
+        if lead is None:
+            rest.append((coeff, fmap))
+        elif other:
+            return None
+        else:
+            fmap = dict(fmap)
+            del fmap[lead]
+            parts[index[lead]].append((coeff, fmap))
+    return ([_sum(p) for p in parts],
+            e if len(rest) == len(monos) else _sum(rest))
 
 
 def derive_multi(e, variables, K, derive):

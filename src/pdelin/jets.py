@@ -94,9 +94,6 @@ class PdeSystem:
     def n(self):
         return self.workspace.n
 
-    def leading_rules(self):
-        return dict(self.rules)
-
     def prolonged_rules(self, order):
         return prolong_rules(self.rules, order, self.workspace, complete=True)
 

@@ -1,7 +1,7 @@
 """Point and contact transformations: exact change of variables in jet
 space, inversion for the closed-form patterns the corpus needs (componentwise
-linear solves plus exp/log kernels), solution transport, and comparison of
-systems up to nonzero factors."""
+linear solves plus exp/log kernels), and comparison of systems up to nonzero
+factors."""
 
 from __future__ import annotations
 
@@ -105,14 +105,6 @@ def contact_rho(chain, psi):
         raise DegenerateError("contact condition is degenerate: the "
                               "Jacobian vanishes")
     return [chain(psi, v) for v in chain.variables]
-
-
-def lift_point_to_contact(tr):
-    """Attach rho to a point transformation of a scalar system by solving
-    the contact condition."""
-    rho = contact_rho(ChainRule(tr.phi, tr.source.independents), tr.psi[0])
-    return Transformation("contact", tr.source, tr.target, tr.phi, tr.psi,
-                          tuple(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -391,40 +383,3 @@ def _factor_ratio(a, b):
                 probe_nonzero_robust(r, default_probe_seed() + 17):
             return r
     return None
-
-
-# ---------------------------------------------------------------------------
-# solution transport
-# ---------------------------------------------------------------------------
-
-
-def push_solution(sys, tr, solution):
-    """Image of a source-system solution under the transformation.
-
-    `solution` maps dependent names to expressions in the source
-    independents; it must satisfy the source system.  Returns a dict with
-    the parametric image (z_i and w^s as expressions of x) and, when the
-    independent part can be solved for x in closed form, the explicit form
-    w^s(z)."""
-    src, tgt = tr.source, tr.target
-
-    def rules_for(e):
-        out = {}
-        for j in jets_of(e):
-            out[j] = derive_multi(solution[j.dep], src.independents,
-                                  src.jet_vector(j), total_derivative)
-        return out
-
-    for name, g in zip(sys.names, sys.equations):
-        if not is_zero(substitute(g, rules_for(g))):
-            raise ExprError(f"candidate solution does not satisfy {name}")
-
-    z_par = [substitute(p, rules_for(p)) for p in tr.phi]
-    w_par = [substitute(p, rules_for(p)) for p in tr.psi]
-    out = {"z": z_par, "w": w_par, "explicit": None}
-
-    pairs = list(zip(z_par, tgt.independents))
-    sol = _solve_atoms(pairs, src.independents)
-    if sol is not None:
-        out["explicit"] = [substitute(wp, sol) for wp in w_par]
-    return out

@@ -176,20 +176,20 @@ def _transcendental(name, v, prec):
     `prec` bits on raw mpmath endpoints: an enclosure's endpoints are read
     exactly, an exact value is rounded outward, and the result's endpoints
     are rounded outward onto the 2**-prec grid."""
-    from mpmath.libmp import (finf, fnan, fninf, from_man_exp, from_rational,
-                              libmpi, mpf_neg, round_ceiling, round_floor,
-                              to_fixed)
+    import mpmath.libmp as libmp
     if type(v) is tuple:
         n, d = v
-        s = (from_rational(n, d, prec, round_floor),
-             from_rational(n, d, prec, round_ceiling))
+        s = (libmp.from_rational(n, d, prec, libmp.round_floor),
+             libmp.from_rational(n, d, prec, libmp.round_ceiling))
     else:
-        s = (from_man_exp(v[0], -prec), from_man_exp(v[1], -prec))
-    fn = libmpi.mpi_exp if name == "exp" else libmpi.mpi_log
+        s = (libmp.from_man_exp(v[0], -prec), libmp.from_man_exp(v[1], -prec))
+    fn = libmp.mpi_exp if name == "exp" else libmp.mpi_log
     lo, hi = fn(s, prec)
-    if lo in (finf, fninf, fnan) or hi in (finf, fninf, fnan):
+    bad = (libmp.finf, libmp.fninf, libmp.fnan)
+    if lo in bad or hi in bad:
         raise DomainError(f"non-finite value in interval evaluation of {name}")
-    return [to_fixed(lo, prec), -to_fixed(mpf_neg(hi), prec)]
+    return [libmp.to_fixed(lo, prec),
+            -libmp.to_fixed(libmp.mpf_neg(hi), prec)]
 
 
 def _eval(e, assignment, prec, memo):

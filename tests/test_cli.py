@@ -304,7 +304,7 @@ def test_leading_rules_are_reduced_against_each_other(tmp_path, capsys):
     lines = bundled_path("burgers").read_text().splitlines()
     for new in ("G1 = - 2*u1", "G1 = u2_t - u1_x"):
         text = "\n".join(new if ln.startswith("G1 =") else ln for ln in lines)
-        assert len(load_workspace_text(text).system.leading_rules()) == 2
+        assert len(load_workspace_text(text).system.rules) == 2
         for command, want in (("detsys", 0), ("linearize", 2), ("verify", 4)):
             assert run(tmp_path, text, command, "--json") == want
             doc = json.loads(capsys.readouterr().out)

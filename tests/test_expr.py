@@ -166,8 +166,18 @@ def test_linear_form_coefficients_and_rest():
 
 
 def test_linear_form_rejects_a_product_of_kernels():
+    f = Fun("f", (x, t))
     e = parse("f(x,t)*g(x,t) + f(x,t)", ws)
-    assert linear_form(e, [Fun("f", (x, t)), Fun("g", (x, t))]) is None
+    assert linear_form(e, [f, Fun("g", (x, t))]) is None
+    # f squared, f inside exp, a denominator sum or another function's
+    # argument, and f times an unlisted function kernel
+    for text in ("f(x,t)^2 + x", "exp(f(x,t)) + x*f(x,t)",
+                 "f(x,t) + 1/(f(x,t) + x)", "g(f(x,t), t) + f(x,t)",
+                 "f(x,t)*h(x,t) + f(x,t)"):
+        assert linear_form(parse(text, ws), [f]) is None, text
+    # an unlisted function kernel nested in other nodes is rest
+    e = parse("x*exp(h(x,t)) + t/(h(x,t) + x)", ws)
+    assert linear_form(e, [f]) == ([rat(0)], e)
 
 
 def test_linear_form_rebuilds_random_combinations():

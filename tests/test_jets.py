@@ -84,7 +84,7 @@ def test_prolong_simple():
 
 def test_prolong_burgers_compatibility():
     sys = burgers_system()
-    rules = prolong_rules(sys.leading_rules(), 2, ws)
+    rules = prolong_rules(sys.rules, 2, ws)
     e = sub(total_derivative(sys.equations[0], t),
             total_derivative(sys.equations[1], x))
     got = substitute(e, rules)
@@ -116,7 +116,7 @@ def test_leading_rules_are_reduced_against_each_other():
     # u1 = 0 rules out u1_x, so G2 rules u2_t = 0; a second lead u2_t makes
     # its equation rule u1_x instead
     def rules(g1, g2="u2_t - 2*u1_x + u1^2"):
-        return PdeSystem(ws, [parse(g1, ws), parse(g2, ws)]).leading_rules()
+        return PdeSystem(ws, [parse(g1, ws), parse(g2, ws)]).rules
 
     assert rules("-2*u1") == {u1: rat(0), parse("u2_t", ws): rat(0)}
     assert rules("u2_t - u1_x") == {parse("u2_t", ws): parse("u1^2", ws),

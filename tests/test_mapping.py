@@ -1,5 +1,5 @@
 """Point/contact transformations: application, inversion, contact
-conditions, solution transport, and the bundled transformation chains."""
+conditions, and the bundled transformation chains."""
 
 import pytest
 
@@ -7,7 +7,6 @@ import corpus
 from helpers import seeded
 from pdelin import mapping
 from pdelin.cli import bundled_path, main
-from pdelin.errors import ExprError
 from pdelin.expr import (Jet, add, equal, exp_, is_zero, mul, neg, rat, sub,
                          substitute, total_derivative)
 from pdelin.grammar import parse, to_text
@@ -16,8 +15,7 @@ from pdelin.linearize import match_multiplier_form
 from pdelin.mapping import (ChainRule, Transformation, apply_transformation,
                             check_contact_condition,
                             equations_match_up_to_factor,
-                            invert_transformation, lift_point_to_contact,
-                            push_solution)
+                            invert_transformation)
 from pdelin.workspace import Workspace
 from pdelin.wsfile import load_workspace_text
 
@@ -116,16 +114,6 @@ def test_contact_condition_examples():
     assert not check_contact_condition(bad)
 
 
-def test_point_lift_satisfies_contact_condition():
-    ws = Workspace("xt", ["u"])
-    tgt = Workspace("zs", ["w"])
-    tr = Transformation("point", ws, tgt,
-                        (parse("x", ws), parse("t", ws)),
-                        (parse("u^2 + x", ws),))
-    lifted = lift_point_to_contact(tr)
-    assert check_contact_condition(lifted)
-
-
 def test_round_trip_burgers_and_telegraph():
     for builder in (burgers_transformation, telegraph_transformation):
         ws, sys, tgt, tr = builder()
@@ -187,18 +175,6 @@ def test_chain_rule_exactness_affine_maps():
         assert equations_match_up_to_factor(rep.equations, [want])
 
 
-def test_push_constant_solution_identity_map():
-    ws = Workspace("xt", ["u"])
-    sys = PdeSystem(ws, [parse("u_t - u_xx", ws)])
-    tgt = Workspace("zs", ["w"])
-    tr = Transformation("point", ws, tgt,
-                        (parse("x", ws), parse("t", ws)),
-                        (parse("u", ws),))
-    out = push_solution(sys, tr, {"u": rat(7)})
-    assert out["explicit"] is not None
-    assert equal(out["explicit"][0], rat(7))
-
-
 def test_equivalence_relation_properties():
     ws, sys, tgt, tr = burgers_transformation()
     rep = apply_transformation(sys, tr)
@@ -208,46 +184,15 @@ def test_equivalence_relation_properties():
     assert equations_match_up_to_factor(want, rep.equations)
 
 
-def test_push_solution_substitutes_each_solved_variable_back():
+def test_inverse_substitutes_each_solved_variable_back():
     # x is solved from exp(x + t) = z before t = s is known; its value
     # must not keep the source variable t
     ws = Workspace("xt", ["u"])
-    sys = PdeSystem(ws, [parse("u_t - u_xx", ws)])
-    tgt = Workspace("zs", ["w"])
-    tr = Transformation("point", ws, tgt,
+    tr = Transformation("point", ws, Workspace("zs", ["w"]),
                         (parse("exp(x + t)", ws), parse("t", ws)),
                         (parse("u", ws),))
-    out = push_solution(sys, tr, {"u": parse("x", ws)})
-    assert [to_text(w) for w in out["explicit"]] == ["-s + log(z)"]
-
-
-def test_push_solution_burgers():
-    ws, sys, tgt, tr = burgers_transformation()
-    sol = {"u1": rat(-2), "u2": parse("-4*x - 4*t", ws)}
-    out = push_solution(sys, tr, sol)
-    assert out["explicit"] is not None
-    w1, w2 = out["explicit"]
-    # image solves the heat pair
-    t13 = [parse("w2_x - w1", tgt), parse("w1_x - w2_t", tgt)]
-    rules = {}
-    for j in [Jet("w1", (("x", 1),)), Jet("w2", (("x", 1),)),
-              Jet("w2", (("t", 1),)), Jet("w1", (("t", 1),))]:
-        base = {"w1": w1, "w2": w2}[j.dep]
-        d = base
-        for v, o in j.midx:
-            for _ in range(o):
-                d = total_derivative(d, tgt.independent(v))
-        rules[j] = d
-    rules[tgt.lookup("w1")] = w1
-    rules[tgt.lookup("w2")] = w2
-    for eq in t13:
-        assert is_zero(substitute(eq, rules))
-
-
-def test_push_solution_rejects_non_solution():
-    ws, sys, tgt, tr = burgers_transformation()
-    with pytest.raises(ExprError):
-        push_solution(sys, tr, {"u1": rat(1), "u2": rat(0)})
+    inv, _ = invert_transformation(tr)
+    assert [to_text(p) for p in inv.phi] == ["-s + log(z)", "s"]
 
 
 def test_hopf_cole_direction():

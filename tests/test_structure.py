@@ -1,9 +1,10 @@
 """Import discipline of the package: no function-level relative imports (they
 hide import cycles), no module reaches into the expression kernel's private
 helpers, no module outside the kernel, the printer and the workspace reads a
-jet's (name, order) pairs, and no module-level import is left unused.  No
-function mutates module-level state; the two settings the README names are
-per context.  Every loop cap is a named constant."""
+jet's (name, order) pairs, and no module-level import is left unused.
+Every module-level definition has a caller outside the tests, unless it is a
+named test oracle.  No function mutates module-level state; the two settings
+the README names are per context.  Every loop cap is a named constant."""
 
 import ast
 import pathlib
@@ -92,21 +93,45 @@ def _names(tree):
             yield node.value
 
 
-def test_every_module_level_definition_is_used():
-    # a definition counts as used when it is named outside its own body
+def _unnamed_definitions(folders):
+    """(module, name) of each module-level function or class of the package
+    that no file in the given folders names outside its own body."""
     root = PACKAGE.parent.parent
     named = Counter()
     defs = []
-    for folder in ("src", "tests", "demos", "bench"):
+    for folder in folders:
         for path in sorted((root / folder).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             named.update(_names(tree))
             if path.parent == PACKAGE:
                 defs += [(path.stem, node) for node in tree.body
                          if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    unused = [(mod, node.name) for mod, node in defs
-              if named[node.name] == Counter(_names(node))[node.name]]
+    return [(mod, node.name) for mod, node in defs
+            if named[node.name] == Counter(_names(node))[node.name]]
+
+
+def test_every_module_level_definition_is_used():
+    unused = _unnamed_definitions(("src", "tests", "demos", "bench"))
     assert not unused, unused
+
+
+# the test oracles: module-level definitions that only tests name, each
+# with what it checks
+TEST_ORACLES = {
+    "identity_residual": "the bilinear identity of an operator, in full",
+    "euler_wrt_function": "E_V in the new coordinates, against W and Q",
+    "verify_point_symmetry": "the symmetries of the bundled systems",
+    "SymmetryGenerator": "the input of verify_point_symmetry",
+}
+
+
+def test_no_api_is_named_only_by_tests():
+    # API that only tests call is deleted together with its tests, unless
+    # it is a named oracle; an oracle that gains a caller leaves the list
+    test_only = {name for _, name in
+                 _unnamed_definitions(("src", "demos", "bench"))}
+    assert test_only == set(TEST_ORACLES), \
+        sorted(test_only ^ set(TEST_ORACLES))
 
 
 def test_no_unused_module_level_imports():
