@@ -108,10 +108,13 @@ def _resolve_family(wf, args, doc):
         return _file_family(wf, doc)
     res = _reduce(_determining_system(wf, args, doc), doc)
     if res.family is None:
+        # case I decides the route; an undetermined run decides nothing
+        verdict = ("the given system does not linearize along this route"
+                   if res.case == "I" else "the reducer did not finish, so "
+                   "whether the given system linearizes is not decided")
         raise CliFailure(EXIT_REJECTED,
                          "no multiplier family of the arbitrary-function form "
-                         f"was derived (case {res.case}); the given system "
-                         "does not linearize along this route")
+                         f"was derived (case {res.case}); {verdict}")
     return res.family
 
 

@@ -40,7 +40,10 @@ class Rejection:
 @dataclass
 class LinearizationCandidate:
     """A matched family.  W, the mapping and the target are computed on
-    first use, once per candidate."""
+    first use, once per candidate.  Two routes apply L~* composed with
+    X(x,U): `composed_op`, precomposed once, builds the columns of the W
+    solve; `adjoint_rows`, through the chain rule, confirms the W found
+    and is the one `verify_linearization` checks with."""
 
     family: MultiplierFamily          # in arbitrary-function (v) form
     system: object                    # the source PdeSystem
@@ -91,9 +94,16 @@ class LinearizationCandidate:
         return [add(*[mul(self.Q[nu][mu], g) for nu, g in enumerate(eqs)])
                 for mu in range(len(eqs))]
 
+    @cached_property
+    def composed_op(self):
+        """L~* composed with X(x,U) as an operator in x, built once for the
+        W solve by `composed_operator`."""
+        return composed_operator(self)
+
     def adjoint_rows(self, W):
         """(L~* W)^mu composed with X(x,U): coefficients b(X) -> b(X(x,U))
-        and each d/dX_i realized through the chain rule."""
+        and each d/dX_i realized through the chain rule.  The independent
+        route, kept for confirming W and for verify_linearization."""
         return self.adjoint_op.apply(W, derive=self.chain_rule,
                                      coefficient=self.compose)
 
@@ -274,6 +284,45 @@ def match_multiplier_form(fam, sys):
 # ---------------------------------------------------------------------------
 
 
+def composed_operator(cand):
+    """L~* composed with X(x,U) as an operator in x.  The chain rule gives
+    (DX)^K = sum_L a_{K,L} D_x^L through the recursion
+    DX_i(a D^L h) = DX_i(a) D^L h + sum_j (cof_ij / J) a D^{L+e_j} h
+    (Olver, Applications of Lie Groups to Differential Equations, 2.2);
+    row mu's coefficients C[(alpha, L)] = sum_K c_{mu,alpha,K}(X) a_{K,L}
+    and (Q G)^mu are cleared by one common denominator D_mu.  Returns one
+    (D_mu, {(alpha, L): D_mu C[(alpha, L)]}, D_mu (Q G)^mu) per row."""
+    chain, coords = cand.chain_rule, cand.coords
+    n = len(coords)
+    expansion = {(0,) * n: {(0,) * n: rat(1)}}
+
+    def expand(K):
+        if K not in expansion:
+            i, lower = multi_lower(K)
+            out = {}
+            for L, a in expand(lower).items():
+                out[L] = add(out.get(L, rat(0)), chain(a, coords[i]))
+                scaled = div(a, chain.det)
+                for j, c in enumerate(chain.cof[i]):
+                    Lj = L[:j] + (L[j] + 1,) + L[j + 1:]
+                    out[Lj] = add(out.get(Lj, rat(0)), mul(c, scaled))
+            expansion[K] = out
+        return expansion[K]
+
+    tables = [{} for _ in cand.qg_rows]
+    for (mu, alpha, K), c in cand.adjoint_op.coeffs.items():
+        c, t = cand.compose(c), tables[mu]
+        for L, a in expand(K).items():
+            t[(alpha, L)] = add(t.get((alpha, L), rat(0)), mul(c, a))
+    rows = []
+    for table, target in zip(tables, cand.qg_rows):
+        keys = [k for k, c in table.items() if not is_zero(c)]
+        cleared = clear_denominators([rat(1), target] +
+                                     [table[k] for k in keys])
+        rows.append((cleared[0], dict(zip(keys, cleared[2:])), cleared[1]))
+    return rows
+
+
 def _candidate_basis(cand, degree):
     """Monomials for the undetermined-coefficient solve of the dependent
     part W: atoms and transcendental kernels harvested from the family."""
@@ -332,43 +381,56 @@ def extract_dependent_part(cand):
     """Solve Q_nu^mu G^nu == (L~* W)^mu identically in U for W over a
     harvested monomial basis, at basis degree 2 and then up to
     MAX_W_DEGREE.  L~* is linear, so each basis monomial b in each slot
-    alpha of W gives one column L~*(b e_alpha); each row mu of the target
-    and of every column is cleared by one common denominator, and the
-    coefficients of each monomial give one exact rational equation in the
-    unknown coefficients of W.  Returns the W list; raises ExtractionError
-    when no combination of basis monomials satisfies the identity."""
-    columns = {}
+    alpha of W gives one column L~*(b e_alpha), read through the
+    candidate's composed operator; the coefficients of each monomial in a
+    row give one exact rational equation in the unknown coefficients of
+    W.  The solution is confirmed through the independent route,
+    `adjoint_rows`.  Returns the W list; raises ExtractionError when no
+    combination of basis monomials satisfies the identity at any
+    degree."""
     last = None
     for degree in range(2, MAX_W_DEGREE + 1):
         try:
-            return _extract_at_degree(cand, degree, columns)
+            return _extract_at_degree(cand, degree)
         except ExtractionError as exc:
             last = exc
-    raise last
+    raise ExtractionError(f"{last}; basis degrees 2 to {MAX_W_DEGREE} tried, "
+                          f"up to the cap MAX_W_DEGREE = {MAX_W_DEGREE}")
 
 
-def _extract_at_degree(cand, degree, columns):
-    """W at one basis degree; `columns` caches L~*(b e_alpha) by
-    (alpha, b) across degrees."""
+def _extract_at_degree(cand, degree):
+    """W at one basis degree.  Row mu of column (alpha, b), times D_mu, is
+    sum_L C[(alpha, L)] D_x^L b from `cand.composed_op`, so no chain rule
+    and no division by J runs per column.  The D_x^L b of the basis are
+    cleared by one common denominator P, which scales every row: each
+    term C (P D_x^L b) is then free of denominators, and its monomials add
+    straight into the row's equations.  The W found is confirmed exactly
+    with `cand.adjoint_rows` against the uncleared (Q G)^mu."""
     basis = _candidate_basis(cand, degree)
     m = cand.constraint_op.rows
+    dx = cand.system.workspace.independents
     slots = [(alpha, b) for alpha in range(m) for b in basis]
-    for alpha, b in slots:
-        if (alpha, b) not in columns:
-            unit = [b if a == alpha else rat(0) for a in range(m)]
-            columns[(alpha, b)] = cand.adjoint_rows(unit)
-    # one equation per monomial: sum_j c_j column_j - target == 0, with the
-    # target's coefficient under the key None
-    keys = list(range(len(slots))) + [None]
+    orders = sorted({L for _, table, _ in cand.composed_op for _, L in table})
+    derivs = [(b, L) for b in basis for L in orders]
+    cleared = clear_denominators([rat(1)] + [
+        derive_multi(b, dx, L, total_derivative) for b, L in derivs])
+    scale, dB = cleared[0], dict(zip(derivs, cleared[1:]))
+    # one equation per monomial: sum_j c_j P D_mu column_j^mu
+    # - P D_mu (Q G)^mu == 0, with the target's coefficient under the key None
     equations = []
-    for mu, target in enumerate(cand.qg_rows):
+    for _, table, target in cand.composed_op:
         local = {}
-        cleared = clear_denominators(
-            [columns[s][mu] for s in slots] + [neg(target)])
-        for key, e in zip(keys, cleared):
+        terms = [(None, mul(scale, neg(target)))] + [
+            (j, mul(c, dB[(b, L)])) for j, (alpha, b) in enumerate(slots)
+            for (a, L), c in table.items() if a == alpha]
+        for key, e in terms:
             for coeff, fmap in monomials(e):
-                local.setdefault(monomial_signature(fmap), {})[key] = coeff
-        equations.extend(local.values())
+                row = local.setdefault(monomial_signature(fmap), {})
+                row[key] = row.get(key, 0) + coeff
+        for row in local.values():
+            row = {key: c for key, c in row.items() if c}
+            if row:
+                equations.append(row)
     sol = _solve_linear_system(equations, range(len(slots)))
     if sol is None:
         raise ExtractionError(
@@ -556,10 +618,11 @@ class LinearizationReport:
 
 
 def verify_linearization(sys, cand):
-    """Check Q G == L~* W identically in U, then cross-check by applying the
-    built transformation and comparing with the target system up to nonzero
-    row factors.  Each row found identically zero is cross-checked by
-    probing its two sides at a random point."""
+    """Check Q G == L~* W identically in U through `cand.adjoint_rows`
+    (never the composed operator of the W solve), then cross-check by
+    applying the built transformation and comparing with the target system
+    up to nonzero row factors.  Each row found identically zero is
+    cross-checked by probing its two sides at a random point."""
     targets = cand.qg_rows
     rows = cand.adjoint_rows(cand.W)
     residuals = [sub(t, r) for t, r in zip(targets, rows)]

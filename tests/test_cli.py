@@ -176,6 +176,22 @@ def test_not_linearizable_toy_exits_2(tmp_path, capsys):
     assert "rejected" in out
 
 
+def test_undetermined_reduction_is_not_a_verdict(tmp_path, capsys):
+    # G1 + G2 in place of G1 has the same solutions as Burgers, which
+    # linearizes; the reducer stops short, and the message says so rather
+    # than claiming that the system does not linearize
+    lines = bundled_path("burgers").read_text().splitlines()
+    new = "G1 = u2_x - 2*u1 + u2_t - 2*u1_x + u1^2"
+    text = "\n".join(new if ln.startswith("G1 =") else ln for ln in lines)
+    assert run(tmp_path, text, "linearize", "--json") == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reduction"]["case"] == "undetermined"
+    assert doc["message"] == (
+        "no multiplier family of the arbitrary-function form was derived "
+        "(case undetermined); the reducer did not finish, so whether the "
+        "given system linearizes is not decided")
+
+
 def test_corrupted_w_rejected(tmp_path, capsys):
     code = run(tmp_path, CORRUPTED_W, "verify")
     assert code == 4
@@ -478,9 +494,11 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
                                                       system):
     # L~* is built once per job, however many stages read it; so is each
     # of the two chain rules, whose adjugates are the only ones built: d/dX
-    # of the candidate and D_x of the inverse in apply_transformation
-    calls = {"adjoint": 0, "adjugate": 0}
+    # of the candidate and D_x of the inverse in apply_transformation; and
+    # so is L~* composed with X, not once per basis degree or column
+    calls = {"adjoint": 0, "adjugate": 0, "composed": 0}
     adjoint, adjugate = LinearOperator.adjoint, mapping.adjugate
+    composed = linearize.composed_operator
 
     def counting_adjoint(self):
         calls["adjoint"] += 1
@@ -490,11 +508,16 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
         calls["adjugate"] += 1
         return adjugate(mat)
 
+    def counting_composed(cand):
+        calls["composed"] += 1
+        return composed(cand)
+
     monkeypatch.setattr(LinearOperator, "adjoint", counting_adjoint)
     monkeypatch.setattr(mapping, "adjugate", counting_adjugate)
+    monkeypatch.setattr(linearize, "composed_operator", counting_composed)
     assert main(["linearize", system]) == 0
     capsys.readouterr()
-    assert calls == {"adjoint": 1, "adjugate": 2}
+    assert calls == {"adjoint": 1, "adjugate": 2, "composed": 1}
 
 
 @pytest.mark.parametrize("job, loads_mpmath", [

@@ -3,6 +3,7 @@
 mapping construction, target systems, and verification."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,14 +13,15 @@ from pdelin.conslaw import (MultiplierAnsatz, MultiplierFamily,
                             determining_system, reduce_determining_system)
 from pdelin.constraints import LinearConstraints
 from pdelin.errors import ExtractionError
-from pdelin.expr import (Fun, Jet, add, equal, exp_, is_zero, mul, neg,
-                         rat, sub, total_derivative)
+from pdelin.expr import (Fun, Jet, add, derive_multi, equal, exp_, is_zero,
+                         mul, neg, rat, sub, total_derivative)
 from pdelin.grammar import parse, to_text
 from pdelin.jets import PdeSystem
-from pdelin.linearize import (Rejection, augmented_identity, build_mapping,
-                              euler_wrt_function, extract_dependent_part,
-                              match_multiplier_form, target_system,
-                              verify_linearization)
+from pdelin.linearize import (MAX_W_DEGREE, Rejection, _candidate_basis,
+                              _solve_linear_system, augmented_identity,
+                              build_mapping, euler_wrt_function,
+                              extract_dependent_part, match_multiplier_form,
+                              target_system, verify_linearization)
 from pdelin.mapping import ChainRule, equations_match_up_to_factor
 from pdelin.probe import (probe_is_zero, probe_nonzero_robust,
                           random_assignment, set_default_probe_seed)
@@ -174,8 +176,87 @@ def test_extraction_failure_reported():
                            constraints=cons)
     cand = match_multiplier_form(fam, sys)
     assert not isinstance(cand, Rejection)
-    with pytest.raises(ExtractionError):
+    # the message names the cap that gave up and the degrees it tried
+    with pytest.raises(ExtractionError,
+                       match=f"degrees 2 to {MAX_W_DEGREE} tried, up to the "
+                             f"cap MAX_W_DEGREE = {MAX_W_DEGREE}"):
         extract_dependent_part(cand)
+
+
+@pytest.mark.parametrize("make_sys, make_fam", [
+    (corpus.burgers, corpus.burgers_family_v),
+    (corpus.pipeline, corpus.pipeline_family),
+    (corpus.telegraph, corpus.telegraph_family)],
+    ids=["burgers", "pipeline", "telegraph"])
+def test_composed_operator_agrees_with_adjoint_rows(make_sys, make_fam):
+    # the W solve's route against the independent one, on random W from
+    # the candidate basis: row mu of sum C[(alpha, L)] D_x^L W_alpha is
+    # D_mu (L~* W)^mu exactly, and the row's target is D_mu (Q G)^mu
+    ws, sys, cand = matched(make_sys, make_fam)
+    basis = _candidate_basis(cand, 2)
+    rng = seeded(17)
+    for (D, _, target), qg in zip(cand.composed_op, cand.qg_rows):
+        assert is_zero(sub(target, mul(D, qg)))
+    for _ in range(4):
+        W = [add(*[mul(rat(rng.randint(-3, 3), rng.randint(1, 3)), b)
+                   for b in rng.sample(basis, 4)])
+             for _ in range(cand.constraint_op.rows)]
+        for (D, table, _), row in zip(cand.composed_op, cand.adjoint_rows(W)):
+            got = add(*[mul(c, derive_multi(W[a], ws.independents, L,
+                                            total_derivative))
+                        for (a, L), c in table.items()])
+            assert is_zero(sub(got, mul(D, row)))
+
+
+def _random_system(rng, n):
+    """Seeded equations {var: coefficient, None: constant} in n unknowns:
+    independent rows, rows combined from them (rank-deficient), and, for
+    an inconsistent system, one combination with its constant moved."""
+    x0 = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, n)):
+        r = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             for v in range(n)}
+        r[None] = -sum(c * x0[v] for v, c in r.items())
+        rows.append(r)
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        k = Fraction(rng.randint(-2, 2) or 1, rng.randint(1, 3))
+        rows.append({v: a.get(v, 0) + k * b.get(v, 0) for v in set(a) | set(b)})
+    if rng.random() < 0.4:
+        bad = dict(rng.choice(rows))
+        bad[None] = bad.get(None, 0) + 1
+        rows.append(bad)
+    return [{v: c for v, c in r.items() if c} for r in rows]
+
+
+def test_solve_linear_system_is_invariant_under_row_scaling_and_order():
+    # W depends only on the solution set of the equations, not on their
+    # scale, their order or redundant combinations of them: the property
+    # the composed route of the W solve rests on, since it scales each row
+    # of the identity by a nonzero factor
+    rng = seeded(29)
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        eqs = _random_system(rng, n)
+        order = list(range(n))
+        rng.shuffle(order)
+        sol = _solve_linear_system(eqs, order)
+        outcomes.add(sol is None)
+        if sol is not None:
+            for e in eqs:
+                assert e.get(None, 0) + sum(
+                    c * sol[v] for v, c in e.items() if v is not None) == 0
+        scaled = [{v: c * k for v, c in e.items()} for e in eqs
+                  for k in [Fraction(rng.choice([-3, -1, 1, 2, 5]),
+                                     rng.randint(1, 4))]]
+        a, b = rng.choice(eqs), rng.choice(eqs)
+        redundant = {v: a.get(v, 0) + 2 * b.get(v, 0) for v in set(a) | set(b)}
+        scaled.append({v: c for v, c in redundant.items() if c})
+        rng.shuffle(scaled)
+        assert _solve_linear_system(scaled, order) == sol
+    assert outcomes == {True, False}
 
 
 # -- the three displayed identities, frozen -----------------------------------
