@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .constraints import LinearConstraints
+from .constraints import KernelRules, LinearConstraints
 from .errors import ExprError, NotADivergenceError, WorkspaceError
 from .expr import (KIND_PARAMETER, ExpF, Fun, Jet, Rat, Sym, add, atoms_of,
                    derive_multi, diff_atom, div, exp_, from_monomial,
@@ -127,22 +127,17 @@ class DeterminingSystem:
         every split equation and reduce modulo the given constraints.  Only
         tests call it; it is kept as the oracle that checks the parametric
         split against known multiplier families."""
+        rules = KernelRules(diff_atom)
+        for name in self.unknowns:
+            rules.add(name, (0,) * len(self.arguments), self.arguments,
+                      candidates[name])
         out = []
         for (_, _, eq) in self.equations:
-            e = _instantiate_unknowns(eq, self.unknowns, self.arguments, candidates)
+            e = rules.reduce(eq)
             if constraints is not None:
                 e = constraints.reduce(e)
             out.append(e)
         return out
-
-
-def _instantiate_unknowns(e, names, args, candidates):
-    repl = {}
-    for k in fun_kernels_of(e):
-        if k.name in names:
-            repl[k] = derive_multi(candidates[k.name], args, k.dmidx,
-                                   diff_atom)
-    return substitute_kernels(e, repl)
 
 
 def determining_system(sys, ansatz):
@@ -251,9 +246,8 @@ def reduce_family_constraints(fam, sys):
     inst_rows = [substitute(r, dict(zip(fam.coordinates, defs)))
                  for r in fam.constraints.rows]
     state = _ReducerState([name], defs, inst_rows)
-    state.args[name] = defs
     state.run()
-    components = [state.rewrite_instance(c) for c in fam.components]
+    components = [state.rules.reduce(c) for c in fam.components]
     _, packed = _package_result(state, components, sys.workspace)
     return (fam if packed is None else packed), state.steps
 
@@ -279,10 +273,6 @@ def _placeholders(n):
 # passes of _ReducerState.run; a run that exhausts them says so in its steps
 MAX_REDUCER_PASSES = 64
 
-# rounds of _ReducerState.rewrite_instance; a substitution chain that does
-# not settle within them is an error
-MAX_REWRITE_ROUNDS = 32
-
 
 def _homogeneous(form):
     """The coefficients of a linear form with no kernel-free part, else
@@ -293,17 +283,15 @@ def _homogeneous(form):
 class _ReducerState:
     """Rewrites unknown-function kernels through accumulated substitutions.
 
-    Substitutions are stored positionally: for an eliminated function g of
-    arity r, `subs[g]` is an expression over the placeholder symbols
-    _pos0.._pos{r-1} (plus kernels of surviving functions whose arguments are
-    placeholder expressions).  Rewriting an instantiated kernel
-    g_{K}(args) differentiates the stored expression with respect to the
-    placeholders and substitutes the actual arguments."""
+    Substitutions are rules of a `KernelRules` table: an eliminated function
+    g of arity r has the rule at base 0..0 over the placeholder symbols
+    _pos0.._pos{r-1}, whose right-hand side may hold kernels of surviving
+    functions at placeholder expressions."""
 
     def __init__(self, unknowns, arguments, equations):
         self.args = {nm: tuple(arguments) for nm in unknowns}
         self.equations = list(equations)
-        self.subs = {}
+        self.rules = KernelRules(diff_atom)
         self.steps = []
         self.fresh = 0
 
@@ -316,34 +304,14 @@ class _ReducerState:
         self.fresh += 1
         return f"{base}{self.fresh}"
 
-    def rewrite_instance(self, e):
-        """Apply all substitutions to an expression with instantiated
-        kernels, repeatedly until stable."""
-        for _ in range(MAX_REWRITE_ROUNDS):
-            repl = {}
-            for k in fun_kernels_of(e):
-                if k.name in self.subs:
-                    repl[k] = self._instance(k)
-            if not repl:
-                return e
-            e = substitute_kernels(e, repl)
-        raise ExprError("reducer substitution did not stabilize: round cap "
-                        f"MAX_REWRITE_ROUNDS = {MAX_REWRITE_ROUNDS} exhausted")
-
-    def _instance(self, kernel):
-        body = self.subs[kernel.name]
-        ph = _placeholders(len(kernel.args))
-        d = derive_multi(body, ph, kernel.dmidx, diff_atom)
-        return substitute(d, dict(zip(ph, kernel.args)))
-
     def component(self, name):
-        return self.rewrite_instance(Fun(name, self.args[name]))
+        return self.rules.reduce(Fun(name, self.args[name]))
 
     def live_equations(self):
         out = []
         seen = set()
         for eq in self.equations:
-            e = normalize_equation(self.rewrite_instance(eq))
+            e = normalize_equation(self.rules.reduce(eq))
             if is_zero(e) or e.key in seen:
                 continue
             seen.add(e.key)
@@ -370,11 +338,12 @@ class _ReducerState:
         """(e, its kernels of unknown functions, its linear form over
         them)."""
         kernels = [k for k in fun_kernels_of(e)
-                   if k.name in self.args and k.name not in self.subs]
+                   if k.name in self.args and k.name not in self.rules]
         return e, kernels, linear_form(e, kernels)
 
     def _register(self, name, body, note):
-        self.subs[name] = body
+        arity = self.arity(name)
+        self.rules.add(name, (0,) * arity, _placeholders(arity), body)
         self.steps.append(note)
 
     # pass: c * g_K = 0 with a single kernel
@@ -395,7 +364,7 @@ class _ReducerState:
         old_args = self.args[name]
         new_args = old_args[:pos] + old_args[pos + 1:]
         if not new_args:
-            const = Sym(f"c{len(self.subs) + 1}", "parameter")
+            const = Sym(f"c{len(self.rules) + 1}", "parameter")
             self._register(name, const,
                            f"{name} depends on nothing: constant {const.name}")
             return
@@ -822,6 +791,8 @@ def _antiderivative(s, x):
             return None
         # integrate g(x) * e^{a x + ...} by parts, descending in deg(g)
         fm.pop(expk)
+        if n:
+            fm[x] = n
         g = from_monomial(coeff, fm)
         acc = rat(0)
         factor = div(rat(1), a)

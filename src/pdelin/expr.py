@@ -529,8 +529,6 @@ def div(a, b):
 def sym_pow(base, expo):
     if is_integer(expo):
         return pow_int(base, int(expo.value))
-    if is_zero(expo):
-        return ONE
     if is_one(base):
         return ONE
     if isinstance(base, ExpF):

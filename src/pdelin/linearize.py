@@ -43,7 +43,8 @@ class LinearizationCandidate:
     first use, once per candidate.  Two routes apply L~* composed with
     X(x,U): `composed_op`, precomposed once, builds the columns of the W
     solve; `adjoint_rows`, through the chain rule, confirms the W found
-    and is the one `verify_linearization` checks with."""
+    and is the one `verify_linearization` checks with, reading the rows
+    the confirmation computed."""
 
     family: MultiplierFamily          # in arbitrary-function (v) form
     system: object                    # the source PdeSystem
@@ -53,6 +54,8 @@ class LinearizationCandidate:
     chain_rule: ChainRule             # d/dX_i over the source jet space
     constraint_op: LinearOperator     # L~ (m rows, M cols) over coords
     vnames: list
+    # (W, adjoint_rows(W)) of the last W applied
+    _rows: tuple = field(default=None, init=False, repr=False)
 
     @property
     def J(self):
@@ -103,9 +106,13 @@ class LinearizationCandidate:
     def adjoint_rows(self, W):
         """(L~* W)^mu composed with X(x,U): coefficients b(X) -> b(X(x,U))
         and each d/dX_i realized through the chain rule.  The independent
-        route, kept for confirming W and for verify_linearization."""
-        return self.adjoint_op.apply(W, derive=self.chain_rule,
-                                     coefficient=self.compose)
+        route, kept for confirming W and for verify_linearization.  The
+        rows of the last W are kept, and reused only for an equal W."""
+        W = tuple(W)
+        if self._rows is None or self._rows[0] != W:
+            self._rows = (W, self.adjoint_op.apply(
+                W, derive=self.chain_rule, coefficient=self.compose))
+        return self._rows[1]
 
 
 # ---------------------------------------------------------------------------

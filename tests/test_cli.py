@@ -31,7 +31,9 @@ G2 = u2_t - 2*u1_x + u1^2
 order = 0
 """
 
-TOY_NOT_LINEARIZABLE = """
+# inviscid Burgers, which the hodograph point map swapping x and u
+# linearizes (x_t = -u)
+INVISCID_BURGERS = """
 [vars]
 independents = x, t
 dependents   = u
@@ -170,10 +172,14 @@ def test_determinism(tmp_path, capsys):
 
 
 def test_not_linearizable_toy_exits_2(tmp_path, capsys):
-    code = run(tmp_path, TOY_NOT_LINEARIZABLE, "linearize")
-    out = capsys.readouterr().out
-    assert code == 2
-    assert "rejected" in out
+    # this pins a gap of the reducer, not a rejection: the one determining
+    # equation u*L1_x - L1_t = 0 is a transport equation whose
+    # characteristics (x + u*t) lie outside the reducer's catalog, so the
+    # run ends undetermined and says so (ROADMAP item 5)
+    assert run(tmp_path, INVISCID_BURGERS, "linearize", "--json") == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reduction"]["case"] == "undetermined"
+    assert "the reducer did not finish" in doc["message"]
 
 
 def test_undetermined_reduction_is_not_a_verdict(tmp_path, capsys):
@@ -495,10 +501,12 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
     # L~* is built once per job, however many stages read it; so is each
     # of the two chain rules, whose adjugates are the only ones built: d/dX
     # of the candidate and D_x of the inverse in apply_transformation; and
-    # so is L~* composed with X, not once per basis degree or column
-    calls = {"adjoint": 0, "adjugate": 0, "composed": 0}
+    # so is L~* composed with X, not once per basis degree or column; the
+    # chain-rule rows of W are computed once, for the confirmation of the
+    # W solve, and read again by verify_linearization
+    calls = {"adjoint": 0, "adjugate": 0, "composed": 0, "adjoint_rows": 0}
     adjoint, adjugate = LinearOperator.adjoint, mapping.adjugate
-    composed = linearize.composed_operator
+    apply, composed = LinearOperator.apply, linearize.composed_operator
 
     def counting_adjoint(self):
         calls["adjoint"] += 1
@@ -512,12 +520,19 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
         calls["composed"] += 1
         return composed(cand)
 
+    def counting_apply(self, W, derive=None, coefficient=None):
+        # only `adjoint_rows` composes the coefficients with X(x,U)
+        calls["adjoint_rows"] += coefficient is not None
+        return apply(self, W, derive, coefficient)
+
     monkeypatch.setattr(LinearOperator, "adjoint", counting_adjoint)
+    monkeypatch.setattr(LinearOperator, "apply", counting_apply)
     monkeypatch.setattr(mapping, "adjugate", counting_adjugate)
     monkeypatch.setattr(linearize, "composed_operator", counting_composed)
     assert main(["linearize", system]) == 0
     capsys.readouterr()
-    assert calls == {"adjoint": 1, "adjugate": 2, "composed": 1}
+    assert calls == {"adjoint": 1, "adjugate": 2, "composed": 1,
+                     "adjoint_rows": 1}
 
 
 @pytest.mark.parametrize("job, loads_mpmath", [

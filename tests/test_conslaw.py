@@ -140,6 +140,27 @@ def test_reducer_leaves_an_inhomogeneous_transport_row_alone():
     assert steps == ["f rides characteristics of args 2,3; new function f1"]
 
 
+@pytest.mark.parametrize("rows, steps, component", [
+    # f_x = f_t = 0: f loses x, then its renamed f1 loses t and becomes a
+    # constant, numbered after the substitutions made so far
+    (("f_{1}(x,t)", "f_{2}(x,t)"),
+     ["f does not depend on argument 1; renamed to f1",
+      "f1 depends on nothing: constant c2"], "c2"),
+    (("f(x,t)",), ["f = 0 forced"], "0")])
+def test_reducer_integrates_an_unknown_to_a_constant(rows, steps, component):
+    ws, sys = corpus.burgers()
+    args = tuple(ws.independents)
+    rows = [parse(r, ws) for r in rows]
+    det = DeterminingSystem(sys, MultiplierAnsatz(), ["f"], args,
+                            [(0, "1", row) for row in rows])
+    res = reduce_determining_system(det)
+    assert res.steps == steps
+    assert res.case == "I" and res.residual_equations == []
+    state = conslaw._ReducerState(["f"], args, rows)
+    state.run()
+    assert to_text(state.component("f")) == component
+
+
 # -- verification -------------------------------------------------------------
 
 
@@ -229,6 +250,22 @@ def test_reconstruct_simple_and_errors():
     assert equal(fluxes[0], ws.lookup("u")) and is_zero(fluxes[1])
     with pytest.raises(NotADivergenceError):
         reconstruct_fluxes(mul(Jet("u", (("x", 1),)), Jet("u", (("t", 1),))), ws)
+
+
+@pytest.mark.parametrize("text", ("x*exp(x)", "(2*x^2 + 3*x)*exp(2*x + t)"))
+def test_fluxes_of_polynomial_times_exponential(text):
+    # x-derivatives with no jets: the integration sweep keeps the x^n
+    # factor of x^n*exp(a*x + b)
+    ws = corpus.burgers()[0]
+    e = parse(text, ws)
+    fluxes = reconstruct_fluxes(e, ws)
+    assert is_zero(sub(div_of(fluxes, ws), e))
+
+
+def test_flux_of_a_pure_exponential():
+    ws = corpus.burgers()[0]
+    fluxes = reconstruct_fluxes(parse("3*exp(2*x + t)", ws), ws)
+    assert [to_text(f) for f in fluxes] == ["3/2*exp(t + 2*x)", "0"]
 
 
 def test_flux_roundtrip_random():

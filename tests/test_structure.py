@@ -291,3 +291,32 @@ def test_one_row_parser():
     assert not imported & {("constraints", "linear_form"),
                            ("constraints", "solve_linear"),
                            ("linearize", "solve_linear")}
+
+
+def _capped_kernel_rewriters():
+    """(module, cap) of every `for ... in range(MAX_...)` loop whose body
+    calls `substitute_kernels`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.For):
+                continue
+            it = node.iter
+            if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                    and it.func.id == "range" and len(it.args) == 1
+                    and isinstance(it.args[0], ast.Name)
+                    and it.args[0].id.startswith("MAX_")):
+                continue
+            calls = {n.func.id if isinstance(n.func, ast.Name) else
+                     getattr(n.func, "attr", None)
+                     for body in node.body for n in ast.walk(body)
+                     if isinstance(n, ast.Call)}
+            if "substitute_kernels" in calls:
+                yield path.stem, it.args[0].id
+
+
+def test_one_kernel_rule_rewriter():
+    # arbitrary-function kernels are rewritten in capped rounds only by
+    # `constraints.KernelRules.reduce`; the reducer's substitutions, the
+    # constraint rows and the multiplier oracle all go through it
+    assert sorted(_capped_kernel_rewriters()) == [
+        ("constraints", "MAX_REDUCE_ROUNDS")]
