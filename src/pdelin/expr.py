@@ -184,11 +184,12 @@ class Mul(Expr):
 
 
 class Add(Expr):
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_prim")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
         self._finish((9, tuple(t.key for t in self.terms)))
+        self._prim = None
 
 
 ZERO = Rat(Fraction(0))
@@ -470,7 +471,17 @@ def sub(a, b):
 
 
 def neg(e):
-    return mul(MINUS_ONE, e)
+    return _scaled(e, MINUS_ONE.value)
+
+
+def _scaled(e, q):
+    """A canonical expression times a nonzero rational.  Only coefficients
+    change: the signatures of a canonical sum are distinct, so its term order
+    never reaches a coefficient, and a nonzero sum stays nonzero."""
+    if isinstance(e, Add):
+        return Add(tuple(from_monomial(q * c, f) for c, f in monomials(e)))
+    c, f = _mono_of(e)
+    return from_monomial(q * c, f)
 
 
 def mul(*factors):
@@ -486,12 +497,16 @@ def mul(*factors):
 
 
 def _extract_content(e):
-    """Rational content (with the sign of the leading term) of a sum."""
-    monos = monomials(e)
-    content = _content(monos)
-    if content == 1:
-        return Fraction(1), e
-    return content, _sum([(c / content, f) for c, f in monos])
+    """Rational content (with the sign of the leading term) of a sum and its
+    primitive part.  The sum computes the pair once and keeps it, under the
+    rules of its monomial view: read-only, and a racing write stores an
+    equal pair."""
+    pair = e._prim
+    if pair is None:
+        content = _content(monomials(e))
+        pair = content, (e if content == 1 else _scaled(e, 1 / content))
+        e._prim = pair
+    return pair
 
 
 def pow_int(base, n):

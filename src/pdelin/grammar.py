@@ -24,9 +24,8 @@ canonicalizes equal to `e`.
 from __future__ import annotations
 
 from .errors import ParseError, UndeclaredIdentifierError
-from .expr import (Add, ExpF, Fun, Jet, LogF, Rat, SPow, Sym, add, div,
-                   exp_, is_integer, log_, monomials, mul, neg, pow_int, rat,
-                   sym_pow)
+from .expr import (Add, ExpF, Fun, Jet, LogF, Rat, SPow, Sym, add, exp_,
+                   is_integer, log_, monomials, mul, neg, pow_int, rat, sym_pow)
 
 _LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _DIGITS = set("0123456789")
@@ -114,31 +113,33 @@ class _Parser:
             raise ParseError(f"expected '{kind}'", pos)
         return v, pos
 
+    # a sum is one `add` and a product one `mul` over all their operands, so
+    # the result does not depend on their order in the text
     def expr(self):
-        e = self.term()
+        terms = [self.term()]
         while True:
             k, _, _ = self.lx.peek()
             if k == "+":
                 self.lx.next()
-                e = add(e, self.term())
+                terms.append(self.term())
             elif k == "-":
                 self.lx.next()
-                e = add(e, neg(self.term()))
+                terms.append(neg(self.term()))
             else:
-                return e
+                return terms[0] if len(terms) == 1 else add(*terms)
 
     def term(self):
-        e = self.unary()
+        factors = [self.unary()]
         while True:
             k, _, _ = self.lx.peek()
             if k == "*":
                 self.lx.next()
-                e = mul(e, self.unary())
+                factors.append(self.unary())
             elif k == "/":
                 self.lx.next()
-                e = div(e, self.unary())
+                factors.append(pow_int(self.unary(), -1))
             else:
-                return e
+                return factors[0] if len(factors) == 1 else mul(*factors)
 
     def unary(self):
         k, _, _ = self.lx.peek()

@@ -7,8 +7,8 @@ import re
 from fractions import Fraction
 
 from pdelin.expr import (Add, ExpF, Jet, LogF, Mul, Pow, Rat, SPow, Sym,
-                         add, atoms_of, exp_, log_, mul, neg, pow_int, rat,
-                         sym_pow, walk)
+                         add, atoms_of, div, exp_, log_, mul, neg, pow_int,
+                         rat, sym_pow, walk)
 from pdelin.grammar import to_text
 from pdelin.workspace import Workspace
 
@@ -99,6 +99,20 @@ def random_transcendental_expression(rng, atoms, exponents, depth=3):
     if op < 0.8:
         return pow_int(log_(add(positive(), rat(1))), -rng.randint(1, 2))
     return exp_(mul(rat(rng.randint(-2, 2), rng.randint(1, 3)), sub()))
+
+
+def random_sum_with_denominators(rng, atoms, exponents):
+    """Random canonical sum over the atoms with sums in denominators, exps,
+    logs and symbolic powers (see `random_transcendental_expression`).  It
+    holds the terms of `a*d/d - a` for a random `a` and a sum `d`, which
+    cancel as a subset though the whole sum does not."""
+    def den():
+        return add(atoms[rng.randrange(len(atoms))], rat(rng.randint(1, 3)))
+
+    a, d = random_expression(rng, atoms, depth=1), den()
+    return add(random_transcendental_expression(rng, atoms, exponents, depth=2),
+               div(random_expression(rng, atoms, depth=2), den()),
+               div(mul(a, d), d), neg(a))
 
 
 def to_sympy(sp, e):

@@ -9,15 +9,16 @@ import pytest
 
 from helpers import (COMMANDS, GENERATED_AT, SYSTEMS, burgers_workspace,
                      probe_sides_agree, random_expression, random_jets,
-                     reference_document, seeded, to_sympy)
+                     random_sum_with_denominators, reference_document, seeded,
+                     to_sympy)
 from pdelin import expr
 from pdelin.cli import main
 from pdelin.errors import ExprError
-from pdelin.expr import (Add, Fun, Jet, Mul, Sym, add,
+from pdelin.expr import (Add, Fun, Jet, Mul, Rat, Sym, add,
                          canonicalize, clear_denominators, div, equal, exp_,
-                         is_zero, linear_form, log_, mul, multi_binom,
-                         multi_diff, multi_indices, multi_lower, multi_unit,
-                         neg,
+                         is_zero, linear_form, log_, monomials, mul,
+                         multi_binom, multi_diff, multi_indices, multi_lower,
+                         multi_unit, neg,
                          normalize_equation, pow_int, rat, set_max_terms,
                          solve_linear, sub, substitute, sym_pow,
                          total_derivative, walk)
@@ -218,6 +219,41 @@ def test_product_whose_exp_merges_into_a_sum_is_expanded():
 def test_sum_times_its_inverse_cancels_before_expanding():
     a = add(mul(rat(2), x), mul(rat(4), t))
     assert mul(a, pow_int(a, -1)) == rat(1)
+
+
+def test_scaling_moves_only_coefficients():
+    # negation and rational scaling against the collect/sort/zero-test route
+    # over the same monomials
+    p = Sym("p", "parameter")
+    rng = seeded(43)
+    atoms = [x, t, u1, u2]
+    for _ in range(150):
+        e = random_sum_with_denominators(rng, atoms, [p, rat(1, 2)])
+        if isinstance(e, Add) and rng.random() < 0.3:
+            e = e.terms[rng.randrange(len(e.terms))]
+        for q in (Fraction(-1), Fraction(3, 2), Fraction(-2, 7)):
+            want = expr._sum([(q * c, f) for c, f in monomials(e)])
+            assert expr._scaled(e, q) == want
+        assert neg(e) == expr._sum([(-c, f) for c, f in monomials(e)])
+        assert is_zero(add(e, neg(e)))
+
+
+def test_a_sum_keeps_its_content_and_primitive_part():
+    p = Sym("p", "parameter")
+    rng = seeded(44)
+    atoms = [x, t, u1, u2]
+    for _ in range(50):
+        e = random_sum_with_denominators(rng, atoms, [p, rat(-2, 3)])
+        if not isinstance(e, Add):
+            continue
+        pair = expr._extract_content(e)
+        assert expr._extract_content(e) is pair
+        content, prim = pair
+        assert mul(Rat(content), prim) == e
+    # the content takes the sign of the leading term, here -6/5*t
+    s = add(mul(rat(4), x), mul(rat(-6, 5), t))
+    assert expr._extract_content(s) == (Fraction(-2, 5),
+                                        add(mul(rat(3), t), mul(rat(-10), x)))
 
 
 def test_power_of_a_sum_respects_the_term_limit():

@@ -2,8 +2,10 @@
 
 import pytest
 
-from helpers import burgers_workspace, pipeline_workspace, random_expression, random_jets, seeded
+from helpers import (burgers_workspace, pipeline_workspace, random_expression,
+                     random_jets, random_sum_with_denominators, seeded)
 from pdelin.errors import ParseError, UndeclaredIdentifierError
+from pdelin.expr import Add, rat
 from pdelin.grammar import parse, to_text
 
 
@@ -43,6 +45,29 @@ def test_roundtrip_random():
     for _ in range(300):
         e = random_expression(rng, atoms, depth=4)
         assert parse(to_text(e), ws) == e
+
+
+def test_parse_does_not_depend_on_term_order():
+    # the first three terms cancel as a subset, the whole sum does not: a
+    # sum is one add over all its terms, so no partial sum collapses first
+    texts = ["1/(x+1) + x/(x+1) - 1 + t", "t + 1/(x+1) + x/(x+1) - 1",
+             "x/(x+1) - 1 + t + 1/(x+1)"]
+    first, *rest = [parse(text, ws) for text in texts]
+    assert isinstance(first, Add) and len(first.terms) == 4
+    assert rest == [first, first]
+
+
+def test_shuffled_terms_parse_back_to_the_sum():
+    rng = seeded(29)
+    atoms = list(ws.independents) + random_jets(ws, max_order=1)
+    exponents = [rat(1, 2), rat(-2, 3)]
+    for _ in range(100):
+        e = random_sum_with_denominators(rng, atoms, exponents)
+        if not isinstance(e, Add):
+            continue
+        terms = [to_text(term) for term in e.terms]
+        rng.shuffle(terms)
+        assert parse(" + ".join(terms), ws) == e
 
 
 def test_jet_suffix_order_irrelevant():
