@@ -1,8 +1,9 @@
 """Exact symbolic expression kernel.
 
 Expressions are immutable trees over a fixed node set: rational constants,
-symbols, jet variables, arbitrary-function terms, sums, products, integer
-powers, symbolic powers (base^parameter), exp and log.  All construction goes
+symbols, jet variables, arbitrary-function terms, sums, products (a
+coefficient times kernels raised to integer powers, one node per monomial),
+symbolic powers (base^parameter), exp and log.  All construction goes
 through the smart constructors (`add`, `mul`, `pow_int`, `sym_pow`, `exp_`,
 `log_`), which canonicalize on the way in:
 
@@ -166,21 +167,23 @@ class SPow(Expr):
         self._finish((6, base.key, expo.key))
 
 
-class Pow(Expr):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent):
-        self.base = base
-        self.exponent = exponent
-        self._finish((7, exponent, base.key))
-
-
 class Mul(Expr):
-    __slots__ = ("factors",)
+    """A monomial other than a rational or a lone kernel: a coefficient
+    times kernels raised to integer powers.  The node is its own monomial
+    view: `fmap` lists the kernels in key order, in a dict that no caller
+    holds.  A lone power k^n (coefficient 1) has the key (7, n, k.key); a
+    product has (8, factor keys), led by the coefficient's when it is not 1,
+    where a factor is a kernel k (k.key) or a power k^n ((7, n, k.key))."""
 
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-        self._finish((8, tuple(f.key for f in self.factors)))
+    __slots__ = ()
+
+    def __init__(self, coeff, fmap):
+        keys = tuple(k.key if n == 1 else (7, n, k.key)
+                     for k, n in fmap.items())
+        if coeff != 1:
+            keys = ((0, coeff.numerator, coeff.denominator),) + keys
+        self._finish(keys[0] if len(keys) == 1 else (8, keys))
+        self._mono = coeff, fmap
 
 
 class Add(Expr):
@@ -222,37 +225,20 @@ def is_atom(e):
 #
 # A monomial is (coeff: Fraction, fmap: dict[kernel Expr -> int exponent]).
 # Kernels are atoms, ExpF, LogF, SPow, or canonical Add nodes (the latter only
-# with negative exponents, as denominators).
+# with negative exponents, as denominators).  A `Mul` node is a monomial: it
+# keeps the (coeff, fmap) it was built from as its view.
 # ---------------------------------------------------------------------------
 
 
 def _mono_of(e):
-    """The monomial view (coeff, fmap) of a canonical expression; a sum is a
-    kernel of its own.  Each node computes its view once and keeps it, so a
+    """The monomial view (coeff, fmap) of a canonical expression other than
+    a sum; a sum is a kernel of its own.  A product is built with its view;
+    a rational or a lone kernel computes its view once and keeps it.  A
     view is shared: no caller may mutate it.  Two threads may compute the
     same view at once; they store equal values."""
     view = e._mono
     if view is None:
-        if isinstance(e, Rat):
-            view = e.value, {}
-        elif isinstance(e, Mul):
-            # a canonical product has at most one rational factor, first
-            factors = e.factors
-            coeff = ONE.value
-            if isinstance(factors[0], Rat):
-                coeff = factors[0].value
-                factors = factors[1:]
-            fmap = {}
-            for f in factors:
-                if isinstance(f, Pow):
-                    fmap[f.base] = f.exponent
-                else:
-                    fmap[f] = 1
-            view = coeff, fmap
-        elif isinstance(e, Pow):
-            view = ONE.value, {e.base: e.exponent}
-        else:
-            view = ONE.value, {e: 1}
+        view = (e.value, {}) if isinstance(e, Rat) else (ONE.value, {e: 1})
         e._mono = view
     return view
 
@@ -295,15 +281,12 @@ def from_monomial(coeff, fmap):
     """Assemble a canonical expression from one monomial."""
     if coeff == 0:
         return ZERO
-    factors = []
-    for k in sorted(fmap, key=lambda k: k.key):
-        n = fmap[k]
-        if n == 0:
-            continue
-        factors.append(k if n == 1 else Pow(k, n))
-    if coeff != 1 or not factors:
-        factors.insert(0, Rat(coeff))
-    return factors[0] if len(factors) == 1 else Mul(factors)
+    kernels = sorted((k for k, n in fmap.items() if n), key=lambda k: k.key)
+    if not kernels:
+        return Rat(coeff)
+    if coeff == 1 and len(kernels) == 1 and fmap[kernels[0]] == 1:
+        return kernels[0]
+    return Mul(coeff, {k: fmap[k] for k in kernels})
 
 
 def _collect(monos):
@@ -416,26 +399,37 @@ def _normalize_fmap(coeff, fmap):
 # ---------------------------------------------------------------------------
 
 
-# rounds of _cleared_is_zero; each multiplies by the sum denominators left
-MAX_ZERO_TEST_ROUNDS = 64
+# passes of _clear; exhausting them is an error, never a result that still
+# has denominators
+MAX_CLEARING_PASSES = 32
+
+
+def _clear(parts):
+    """Multiply every monomial list in `parts` by one common denominator,
+    the largest negative power of each kernel, so that k^-n meets k^n and
+    cancels.  Iterates, because expanding a sum kernel can expose further
+    denominators.  None when there was nothing to clear."""
+    for passes in range(MAX_CLEARING_PASSES + 1):
+        shifts = {}
+        for monos in parts:
+            for _, fmap in monos:
+                for k, n in fmap.items():
+                    if n < 0 and shifts.get(k, 0) < -n:
+                        shifts[k] = -n
+        if not shifts:
+            return parts if passes else None
+        if passes == MAX_CLEARING_PASSES:
+            raise ExprError("denominator clearing did not finish: pass cap "
+                            f"MAX_CLEARING_PASSES = {MAX_CLEARING_PASSES} "
+                            "exhausted")
+        shift = (ONE.value, shifts)
+        parts = [_expand([_mono_mul(m, shift) for m in monos])
+                 for monos in parts]
 
 
 def _cleared_is_zero(monos):
-    """Decide identical vanishing by clearing Add-kernel denominators."""
-    cur = list(_collect(monos).values())
-    for _ in range(MAX_ZERO_TEST_ROUNDS):
-        if not cur:
-            return True
-        shifts = {}
-        for _, fmap in cur:
-            for k, n in fmap.items():
-                if isinstance(k, Add) and n < 0:
-                    shifts[k] = max(shifts.get(k, 0), -n)
-        if not shifts:
-            return False
-        cur = _expand([_mono_mul(m, (1, shifts)) for m in cur])
-    raise ExprError("denominator clearing did not stabilize: round cap "
-                    f"MAX_ZERO_TEST_ROUNDS = {MAX_ZERO_TEST_ROUNDS} exhausted")
+    """Decide identical vanishing by clearing denominators."""
+    return _clear([monos]) == [[]]
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +514,8 @@ def pow_int(base, n):
             raise ExprError("division by zero")
         return Rat(base.value ** n)
     if isinstance(base, Mul):
-        return mul(*[pow_int(f, n) for f in base.factors])
-    if isinstance(base, Pow):
-        return pow_int(base.base, base.exponent * n)
+        (c, fmap), = monomials(base)
+        return _product(c ** n, fmap, lambda k, m: pow_int(k, m * n))
     if isinstance(base, ExpF):
         return exp_(mul(rat(n), base.arg))
     if isinstance(base, SPow):
@@ -534,7 +527,16 @@ def pow_int(base, n):
         if is_zero(prim):
             raise ExprError("division by zero")
         return from_monomial(c ** n, {prim: n})
-    return Pow(base, n)
+    return Mul(ONE.value, {base: n})
+
+
+def _product(coeff, fmap, power):
+    """coeff times the product of power(k, n) over a view's kernels, through
+    `mul` unless there is one factor."""
+    factors = [power(k, n) for k, n in fmap.items()]
+    if coeff != 1:
+        factors.insert(0, Rat(coeff))
+    return factors[0] if len(factors) == 1 else mul(*factors)
 
 
 def div(a, b):
@@ -550,8 +552,11 @@ def sym_pow(base, expo):
         return exp_(mul(expo, base.arg))
     if isinstance(base, SPow):
         return sym_pow(base.base, mul(expo, base.expo))
-    if isinstance(base, Pow):
-        return sym_pow(base.base, mul(rat(base.exponent), expo))
+    if isinstance(base, Mul):
+        (c, fmap), = monomials(base)
+        if c == 1 and len(fmap) == 1:
+            (k, n), = fmap.items()
+            return sym_pow(k, mul(rat(n), expo))
     # shed the integer-constant additive part of the exponent
     const = Fraction(0)
     rest = []
@@ -616,10 +621,9 @@ def _rebuild(e, rules):
         return log_(_rebuild(e.arg, rules))
     if isinstance(e, SPow):
         return sym_pow(_rebuild(e.base, rules), _rebuild(e.expo, rules))
-    if isinstance(e, Pow):
-        return pow_int(_rebuild(e.base, rules), e.exponent)
     if isinstance(e, Mul):
-        return mul(*[_rebuild(f, rules) for f in e.factors])
+        (c, fmap), = monomials(e)
+        return _product(c, fmap, lambda k, n: pow_int(_rebuild(k, rules), n))
     if isinstance(e, Add):
         return add(*[_rebuild(t, rules) for t in e.terms])
     raise ExprError(f"unknown node {type(e).__name__}")
@@ -649,11 +653,9 @@ def walk(e):
     elif isinstance(e, SPow):
         yield from walk(e.base)
         yield from walk(e.expo)
-    elif isinstance(e, Pow):
-        yield from walk(e.base)
     elif isinstance(e, Mul):
-        for f in e.factors:
-            yield from walk(f)
+        for k in monomials(e)[0][1]:
+            yield from walk(k)
     elif isinstance(e, Add):
         for t in e.terms:
             yield from walk(t)
@@ -741,33 +743,13 @@ def normalize_equation(eq):
     return _sum([(c / scale, fm) for c, fm in parts])
 
 
-# passes of clear_denominators; exhausting them is an error, never a
-# result that still has denominators
-MAX_CLEARING_PASSES = 32
-
-
 def clear_denominators(exprs):
-    """Multiply every expression by one common denominator, iterating
-    because expanding a sum kernel can expose further denominators.  The
-    results share the multiplier, so linear relations among the inputs
+    """Multiply every expression by one common denominator (see `_clear`).
+    The results share the multiplier, so linear relations among the inputs
     hold among the outputs."""
-    cleared = list(exprs)
-    for passes in range(MAX_CLEARING_PASSES + 1):
-        shifts = {}
-        for e in cleared:
-            for _, fmap in monomials(e):
-                for k, n in fmap.items():
-                    if n < 0:
-                        shifts[k] = max(shifts.get(k, 0), -n)
-        if not shifts:
-            break
-        if passes == MAX_CLEARING_PASSES:
-            raise ExprError("denominator clearing did not finish: pass cap "
-                            f"MAX_CLEARING_PASSES = {MAX_CLEARING_PASSES} "
-                            "exhausted")
-        factors = [pow_int(k, n) for k, n in shifts.items()]
-        cleared = [mul(e, *factors) for e in cleared]
-    return cleared
+    exprs = list(exprs)
+    cleared = _clear([monomials(e) for e in exprs])
+    return exprs if cleared is None else [_sum(m) for m in cleared]
 
 
 def clear_equation(e):
@@ -816,19 +798,21 @@ def _derive(e, leaf, kernel=None):
         if not is_zero(dq):
             terms.append(mul(dq, log_(e.base), e))
         return add(*terms) if terms else ZERO
-    if isinstance(e, Pow):
-        db = _derive(e.base, leaf, kernel)
-        if is_zero(db):
-            return ZERO
-        return mul(rat(e.exponent), pow_int(e.base, e.exponent - 1), db)
     if isinstance(e, Mul):
+        # the product rule over the factors k^n; d(k^n) is a product of its
+        # own, so a sum in dk is distributed before it meets the others
+        (c, fmap), = monomials(e)
         terms = []
-        fs = e.factors
-        for i, f in enumerate(fs):
-            df = _derive(f, leaf, kernel)
-            if not is_zero(df):
-                terms.append(mul(df, *fs[:i], *fs[i + 1:]))
-        return add(*terms) if terms else ZERO
+        for k, n in fmap.items():
+            df = _derive(k, leaf, kernel)
+            if is_zero(df):
+                continue
+            if n != 1:
+                df = mul(rat(n), pow_int(k, n - 1), df)
+            rest = {j: m for j, m in fmap.items() if j is not k}
+            terms.append(mul(df, from_monomial(c, rest))
+                         if rest or c != 1 else df)
+        return terms[0] if len(terms) == 1 else add(*terms)
     if isinstance(e, Add):
         return add(*[_derive(t, leaf, kernel) for t in e.terms])
     raise ExprError(f"unknown node {type(e).__name__}")

@@ -15,7 +15,7 @@ from .conslaw import (MultiplierFamily, multiplier_combination,
                       reconstruct_fluxes)
 from .constraints import LinearConstraints
 from .errors import DegenerateError, ExprError, ExtractionError
-from .expr import (Add, ExpF, Fun, Jet, LogF, Pow, SPow, add,
+from .expr import (Add, ExpF, Fun, Jet, LogF, Mul, SPow, add,
                    clear_denominators, derive_multi, diff_kernel, div,
                    fun_kernels_of, is_zero, jets_of, linear_form,
                    monomial_signature, monomials, mul, multi_diff,
@@ -351,8 +351,9 @@ def _candidate_basis(cand, degree):
                 if n.key not in seen:
                     seen.add(n.key)
                     kernels.append(n)
-            if isinstance(n, Pow) and n.exponent < 0:
-                inverted.add(n.base)
+            if isinstance(n, Mul):
+                inverted.update(k for k, m in monomials(n)[0][1].items()
+                                if m < 0)
     units = atoms + kernels + [pow_int(b, -1) for b in inverted
                                if not isinstance(b, Add)]
     basis = [rat(1)]
@@ -455,50 +456,35 @@ def _extract_at_degree(cand, degree):
 
 
 def _solve_linear_system(equations, var_order):
-    """Exact Gaussian elimination over the rationals; free variables are
-    pinned to zero (variable order carries the structured-first preference).
-    Returns None on inconsistency."""
+    """Exact Gauss-Jordan elimination over the rationals.  Each pivot leaves
+    every other row, so a pivot row holds its variable, free variables and
+    the constant; with the free variables pinned to zero (variable order
+    carries the structured-first preference) it reads off its variable.
+    Returns None on inconsistency: a row left with a constant alone."""
     rows = [dict(e) for e in equations]
-    pivots = []
-    used = [False] * len(rows)
+    pivots = {}
     for v in var_order:
-        pr = None
-        for i, r in enumerate(rows):
-            if not used[i] and r.get(v):
-                pr = i
-                break
-        if pr is None:
+        i = next((i for i, r in enumerate(rows) if r.get(v)), None)
+        if i is None:
             continue
-        used[pr] = True
-        pivots.append((v, rows[pr]))
-        pc = rows[pr][v]
-        for i, r in enumerate(rows):
-            if i == pr or not r.get(v):
+        pr = rows.pop(i)
+        for r in rows + list(pivots.values()):
+            f = r.get(v)
+            if not f:
                 continue
-            f = r[v] / pc
-            for kk, val in rows[pr].items():
+            f /= pr[v]
+            for kk, val in pr.items():
                 nv = r.get(kk, Fraction(0)) - f * val
                 if nv == 0:
                     r.pop(kk, None)
                 else:
                     r[kk] = nv
-    sol = {v: Fraction(0) for v in var_order}
-    for v, pr in reversed(pivots):
-        s = pr.get(None, Fraction(0))
-        for kk, val in pr.items():
-            if kk in (v, None):
-                continue
-            s += val * sol[kk]
-        sol[v] = -s / pr[v]
-    for i, r in enumerate(rows):
-        if used[i]:
-            continue
-        s = r.get(None, Fraction(0))
-        for kk, val in r.items():
-            if kk is not None:
-                s += val * sol[kk]
-        if s != 0:
-            return None
+        pivots[v] = pr
+    if any(rows):
+        return None
+    sol = dict.fromkeys(var_order, Fraction(0))
+    for v, r in pivots.items():
+        sol[v] = -r.get(None, Fraction(0)) / r[v]
     return sol
 
 

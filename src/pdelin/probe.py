@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, ProbeUndecidedError, UncoveredKernelError
-from .expr import (Add, ExpF, Expr, LogF, Mul, Pow, Rat, SPow, atoms_of,
-                   is_atom, is_zero, walk)
+from .expr import (Add, ExpF, Expr, LogF, Mul, Rat, SPow, atoms_of,
+                   is_atom, is_zero, monomials, walk)
 
 TARGET_WIDTH = Fraction(1, 10 ** 40)
 
@@ -210,10 +210,10 @@ def _eval(e, assignment, prec, memo):
         return _add([_eval(t, assignment, prec, memo) for t in e.terms],
                     prec)
     if isinstance(e, Mul):
-        return _mul([_eval(f, assignment, prec, memo) for f in e.factors],
-                    prec)
-    if isinstance(e, Pow):
-        return _ipow(_eval(e.base, assignment, prec, memo), e.exponent, prec)
+        (c, fmap), = monomials(e)
+        return _mul([(c.numerator, c.denominator)] +
+                    [_ipow(_eval(k, assignment, prec, memo), n, prec)
+                     for k, n in fmap.items()], prec)
     if isinstance(e, (ExpF, LogF, SPow)):
         v = memo.get(e)
         if v is None:

@@ -6,9 +6,9 @@ import random
 import re
 from fractions import Fraction
 
-from pdelin.expr import (Add, ExpF, Jet, LogF, Mul, Pow, Rat, SPow, Sym,
-                         add, atoms_of, div, exp_, log_, mul, neg, pow_int,
-                         rat, sym_pow, walk)
+from pdelin.expr import (Add, ExpF, Jet, LogF, Mul, Rat, SPow, Sym,
+                         add, atoms_of, div, exp_, log_, monomials, mul, neg,
+                         pow_int, rat, sym_pow, walk)
 from pdelin.grammar import to_text
 from pdelin.workspace import Workspace
 
@@ -126,9 +126,9 @@ def to_sympy(sp, e):
     if isinstance(e, Add):
         return sp.Add(*[to_sympy(sp, f) for f in e.terms])
     if isinstance(e, Mul):
-        return sp.Mul(*[to_sympy(sp, f) for f in e.factors])
-    if isinstance(e, Pow):
-        return sp.Pow(to_sympy(sp, e.base), e.exponent)
+        (c, fmap), = monomials(e)
+        return sp.Mul(sp.Rational(c.numerator, c.denominator),
+                      *[sp.Pow(to_sympy(sp, k), n) for k, n in fmap.items()])
     if isinstance(e, SPow):
         return sp.Pow(to_sympy(sp, e.base), to_sympy(sp, e.expo))
     if isinstance(e, ExpF):

@@ -400,6 +400,34 @@ def test_generality_beyond_bundled_systems(tmp_path, capsys):
     assert "exp(-1/2*u2)" in doc["multipliers"]["components"]["L2"]
 
 
+# the pipeline equation after the change of variables t -> t + x: the
+# Jacobian u_xx + 2*u_xt + u_tt is a sum, and the second-order adjoint puts
+# its square into a denominator
+SHEARED_PIPELINE = """
+[vars]
+independents = x, t
+dependents   = u
+parameters   = p
+coordinates  = X, T
+[system]
+G1 = u_t*(u_xx + 2*u_xt + u_tt) + pow(u_x + u_t, p)
+[ansatz]
+order = 1
+[multipliers]
+L1 = v(X, T)
+X = u_x + u_t
+T = t - x
+row1 = v_{2}(X,T) + pow(X,p)*v_{1,1}(X,T) + 2*p*pow(X,p-1)*v_{1}(X,T) + p*(p-1)*pow(X,p-2)*v(X,T)
+"""
+
+
+def test_verify_clears_a_squared_sum_denominator(tmp_path, capsys):
+    assert run(tmp_path, SHEARED_PIPELINE, "verify") == 0
+    out = capsys.readouterr().out
+    assert "flux-residual = 0" in out
+    assert "fluxes unavailable" not in out
+
+
 def test_usage_errors_exit_3():
     # argparse usage failures map to the input-error code; 2 stays reserved
     # for rejected linearizations

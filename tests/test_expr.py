@@ -204,6 +204,50 @@ def test_clear_denominators_reports_its_pass_cap(monkeypatch):
         clear_denominators([e])
 
 
+def test_clear_denominators_cancels_a_squared_sum():
+    # k^-2 meets k^2 monomial by monomial; expanding (x + 1)^2 first would
+    # leave a new sum that never cancels k
+    assert clear_denominators([pow_int(add(x, rat(1)), -2)]) == [rat(1)]
+    wsu = Workspace("xt", ["u"])
+    got = clear_denominators([parse("1/(x+1) * 1/(x+1)", wsu),
+                              parse("u/(x+1) + 1/u", wsu)])
+    assert [to_text(e) for e in got] == ["u", "x*u^2 + x^2 + u^2 + 2*x + 1"]
+
+
+def test_clear_denominators_shares_one_multiplier():
+    # products of sums with denominators hold squared sum denominators; the
+    # cleared pair keeps no negative exponent, and c1*e2 - c2*e1 vanishes
+    # because both were multiplied by the same denominator
+    p = Sym("p", "parameter")
+    rng = seeded(44)
+    atoms = [x, u1]
+    squared = 0
+    for _ in range(12):
+        a, b = (random_sum_with_denominators(rng, atoms, [p, rat(1, 2)])
+                for _ in range(2))
+        e1, e2 = mul(a, b), a
+        squared += any(isinstance(k, Add) and n < -1
+                       for _, f in monomials(e1) for k, n in f.items())
+        c1, c2 = clear_denominators([e1, e2])
+        assert all(n > 0 for c in (c1, c2)
+                   for _, f in monomials(c) for n in f.values())
+        assert is_zero(sub(mul(c1, e2), mul(c2, e1)))
+    assert squared
+
+
+def test_product_keys_keep_their_format():
+    # kernel order, term order and so every printed document compare these
+    # keys: a lone power is (7, n, k), a product (8, factors), led by its
+    # coefficient when that is not 1
+    d = add(x, rat(1))
+    assert pow_int(x, 2).key == (7, 2, x.key)
+    assert pow_int(d, -2).key == (7, -2, d.key)
+    assert mul(rat(3), x).key == (8, ((0, 3, 1), x.key))
+    assert mul(x, pow_int(u1, -3)).key == (8, (x.key, (7, -3, u1.key)))
+    assert mul(rat(-1, 2), pow_int(x, 2), t).key == \
+        (8, ((0, -1, 2), t.key, (7, 2, x.key)))
+
+
 def test_product_whose_exp_merges_into_a_sum_is_expanded():
     # squaring exp(y + 1/2*log(t + 1)) merges to (t + 1)*exp(2*y), a sum
     # that the product must distribute like any other
@@ -213,7 +257,8 @@ def test_product_whose_exp_merges_into_a_sum_is_expanded():
     for square in (pow_int(s, 2), mul(s, s)):
         assert to_text(square) == want
         assert not [n for n in walk(square) if isinstance(n, Mul)
-                    and any(isinstance(f, Add) for f in n.factors)]
+                    and any(isinstance(k, Add) and m > 0
+                            for k, m in monomials(n)[0][1].items())]
 
 
 def test_sum_times_its_inverse_cancels_before_expanding():
@@ -312,8 +357,9 @@ def test_product_keeps_kernels_with_nothing_to_merge(monkeypatch):
         monkeypatch.setattr(expr, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
     prod = mul(e, x, s, sym_pow(u2, p))
-    assert any(f is e for f in prod.factors)
-    assert any(f is s for f in prod.factors)
+    (_, fmap), = monomials(prod)
+    assert any(k is e for k in fmap)
+    assert any(k is s for k in fmap)
     assert calls == []
 
 

@@ -4,7 +4,8 @@ helpers, no module outside the kernel, the printer and the workspace reads a
 jet's (name, order) pairs, and no module-level import is left unused.
 Every module-level definition has a caller outside the tests, unless it is a
 named test oracle.  No function mutates module-level state; the two settings
-the README names are per context.  Every loop cap is a named constant."""
+the README names are per context.  Every loop cap is a named constant.  Only
+the kernel builds a product or reads a node's cached views."""
 
 import ast
 import pathlib
@@ -320,3 +321,23 @@ def test_one_kernel_rule_rewriter():
     # constraint rows and the multiplier oracle all go through it
     assert sorted(_capped_kernel_rewriters()) == [
         ("constraints", "MAX_REDUCE_ROUNDS")]
+
+
+def _view_readers():
+    """(module, what) of every read of a node's `_mono` or `_prim` slot and
+    every call that builds a `Mul`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in ("_mono", "_prim"):
+                yield path.stem, node.attr
+            elif isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "Mul" or
+                    getattr(node.func, "attr", None) == "Mul"):
+                yield path.stem, "Mul()"
+
+
+def test_only_the_kernel_builds_products_and_reads_views():
+    # a product is its own monomial view, set once when `expr` builds it;
+    # every other module reads a view through `monomials`
+    assert {mod for mod, _ in _view_readers()} == {"expr"}
