@@ -591,7 +591,7 @@ def _formal_over(e, symbols):
 
 
 # absorption steps of the integration-by-parts sweep in reconstruct_fluxes;
-# what is left when they run out goes to the homotopy formula
+# when they run out or a remainder repeats, the homotopy formula takes the rest
 MAX_FLUX_SWEEPS = 400
 
 
@@ -599,9 +599,9 @@ def reconstruct_fluxes(e, ws):
     """Write a total divergence as D_i Upsilon_i.
 
     An integration-by-parts sweep absorbs the highest-ranked jets first (it
-    also handles transcendental kernels); when the sweep cannot finish and
-    the expression is polynomial in its jets, the homotopy-operator formula
-    with higher Euler operators takes over."""
+    also handles transcendental kernels); when the sweep cannot finish or
+    cycles, and the expression is polynomial in its jets, the
+    homotopy-operator formula with higher Euler operators takes over."""
     for dep in ws.dependents:
         if not is_zero(euler_operator(e, dep, ws)):
             raise NotADivergenceError("nonzero Euler image; not a total divergence")
@@ -609,9 +609,13 @@ def reconstruct_fluxes(e, ws):
     fluxes = [rat(0)] * n
     s = e
     cap_note = ""
+    seen = set()
     for _ in range(MAX_FLUX_SWEEPS):
         if is_zero(s):
             return fluxes
+        if s.key in seen:
+            break
+        seen.add(s.key)
         js = [j for j in jets_of(s) if j.order >= 1]
         if not js:
             s2 = _absorb_jet_free(s, fluxes, ws)

@@ -40,11 +40,12 @@ class Rejection:
 @dataclass
 class LinearizationCandidate:
     """A matched family.  W, the mapping and the target are computed on
-    first use, once per candidate.  Two routes apply L~* composed with
-    X(x,U): `composed_op`, precomposed once, builds the columns of the W
-    solve; `adjoint_rows`, through the chain rule, confirms the W found
-    and is the one `verify_linearization` checks with, reading the rows
-    the confirmation computed."""
+    first use, once per candidate.  L~* composed with X(x,U) has one
+    route, `adjoint_rows` through the chain rule: on formal kernels it
+    gives `composed_op`, the operator of the W solve; on the W found it
+    confirms the solve's basis, clearing, monomial split and elimination
+    (not the chain rule itself), and `verify_linearization` reads the rows
+    that confirmation computed."""
 
     family: MultiplierFamily          # in arbitrary-function (v) form
     system: object                    # the source PdeSystem
@@ -99,15 +100,14 @@ class LinearizationCandidate:
 
     @cached_property
     def composed_op(self):
-        """L~* composed with X(x,U) as an operator in x, built once for the
+        """L~* composed with X(x,U) as an operator in x, read once for the
         W solve by `composed_operator`."""
         return composed_operator(self)
 
     def adjoint_rows(self, W):
         """(L~* W)^mu composed with X(x,U): coefficients b(X) -> b(X(x,U))
-        and each d/dX_i realized through the chain rule.  The independent
-        route, kept for confirming W and for verify_linearization.  The
-        rows of the last W are kept, and reused only for an equal W."""
+        and each d/dX_i realized through the chain rule.  The rows of the
+        last W are kept, and reused only for an equal W."""
         W = tuple(W)
         if self._rows is None or self._rows[0] != W:
             self._rows = (W, self.adjoint_op.apply(
@@ -292,40 +292,21 @@ def match_multiplier_form(fam, sys):
 
 
 def composed_operator(cand):
-    """L~* composed with X(x,U) as an operator in x.  The chain rule gives
-    (DX)^K = sum_L a_{K,L} D_x^L through the recursion
-    DX_i(a D^L h) = DX_i(a) D^L h + sum_j (cof_ij / J) a D^{L+e_j} h
-    (Olver, Applications of Lie Groups to Differential Equations, 2.2);
-    row mu's coefficients C[(alpha, L)] = sum_K c_{mu,alpha,K}(X) a_{K,L}
-    and (Q G)^mu are cleared by one common denominator D_mu.  Returns one
+    """L~* composed with X(x,U) as an operator in x, read off
+    `cand.adjoint_rows` of formal kernels _W_alpha(x): the chain rule
+    turns each D_x^L _W_alpha into the kernel _W_alpha_L(x), whose
+    coefficient in row mu is C[(alpha, L)].  Row mu's coefficients and
+    (Q G)^mu are cleared by one common denominator D_mu.  Returns one
     (D_mu, {(alpha, L): D_mu C[(alpha, L)]}, D_mu (Q G)^mu) per row."""
-    chain, coords = cand.chain_rule, cand.coords
-    n = len(coords)
-    expansion = {(0,) * n: {(0,) * n: rat(1)}}
-
-    def expand(K):
-        if K not in expansion:
-            i, lower = multi_lower(K)
-            out = {}
-            for L, a in expand(lower).items():
-                out[L] = add(out.get(L, rat(0)), chain(a, coords[i]))
-                scaled = div(a, chain.det)
-                for j, c in enumerate(chain.cof[i]):
-                    Lj = L[:j] + (L[j] + 1,) + L[j + 1:]
-                    out[Lj] = add(out.get(Lj, rat(0)), mul(c, scaled))
-            expansion[K] = out
-        return expansion[K]
-
-    tables = [{} for _ in cand.qg_rows]
-    for (mu, alpha, K), c in cand.adjoint_op.coeffs.items():
-        c, t = cand.compose(c), tables[mu]
-        for L, a in expand(K).items():
-            t[(alpha, L)] = add(t.get((alpha, L), rat(0)), mul(c, a))
+    dx = cand.system.workspace.independents
+    names = [f"_W{a+1}" for a in range(cand.constraint_op.rows)]
     rows = []
-    for table, target in zip(tables, cand.qg_rows):
-        keys = [k for k, c in table.items() if not is_zero(c)]
+    for row, target in zip(cand.adjoint_rows([Fun(w, dx) for w in names]),
+                           cand.qg_rows):
+        kernels = fun_kernels_of(row)
         cleared = clear_denominators([rat(1), target] +
-                                     [table[k] for k in keys])
+                                     linear_form(row, kernels)[0])
+        keys = [(names.index(k.name), k.dmidx) for k in kernels]
         rows.append((cleared[0], dict(zip(keys, cleared[2:])), cleared[1]))
     return rows
 
@@ -392,10 +373,9 @@ def extract_dependent_part(cand):
     alpha of W gives one column L~*(b e_alpha), read through the
     candidate's composed operator; the coefficients of each monomial in a
     row give one exact rational equation in the unknown coefficients of
-    W.  The solution is confirmed through the independent route,
-    `adjoint_rows`.  Returns the W list; raises ExtractionError when no
-    combination of basis monomials satisfies the identity at any
-    degree."""
+    W.  The solution is confirmed with `adjoint_rows` of the W found.
+    Returns the W list; raises ExtractionError when no combination of
+    basis monomials satisfies the identity at any degree."""
     last = None
     for degree in range(2, MAX_W_DEGREE + 1):
         try:
@@ -614,7 +594,8 @@ def verify_linearization(sys, cand):
     """Check Q G == L~* W identically in U through `cand.adjoint_rows`
     (never the composed operator of the W solve), then cross-check by
     applying the built transformation and comparing with the target system
-    up to nonzero row factors.  Each row found identically zero is
+    up to nonzero row factors; the application's messages, such as a cap
+    that gave up, are passed on.  Each row found identically zero is
     cross-checked by probing its two sides at a random point."""
     targets = cand.qg_rows
     rows = cand.adjoint_rows(cand.W)
@@ -643,6 +624,7 @@ def verify_linearization(sys, cand):
             mapping_checked = True
             if not mapping_ok:
                 messages.append("transformed system does not match the target")
+            messages += rep.messages
         except ExprError as exc:
             messages.append(f"mapping cross-check skipped: {exc}")
     return LinearizationReport(ok=ok43 and mapping_ok is not False,

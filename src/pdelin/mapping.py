@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DegenerateError, ExprError
-from .expr import (ExpF, Jet, LogF, Sym, add, atoms_of, clear_equation,
+from .expr import (Add, ExpF, Jet, LogF, Sym, add, atoms_of, clear_equation,
                    derive_multi, diff_atom, div, exp_, from_monomial, is_zero,
                    jets_of, log_, monomials, mul, multi_diff, multi_unit,
                    solve_linear, sub, substitute, total_derivative, walk)
@@ -44,10 +44,14 @@ class ChainRule:
         self.cof = adjugate(mat)
         self.index = {v: i for i, v in enumerate(self.variables)}
 
-    def __call__(self, h, variable):
+    def numerator(self, h, variable):
+        """det * d h / d variable: the chain rule before its division."""
         row = self.cof[self.index[variable]]
-        return div(add(*[mul(c, total_derivative(h, xj))
-                         for c, xj in zip(row, self.independents)]), self.det)
+        return add(*[mul(c, total_derivative(h, xj))
+                     for c, xj in zip(row, self.independents)])
+
+    def __call__(self, h, variable):
+        return div(self.numerator(h, variable), self.det)
 
 
 @dataclass
@@ -100,11 +104,17 @@ def check_contact_condition(tr):
 
 def contact_rho(chain, psi):
     """rho solving the contact condition D_{x_j} psi = sum_i rho_i D_{x_j}
-    phi_i: rho_i = d psi / dX_i under the chain rule of phi."""
+    phi_i: rho_i = d psi / dX_i under the chain rule of phi.  An expanded
+    sum never cancels against its inverse, so when the Jacobian is a sum
+    rho_i is the exact monomial quotient by it where one exists."""
     if is_zero(chain.det):
         raise DegenerateError("contact condition is degenerate: the "
                               "Jacobian vanishes")
-    return [chain(psi, v) for v in chain.variables]
+    nums = [chain.numerator(psi, v) for v in chain.variables]
+    if isinstance(chain.det, Add):
+        return [_monomial_quotient(n, chain.det) or div(n, chain.det)
+                for n in nums]
+    return [div(n, chain.det) for n in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +291,8 @@ def apply_transformation(sys, tr):
     return MappingReport(equations=new_eqs, system=system, messages=messages)
 
 
-# reduction passes per equation in _triangularize; an equation that
-# exhausts them is kept as reduced so far, with a message naming the cap
+# reduction passes per equation in _triangularize; an equation left reducible
+# by them is kept as reduced so far, with a message naming the cap
 MAX_TRIANGULARIZE_PASSES = 64
 
 
@@ -294,7 +304,7 @@ def _triangularize(eqs, ws):
     out = []
     pivots = []  # (leading jet, equation)
     for idx, eq in enumerate(eqs):
-        for _ in range(MAX_TRIANGULARIZE_PASSES):
+        for passes in range(MAX_TRIANGULARIZE_PASSES + 1):
             target = None
             for j in sorted(jets_of(eq), key=lambda j: jet_rank(ws, j), reverse=True):
                 for lead, red in pivots:
@@ -307,6 +317,11 @@ def _triangularize(eqs, ws):
                     break
             if target is None:
                 break
+            if passes == MAX_TRIANGULARIZE_PASSES:
+                messages.append(f"equation {idx + 1}: reduction stopped: "
+                                f"pass cap MAX_TRIANGULARIZE_PASSES = "
+                                f"{MAX_TRIANGULARIZE_PASSES} exhausted")
+                break
             j, delta, red = target
             r = derive_multi(red, ws.independents, delta, total_derivative)
             ce = diff_atom(eq, j)
@@ -315,10 +330,6 @@ def _triangularize(eqs, ws):
                 messages.append(f"equation {idx + 1}: nonlinear pivot, reduction skipped")
                 break
             eq = sub(mul(cr, eq), mul(ce, r))
-        else:
-            messages.append(f"equation {idx + 1}: reduction stopped: pass cap "
-                            f"MAX_TRIANGULARIZE_PASSES = "
-                            f"{MAX_TRIANGULARIZE_PASSES} exhausted")
         eq = clear_equation(eq)
         if is_zero(eq):
             messages.append(f"equation {idx + 1} is a consequence of the others")
@@ -361,25 +372,22 @@ def equations_match_up_to_factor(got, want):
 
 
 def _factor_ratio(a, b):
-    """A jet-free nonzero r with a == r*b, tried from monomial ratios of
-    leading terms (sums do not cancel in quotient-free canonical form)."""
-    if is_zero(a) or is_zero(b):
+    """A jet-free nonzero r with a == r*b."""
+    r = None if is_zero(a) or is_zero(b) else _monomial_quotient(a, b)
+    if r is None or jets_of(r) or \
+            not probe_nonzero_robust(r, default_probe_seed() + 17):
         return None
+    return r
+
+
+def _monomial_quotient(a, b):
+    """A monomial r with a == r*b, or None; tried from the ratios of each
+    monomial of a to the leading monomial of b (sums do not cancel in
+    quotient-free canonical form)."""
     cb, fb = monomials(b)[0]
-    candidates = []
     for ca, fa in monomials(a):
-        fm = dict(fa)
-        for k, n in fb.items():
-            m = fm.get(k, 0) - n
-            if m == 0:
-                fm.pop(k, None)
-            else:
-                fm[k] = m
-        candidates.append(from_monomial(ca / cb, fm))
-    for r in candidates:
-        if jets_of(r):
-            continue
-        if is_zero(sub(mul(r, b), a)) and \
-                probe_nonzero_robust(r, default_probe_seed() + 17):
+        r = from_monomial(ca / cb, {k: fa.get(k, 0) - fb.get(k, 0)
+                                    for k in {**fa, **fb}})
+        if is_zero(sub(mul(r, b), a)):
             return r
     return None

@@ -428,6 +428,52 @@ def test_verify_clears_a_squared_sum_denominator(tmp_path, capsys):
     assert "fluxes unavailable" not in out
 
 
+def test_linearize_takes_the_exact_contact_quotient(tmp_path, capsys):
+    # rho_i = (J d W/dX_i) / J with the Jacobian J a sum: the numerator
+    # comes expanded, so rho is its exact monomial quotient by J, free of
+    # second derivatives
+    assert run(tmp_path, SHEARED_PIPELINE, "linearize") == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    for want in ("rho1 = x", "rho2 = -u_t", "mapping-check = ok"):
+        assert want in lines
+
+
+# Burgers after an invertible change of variables, each with its order-0
+# multipliers derived: new x = a*x + c*t, new t = b*t, u1 -> k*u1 and
+# u2 -> m*u2 for (a, b, c, k, m) in (1,1,1/2,1,1), (1,1,-3,1,1),
+# (2,3,2/3,1,1), (1,1,1,3,1), (1/2,1,-1,1,-2), (1,2,5,1/3,1) and
+# (-1,1,7/5,2,3); then u1 and u2 swapped; old u1 = u1 + u2; old u1 = u1 + x;
+# old u2 = u2 + x*t
+BURGERS_VARIANTS = [
+    ("2*u1 - u2_x", "u1^2 + u1 - 2*u1_x + u2_t"),
+    ("2*u1 - u2_x", "u1^2 - 6*u1 - 2*u1_x + u2_t"),
+    ("u1 - u2_x", "3*u1^2 + 2*u1 - 12*u1_x + 9*u2_t"),
+    ("2*u1 - 3*u2_x", "u1^2 + 6*u1 - 6*u1_x + 9*u2_t"),
+    ("8*u1 + u2_x", "2*u1^2 - 8*u1 - 2*u1_x - u2_t"),
+    ("6*u1 - u2_x", "9*u1^2 + 30*u1 - 6*u1_x + 2*u2_t"),
+    ("3*u1 + u2_x", "15*u1^2 - 84*u1 + 60*u1_x + 20*u2_t"),
+    ("u1_x - 2*u2", "u2^2 + u1_t - 2*u2_x"),
+    ("2*u1 + 2*u2 - u2_x",
+     "2*u1*u2 + u1^2 + u2^2 - 4*u1 - 2*u1_x - 4*u2 + u2_t"),
+    ("2*x + 2*u1 - u2_x", "2*x*u1 + x^2 + u1^2 - 2*u1_x + u2_t - 2"),
+    ("t - 2*u1 + u2_x", "u1^2 + x - 2*u1_x + u2_t"),
+]
+
+
+@pytest.mark.parametrize("g1, g2", BURGERS_VARIANTS, ids=[
+    *(f"affine{i}" for i in range(1, 8)), "swap", "u1+u2", "u1+x", "u2+xt"])
+def test_invertible_variants_of_burgers_linearize(tmp_path, capsys, g1, g2):
+    # linearizability survives an invertible change of variables, and
+    # order-0 multipliers stay order 0 under a point change
+    text = BURGERS.replace("G1 = u2_x - 2*u1", f"G1 = {g1}").replace(
+        "G2 = u2_t - 2*u1_x + u1^2", f"G2 = {g2}")
+    assert run(tmp_path, text, "linearize", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["augmented-identity"]["residual"] == "0"
+    assert doc["verification"]["mapping-check"] == "ok"
+    assert len(doc["target-system"]) == 2
+
+
 def test_usage_errors_exit_3():
     # argparse usage failures map to the input-error code; 2 stays reserved
     # for rejected linearizations
@@ -530,8 +576,9 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
     # of the two chain rules, whose adjugates are the only ones built: d/dX
     # of the candidate and D_x of the inverse in apply_transformation; and
     # so is L~* composed with X, not once per basis degree or column; the
-    # chain-rule rows of W are computed once, for the confirmation of the
-    # W solve, and read again by verify_linearization
+    # chain-rule rows are computed twice: once of formal kernels, which
+    # give the W solve its operator, and once of the W found, for the
+    # confirmation of the solve, read again by verify_linearization
     calls = {"adjoint": 0, "adjugate": 0, "composed": 0, "adjoint_rows": 0}
     adjoint, adjugate = LinearOperator.adjoint, mapping.adjugate
     apply, composed = LinearOperator.apply, linearize.composed_operator
@@ -560,7 +607,7 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
     assert main(["linearize", system]) == 0
     capsys.readouterr()
     assert calls == {"adjoint": 1, "adjugate": 2, "composed": 1,
-                     "adjoint_rows": 1}
+                     "adjoint_rows": 2}
 
 
 @pytest.mark.parametrize("job, loads_mpmath", [

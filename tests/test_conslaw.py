@@ -283,6 +283,25 @@ def test_flux_roundtrip_random():
         assert is_zero(sub(div_of(fluxes, ws), e)), f"case {k}"
 
 
+def test_flux_sweep_stops_when_it_cycles(monkeypatch):
+    # the sweep's remainder repeats with period 2 here; the homotopy formula
+    # finishes from the repeat instead of the sweep spinning to its cap
+    ws = Workspace("xt", ["u", "w"])
+    calls = []
+    absorb = conslaw._absorb
+
+    def counting(*args):
+        calls.append(args)
+        return absorb(*args)
+
+    monkeypatch.setattr(conslaw, "_absorb", counting)
+    e = parse("3/2*u_t*w_tx + 3/2*u_tt*w_x - 4*u_x + w_x", ws)
+    fluxes = reconstruct_fluxes(e, ws)
+    assert len(calls) <= 4
+    assert [to_text(f) for f in fluxes] == [
+        "3/8*u_t*w_t + 3/8*u_tt*w - 4*u + w", "9/8*u_t*w_x - 3/8*u_tx*w"]
+
+
 def test_splitting_completeness_corpora():
     # families plugged back into every split equation reduce to zero, and
     # re-running full verification succeeds

@@ -1,6 +1,8 @@
 """Point/contact transformations: application, inversion, contact
 conditions, and the bundled transformation chains."""
 
+import json
+
 import pytest
 
 import corpus
@@ -244,3 +246,17 @@ def test_triangularize_reports_its_pass_cap(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert ("equation 2: reduction stopped: pass cap "
             "MAX_TRIANGULARIZE_PASSES = 0 exhausted") in out
+    # equation 1 has nothing to reduce against, so no cap stopped it
+    assert "equation 1: reduction stopped" not in out
+
+
+def test_linearize_reports_the_cap_that_gave_up(monkeypatch, capsys):
+    # linearize's mapping check passes on the messages of the transformation
+    # it applies, so a mismatch that a cap caused names the cap
+    monkeypatch.setattr(mapping, "MAX_TRIANGULARIZE_PASSES", 0)
+    assert main(["linearize", "burgers", "--json"]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verification"]["mapping-check"] == "mismatch"
+    assert ("equation 2: reduction stopped: pass cap "
+            "MAX_TRIANGULARIZE_PASSES = 0 exhausted"
+            in doc["verification"]["messages"])
