@@ -278,12 +278,12 @@ def cmd_verify(wf, args, doc):
             tdoc["contact-condition"] = "ok" if ok else "violated"
             if not ok:
                 code = EXIT_RESIDUAL
-        if wf.target_equations is not None and code == EXIT_OK:
+        if wf.target is not None and code == EXIT_OK:
             rep = apply_transformation(wf.system, tr)
             tdoc["transformed-system"] = [to_text(e) + " = 0"
                                           for e in rep.equations]
             match = equations_match_up_to_factor(rep.equations,
-                                                 wf.target_equations)
+                                                 wf.target.reduced)
             tdoc["matches-target"] = match
             if rep.messages:
                 tdoc["messages"] = rep.messages
@@ -308,19 +308,18 @@ def bundled_path(name):
 
 
 def _read_input(path):
-    if path.endswith(".ws"):
-        base = path[:-3]
-    else:
-        base = path
+    """The file at `path`, else the bundled system that a bare name (with
+    or without `.ws`) names; any other path that cannot be read is an input
+    error naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError:
-        ref = bundled_path(base.rsplit("/", 1)[-1])
-        try:
-            return ref.read_text(encoding="utf-8")
-        except OSError as exc:
+    except OSError as exc:
+        name = path.removesuffix(".ws")
+        ref = bundled_path(name)
+        if "/" in name or not ref.is_file():
             raise CliFailure(EXIT_INPUT, f"cannot read '{path}': {exc}")
+        return ref.read_text(encoding="utf-8")
 
 
 def main(argv=None):

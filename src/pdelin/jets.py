@@ -5,13 +5,14 @@ infinitesimal symmetries in evolutionary form."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .constraints import LinearConstraints
 from .errors import CyclicRuleError, ExprError, WorkspaceError
-from .expr import (add, derive_multi, diff_atom, is_zero, jets_of,
-                   max_jet_order, mul, multi_binom, multi_diff, multi_indices,
-                   multi_unit, neg, rat, solve_linear, sub, substitute,
-                   total_derivative)
+from .expr import (add, clear_equation, derive_multi, diff_atom, is_zero,
+                   jets_of, max_jet_order, mul, multi_binom, multi_diff,
+                   multi_indices, multi_unit, neg, rat, solve_linear, sub,
+                   substitute, total_derivative)
 
 
 def jet_rank(ws, j):
@@ -43,7 +44,8 @@ class PdeSystem:
     prolonged rules of those before it and solved again, and its rule is
     substituted into the earlier right-hand sides, so none holds a ruled jet.
     An equation left with no jet, or a rule holding a derivative of its own
-    jet, is an error."""
+    jet, is an error.  This is the only reduction of equations against each
+    other's leading jets; `reduced` reads it off the final rules."""
 
     def __init__(self, workspace, equations, leading=None, names=None):
         self.workspace = workspace
@@ -66,6 +68,7 @@ class PdeSystem:
             return jet, solved
 
         solves = [solve(i, g) for i, g in enumerate(self.equations)]
+        last = list(self.equations)  # each equation as last solved
         self.rules = {}
         for i in sorted(range(len(solves)),
                         key=lambda i: jet_rank(workspace, solves[i][0])):
@@ -77,6 +80,7 @@ class PdeSystem:
                     raise ExprError(f"equation {self.names[i]} determines no "
                                     "new jet on the leading rules of the others")
                 solves[i] = solve(i, g)
+                last[i] = g
             jet, solved = solves[i]
             own = [j for j in jets_of(solved) if _derives(workspace, j, jet)]
             if own:
@@ -85,6 +89,15 @@ class PdeSystem:
             self.rules = {j: substitute(r, {jet: solved})
                           for j, r in self.rules.items()}
             self.rules[jet] = solved
+        self._solved = [(g, jet) for g, (jet, _) in zip(last, solves)]
+
+    @cached_property
+    def reduced(self):
+        """The equations in input order, each reduced on all the others:
+        its leading coefficient as last solved times its final rule, which
+        holds no ruled jet, cleared of denominators."""
+        return [clear_equation(mul(diff_atom(g, jet), sub(jet, self.rules[jet])))
+                for g, jet in self._solved]
 
     @property
     def m(self):

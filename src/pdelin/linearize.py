@@ -620,7 +620,7 @@ def verify_linearization(sys, cand):
         try:
             rep = apply_transformation(sys, cand.mapping)
             mapping_ok = equations_match_up_to_factor(rep.equations,
-                                                      cand.target.equations)
+                                                      cand.target.reduced)
             mapping_checked = True
             if not mapping_ok:
                 messages.append("transformed system does not match the target")

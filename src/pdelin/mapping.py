@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 
 from .errors import DegenerateError, ExprError
 from .expr import (Add, ExpF, Jet, LogF, Sym, add, atoms_of, clear_equation,
-                   derive_multi, diff_atom, div, exp_, from_monomial, is_zero,
-                   jets_of, log_, monomials, mul, multi_diff, multi_unit,
-                   solve_linear, sub, substitute, total_derivative, walk)
-from .jets import PdeSystem, jet_rank
+                   diff_atom, div, exp_, from_monomial, is_zero, jets_of, log_,
+                   monomials, mul, multi_unit, solve_linear, sub, substitute,
+                   total_derivative, walk)
+from .jets import PdeSystem
 from .linalg import adjugate, det
 from .linops import DerivativeTable
 from .probe import default_probe_seed, probe_nonzero_robust
@@ -141,9 +141,18 @@ def invert_transformation(tr):
     if tr.kind == "contact":
         for i, r in enumerate(tr.rho):
             pairs.append((r, tgt.jet(tgt.dependents[0], multi_unit(i, tgt.n))))
+    # a target atom that repeats a source one (`vars = x, t` over x, t) is
+    # solved against as a stand-in that no input can name, then put back
+    back = {}
+    for k, (p, a) in enumerate(pairs):
+        if a in unknowns:
+            back[a] = Sym(f"_{k}", a.kind) if isinstance(a, Sym) else Jet(f"_{k}")
+            pairs[k] = (p, back[a])
     solution = _solve_atoms(pairs, unknowns)
     if solution is None:
         return None, None
+    back = {s: a for a, s in back.items()}
+    solution = {y: substitute(v, back) for y, v in solution.items()}
     inv_phi = tuple(solution[x] for x in src.independents)
     inv_psi = tuple(solution[src.lookup(d)] for d in src.dependents)
     inv_rho = None
@@ -245,9 +254,10 @@ def apply_transformation(sys, tr):
     Needs the closed-form inverse: old independents/dependents (and, for
     contact maps, first-order jets) as expressions of the new ones.  Old
     jets lift through the inverse's chain rule, D_{x_i} = sum_j
-    (dz_j/dx_i) D_{z_j}, one cached d^K table per old dependent; each
-    transformed equation is cleared of its denominators and of an overall
-    nonzero monomial factor."""
+    (dz_j/dx_i) D_{z_j}, one cached d^K table per old dependent.  The
+    transformed equations are cleared of their denominators and reduced
+    as a `PdeSystem`, whose reduced rows are returned; when they do not
+    close, the cleared rows are returned with a message."""
     if sys.workspace is not tr.source:
         raise ExprError("transformation source workspace differs from the system's")
     jac = tr.jacobian()
@@ -282,66 +292,12 @@ def apply_transformation(sys, tr):
             elif isinstance(a, Jet):
                 rules[a] = old(src.dep_index(a.dep), src.jet_vector(a))
         raw_eqs.append(clear_equation(substitute(g, rules)))
-    new_eqs, messages = _triangularize(raw_eqs, tgt)
-    system = None
     try:
-        system = PdeSystem(tgt, new_eqs)
+        system = PdeSystem(tgt, raw_eqs)
     except ExprError as exc:
-        messages.append(f"transformed equations do not close: {exc}")
-    return MappingReport(equations=new_eqs, system=system, messages=messages)
-
-
-# reduction passes per equation in _triangularize; an equation left reducible
-# by them is kept as reduced so far, with a message naming the cap
-MAX_TRIANGULARIZE_PASSES = 64
-
-
-def _triangularize(eqs, ws):
-    """Fraction-free reduction of each transformed equation modulo the
-    previous ones; change of variables mixes target rows by the invertible
-    factor matrix, and this restores a row-per-row presentation."""
-    messages = []
-    out = []
-    pivots = []  # (leading jet, equation)
-    for idx, eq in enumerate(eqs):
-        for passes in range(MAX_TRIANGULARIZE_PASSES + 1):
-            target = None
-            for j in sorted(jets_of(eq), key=lambda j: jet_rank(ws, j), reverse=True):
-                for lead, red in pivots:
-                    delta = multi_diff(ws.jet_vector(j), ws.jet_vector(lead)) \
-                        if j.dep == lead.dep else None
-                    if delta is not None:
-                        target = (j, delta, red)
-                        break
-                if target:
-                    break
-            if target is None:
-                break
-            if passes == MAX_TRIANGULARIZE_PASSES:
-                messages.append(f"equation {idx + 1}: reduction stopped: "
-                                f"pass cap MAX_TRIANGULARIZE_PASSES = "
-                                f"{MAX_TRIANGULARIZE_PASSES} exhausted")
-                break
-            j, delta, red = target
-            r = derive_multi(red, ws.independents, delta, total_derivative)
-            ce = diff_atom(eq, j)
-            cr = diff_atom(r, j)
-            if not is_zero(diff_atom(ce, j)) or not is_zero(diff_atom(cr, j)):
-                messages.append(f"equation {idx + 1}: nonlinear pivot, reduction skipped")
-                break
-            eq = sub(mul(cr, eq), mul(ce, r))
-        eq = clear_equation(eq)
-        if is_zero(eq):
-            messages.append(f"equation {idx + 1} is a consequence of the others")
-            out.append(eq)
-            continue
-        out.append(eq)
-        js = jets_of(eq)
-        if js:
-            lead = max(js, key=lambda j: jet_rank(ws, j))
-            if is_zero(diff_atom(diff_atom(eq, lead), lead)):
-                pivots.append((lead, eq))
-    return out, messages
+        return MappingReport(equations=raw_eqs, system=None, messages=[
+            f"transformed equations do not close: {exc}"])
+    return MappingReport(equations=system.reduced, system=system)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,7 @@ class WorkspaceFile:
     ansatz: MultiplierAnsatz | None = None
     family: MultiplierFamily | None = None
     transformation: Transformation | None = None
-    target_equations: list | None = None
-    target_workspace: Workspace | None = None
+    target: PdeSystem | None = None
 
 
 def _split_sections(text):
@@ -151,15 +150,17 @@ def load_workspace_text(text):
 
     if "transformation" in sections:
         with _section(headers, "transformation"):
-            out.transformation, out.target_workspace = _load_transformation(
+            out.transformation = _load_transformation(
                 sections["transformation"], ws)
 
     if "target" in sections:
         if out.transformation is None:
             raise WorkspaceError("[target] requires [transformation]")
+        tgt = out.transformation.target
         with _section(headers, "target"):
-            out.target_equations = [parse(value, out.target_workspace)
-                                    for _, value, _ in sections["target"]]
+            out.target = PdeSystem(
+                tgt, [parse(value, tgt) for _, value, _ in sections["target"]],
+                names=[key for key, _, _ in sections["target"]])
     return out
 
 
@@ -254,5 +255,4 @@ def _load_transformation(entries, ws):
         if sorted(rho) != list(range(1, ws.n + 1)):
             raise WorkspaceError("[transformation] must define rho1..rhon")
         rho_t = tuple(parse(rho[i], ws) for i in sorted(rho))
-    tr = Transformation(kind, ws, tgt, phi, psi, rho_t)
-    return tr, tgt
+    return Transformation(kind, ws, tgt, phi, psi, rho_t)

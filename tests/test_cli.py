@@ -225,6 +225,8 @@ BAD_SECTIONS = [
     ("burgers", "G1 =", "G1 = u2_t - 2*u1_x + u1^2", 10),
     ("burgers", "G1 =", "G1 = u1 - u1_x^2", 10),
     ("burgers", "H1 =", "H1 = w1/0", 29),
+    # H1 repeats H2, so the target does not close
+    ("burgers", "H1 =", "H1 = w1_x - w2_t", 29),
     # constraint kernels away from the coordinates X, T
     ("pipeline", "row1 =", "row1 = v_{2}(X,T) + pow(X,p)*v_{1,1}(X,T)"
      " + 2*p*pow(X,p-1)*v_{1}(p,T) + p*(p-1)*pow(X,p-2)*v(X,T)", 18),
@@ -472,6 +474,19 @@ def test_invertible_variants_of_burgers_linearize(tmp_path, capsys, g1, g2):
     assert doc["augmented-identity"]["residual"] == "0"
     assert doc["verification"]["mapping-check"] == "ok"
     assert len(doc["target-system"]) == 2
+
+
+def test_only_a_bare_name_reads_a_bundled_system(tmp_path, monkeypatch,
+                                                capsys):
+    # a missing path is an input error naming it, even when its file name
+    # is that of a bundled system
+    monkeypatch.chdir(tmp_path)
+    for path in ("/no/such/dir/telegraph.ws", str(tmp_path / "burgers.ws"),
+                 "./burgers", "nosuch"):
+        assert main(["detsys", path, "--json"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["message"].startswith(f"cannot read '{path}': ")
+    assert main(["detsys", "burgers.ws"]) == 0
 
 
 def test_usage_errors_exit_3():

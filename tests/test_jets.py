@@ -127,6 +127,19 @@ def test_leading_rules_are_reduced_against_each_other():
         rules("u1 - u1_x^2")
 
 
+def test_reduced_rows_are_reduced_on_every_other_equation():
+    # G1 is solved for u1 (u2_x occurs squared), below the lead u2_x of G2,
+    # and its row still takes G2's rule; the rows keep the input order
+    def reduced(g1, g2):
+        return PdeSystem(ws, [parse(g1, ws), parse(g2, ws)]).reduced
+
+    assert reduced("u1 - u2_x^2", "u2_x - x") == [parse("x^2 - u1", ws),
+                                                   parse("x - u2_x", ws)]
+    # G2 holds G1's lead u2_x, and its row does not
+    assert reduced("u2_x - 2*u1", "u2_x + u2_t - 2*u1_x + u1^2") == [
+        parse("2*u1 - u2_x", ws), parse("u1^2 + 2*u1 - 2*u1_x + u2_t", ws)]
+
+
 def test_commutativity_and_leibniz():
     rng = seeded(43)
     atoms = [x, t, u1, u2] + random_jets(ws)

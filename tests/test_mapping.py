@@ -9,6 +9,7 @@ import corpus
 from helpers import seeded
 from pdelin import mapping
 from pdelin.cli import bundled_path, main
+from pdelin.errors import ExprError
 from pdelin.expr import (Jet, add, equal, exp_, is_zero, mul, neg, rat, sub,
                          substitute, total_derivative)
 from pdelin.grammar import parse, to_text
@@ -235,28 +236,64 @@ def test_hopf_cole_direction():
                                Jet("u1", (("t", 1),)): rat(0)}))
 
 
-def test_triangularize_reports_its_pass_cap(monkeypatch, capsys):
-    # the bundled Burgers verify reduces its second transformed equation
-    # against the first; with no passes left it says so instead of using
-    # the unreduced equation silently
-    assert main(["verify", "burgers"]) == 0
-    assert "MAX_TRIANGULARIZE_PASSES" not in capsys.readouterr().out
-    monkeypatch.setattr(mapping, "MAX_TRIANGULARIZE_PASSES", 0)
-    main(["verify", "burgers"])
-    out = capsys.readouterr().out
-    assert ("equation 2: reduction stopped: pass cap "
-            "MAX_TRIANGULARIZE_PASSES = 0 exhausted") in out
-    # equation 1 has nothing to reduce against, so no cap stopped it
-    assert "equation 1: reduction stopped" not in out
-
-
-def test_linearize_reports_the_cap_that_gave_up(monkeypatch, capsys):
+def test_linearize_passes_on_the_mapping_messages(monkeypatch, capsys):
     # linearize's mapping check passes on the messages of the transformation
-    # it applies, so a mismatch that a cap caused names the cap
-    monkeypatch.setattr(mapping, "MAX_TRIANGULARIZE_PASSES", 0)
+    # it applies: transformed rows that do not close are compared as they
+    # are, and the message says why
+    def no_close(*args):
+        raise ExprError("no leading solve")
+
+    monkeypatch.setattr(mapping, "PdeSystem", no_close)
     assert main(["linearize", "burgers", "--json"]) == 4
     doc = json.loads(capsys.readouterr().out)
     assert doc["verification"]["mapping-check"] == "mismatch"
-    assert ("equation 2: reduction stopped: pass cap "
-            "MAX_TRIANGULARIZE_PASSES = 0 exhausted"
+    assert ("transformed equations do not close: no leading solve"
             in doc["verification"]["messages"])
+
+
+# Burgers under the shear z1 = x + t with a target written unreduced: H2 is
+# the exact image of G2, which still holds the jet w2_X that H1 rules
+SHEARED = """
+[vars]
+independents = x, t
+dependents = u1, u2
+[system]
+G1 = u2_x - 2*u1
+G2 = u2_t - 2*u1_x + u1^2
+[transformation]
+kind = point
+vars = X, T
+deps = w1, w2
+z1 = x + t
+z2 = t
+w1 = u1
+w2 = u2
+[target]
+H1 = w2_X - 2*w1
+H2 = w2_X + w2_T - 2*w1_X + w1^2
+"""
+SWAPPED = SHEARED.replace(
+    "H1 = w2_X - 2*w1\nH2 = w2_X + w2_T - 2*w1_X + w1^2",
+    "H1 = w2_X + w2_T - 2*w1_X + w1^2\nH2 = w2_X - 2*w1")
+SAME_NAMES = SHEARED.replace("vars = X, T", "vars = x, t").replace(
+    "_X", "_x").replace("_T", "_t")
+
+
+@pytest.mark.parametrize("text, code", [
+    (SHEARED, 0),
+    (SWAPPED, 0),
+    (SHEARED.replace("w1^2\n", "w1^2 + w1\n"), 4),
+    # target variables that repeat the source's names
+    (SAME_NAMES, 0),
+    (SAME_NAMES.replace("w1 = u1", "w1 = 2*u1"), 4),
+], ids=["unreduced", "swapped", "wrong", "same-names", "same-names-wrong-w"])
+def test_verify_compares_reduced_targets(tmp_path, capsys, text, code):
+    # the transformed rows and the target are both reduced as a PdeSystem,
+    # so a target's row order and its unreduced rows do not matter
+    f = tmp_path / "case.ws"
+    f.write_text(text)
+    assert main(["verify", str(f), "--json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    tdoc = doc["transformation-verification"]
+    assert tdoc["matches-target"] is (code == 0)
+    assert "messages" not in tdoc

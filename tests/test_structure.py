@@ -5,7 +5,8 @@ jet's (name, order) pairs, and no module-level import is left unused.
 Every module-level definition has a caller outside the tests, unless it is a
 named test oracle.  No function mutates module-level state; the two settings
 the README names are per context.  Every loop cap is a named constant.  Only
-the kernel builds a product or reads a node's cached views."""
+the kernel builds a product or reads a node's cached views.  Only `jets` and
+the reducer rank jets."""
 
 import ast
 import pathlib
@@ -277,14 +278,18 @@ def test_loop_caps_are_named():
 ROW_PARSERS = {"constraints", "linops"}
 
 
-def test_one_row_parser():
-    callers = set()
+def _callers(name):
+    """The modules that call a function or method of the given name."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if any(isinstance(node, ast.Call) and
-               isinstance(node.func, ast.Attribute) and
-               node.func.attr == "from_rows" for node in ast.walk(tree)):
-            callers.add(path.stem)
+               getattr(node.func, "id", getattr(node.func, "attr", None))
+               == name for node in ast.walk(tree)):
+            yield path.stem
+
+
+def test_one_row_parser():
+    callers = set(_callers("from_rows"))
     assert callers <= ROW_PARSERS, sorted(callers - ROW_PARSERS)
     imported = {(mod, alias.name) for mod, _, node in _imports()
                 for alias in node.names}
@@ -321,6 +326,17 @@ def test_one_kernel_rule_rewriter():
     # constraint rows and the multiplier oracle all go through it
     assert sorted(_capped_kernel_rewriters()) == [
         ("constraints", "MAX_REDUCE_ROUNDS")]
+
+
+# the modules that rank jets: `PdeSystem`'s leading solves and rules, and
+# the reducer's; a system's equations are reduced against each other's
+# leading jets only by `PdeSystem`
+JET_RANKERS = {"jets", "conslaw"}
+
+
+def test_one_triangular_form():
+    callers = set(_callers("jet_rank"))
+    assert callers <= JET_RANKERS, sorted(callers - JET_RANKERS)
 
 
 def _view_readers():
