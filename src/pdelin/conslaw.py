@@ -1,7 +1,7 @@
 """Conservation-law multipliers: determining equations, splitting into an
-overdetermined linear system, a heuristic reducer (algebraic elimination,
-potential introduction, first-order integration, characteristics), multiplier
-family verification, divergence testing and flux reconstruction."""
+overdetermined linear system, a heuristic reducer (characteristics, algebraic
+elimination, potential introduction), multiplier family verification,
+divergence testing and flux reconstruction."""
 
 from __future__ import annotations
 
@@ -214,13 +214,18 @@ class ReducerResult:
 def reduce_determining_system(det):
     """Heuristic integration of the split determining system.
 
-    Handles, iteratively: algebraic elimination, removal of absent
-    dependencies (g_xi = 0), potential introduction for exactness relations,
-    first-order integrating factors (g_xi + a g = 0 with a free of xi), and
-    transport equations g_xi + a g_eta = 0 integrated by characteristics.
-    A single surviving linear PDE in one function of n variables is packaged
-    as a multiplier family (Case II); everything else is reported as Case I
-    or undetermined with the irreducible residual system."""
+    Three passes run, iteratively.  The method of characteristics takes a
+    homogeneous row c_0 g + sum_j c_j g_{p_j} = 0 in one function g, every
+    kernel at the same arguments: g = 0 when no derivative occurs, else g =
+    exp(-int c_0/c_k d arg_k) h, where h drops a pivot argument k and takes
+    each other coupled argument j to an invariant of d arg_k/d arg_j =
+    c_k/c_j (that ratio rational, c*arg_k, or free of every coupled
+    argument); c_0/c_k must be free of the other coupled arguments and have
+    a closed-form antiderivative.  Algebraic elimination and potentials for
+    exactness relations follow.  A single surviving linear PDE in one
+    function of n variables is packaged as a multiplier family (Case II);
+    everything else is reported as Case I or undetermined with the
+    irreducible residual system."""
     state = _ReducerState(det.unknowns, det.arguments,
                           [e for (_, _, e) in det.equations])
     state.run()
@@ -321,9 +326,8 @@ class _ReducerState:
     # -- the pass loop ------------------------------------------------------
 
     def run(self):
-        passes = (self._pass_drop_dependency, self._pass_algebraic,
-                  self._pass_potential, self._pass_exponential,
-                  self._pass_transport)
+        passes = (self._pass_characteristics, self._pass_algebraic,
+                  self._pass_potential)
         for _ in range(MAX_REDUCER_PASSES):
             self.equations = self.live_equations()
             if not self.equations:
@@ -346,35 +350,83 @@ class _ReducerState:
         self.rules.add(name, (0,) * arity, _placeholders(arity), body)
         self.steps.append(note)
 
-    # pass: c * g_K = 0 with a single kernel
-    def _pass_drop_dependency(self, live):
+    # pass: c_0*g + sum_j c_j*g_{p_j} = 0 in one function g, every kernel at
+    # the same arguments and of order at most 1, by characteristics
+    def _pass_characteristics(self, live):
         for _, ks, form in live:
-            if len(ks) != 1 or _homogeneous(form) is None:
+            cs = _homogeneous(form)
+            if cs is None or not ks or any(
+                    k.name != ks[0].name or k.args != ks[0].args or
+                    sum(k.dmidx) > 1 for k in ks):
                 continue
-            k = ks[0]
-            if sum(k.dmidx) == 0:
-                self._register(k.name, rat(0), f"{k.name} = 0 forced")
+            name = ks[0].name
+            firsts = {multi_lower(k.dmidx)[0]: c
+                      for k, c in zip(ks, cs) if any(k.dmidx)}
+            if not firsts:
+                self._register(name, rat(0), f"{name} = 0 forced")
                 return True
-            if sum(k.dmidx) == 1:
-                self._drop_argument(k.name, multi_lower(k.dmidx)[0])
-                return True
+            c0 = next((c for k, c in zip(ks, cs) if not any(k.dmidx)), None)
+            for pk in sorted(firsts, reverse=True):
+                solved = self._characteristics(name, c0, firsts, pk)
+                if solved is not None:
+                    self._register(name, *solved)
+                    return True
         return False
 
-    def _drop_argument(self, name, pos):
-        old_args = self.args[name]
-        new_args = old_args[:pos] + old_args[pos + 1:]
-        if not new_args:
-            const = Sym(f"c{len(self.rules) + 1}", "parameter")
-            self._register(name, const,
-                           f"{name} depends on nothing: constant {const.name}")
-            return
-        new = self.new_name()
-        self.args[new] = new_args
-        ph = _placeholders(len(old_args))
-        body = Fun(new, tuple(ph[:pos] + ph[pos + 1:]))
-        self._register(name, body,
-                       f"{name} does not depend on argument {pos + 1}; "
-                       f"renamed to {new}")
+    def _characteristics(self, name, c0, firsts, pk):
+        """(body, step) for g = exp(-int (c0/c_pk) d arg_pk) * h, where h
+        drops arg_pk and takes each other coupled argument p_j to the
+        invariant of d(arg_pk)/d(arg_pj) = c_pk/c_pj; None when a ratio falls
+        outside the catalog.  Both the factor and the invariants must be
+        constant along a characteristic, so c0/c_pk may depend on arg_pk and
+        the uncoupled arguments only."""
+        args = self.args[name]
+        ph = _placeholders(len(args))
+        coupled = {ph[p] for p in firsts}
+        new_ph = [self._invariant(div(firsts[pk], firsts[i]), args, coupled,
+                                  i, pk) if i in firsts else ph[i]
+                  for i in range(len(args)) if i != pk]
+        theta = rat(0)
+        if c0 is not None:
+            a = self._to_placeholders(div(c0, firsts[pk]), args)
+            free = a is not None and \
+                (coupled - {ph[pk]}).isdisjoint(atoms_of(a))
+            theta = _antiderivative(a, ph[pk]) if free else None
+        if theta is None or any(p is None for p in new_ph):
+            return None
+        if new_ph:
+            new = self.new_name()
+            self.args[new] = tuple(substitute(p, dict(zip(ph, args)))
+                                   for p in new_ph)
+            body = Fun(new, tuple(new_ph))
+        else:
+            body = Sym(f"c{len(self.rules) + 1}", "parameter")
+        factor = "" if c0 is None else f"factor exp(-a*arg{pk + 1})"
+        if len(firsts) > 1:
+            along = ",".join(str(p + 1) for p in sorted(firsts) if p != pk)
+            step = (f"rides characteristics of args {along},{pk + 1}; " +
+                    (f"{factor}; " if factor else "") + f"new function {new}")
+        elif factor:
+            step = f"integrated: {factor}" + (
+                "" if new_ph else f"; constant {body.name}")
+        elif new_ph:
+            step = f"does not depend on argument {pk + 1}; renamed to {new}"
+        else:
+            step = f"depends on nothing: constant {body.name}"
+        return mul(exp_(neg(theta)), body), f"{name} {step}"
+
+    def _invariant(self, a, args, coupled, pj, pk):
+        """Characteristic invariant of d(arg_pk)/d(arg_pj) = a, written over
+        placeholders.  Catalog: a free of every coupled argument (over the
+        placeholders, or a rational), and a = c * arg_pk with rational c."""
+        ph = _placeholders(len(args))
+        body = a if isinstance(a, Rat) else self._to_placeholders(a, args)
+        if body is not None and coupled.isdisjoint(atoms_of(body)):
+            return sub(ph[pj], div(ph[pk], body))
+        c = div(a, args[pk])
+        if isinstance(c, Rat):
+            return sub(ph[pj], div(log_(ph[pk]), c))
+        return None
 
     # pass: solve one equation algebraically for an underived kernel; the
     # only pass that accepts a kernel-free part
@@ -388,17 +440,17 @@ class _ReducerState:
                 solved = solve_linear(eq, k)
                 if solved is None:
                     continue
-                body = self._to_placeholders(solved[1], k.name, k.args)
+                body = self._to_placeholders(solved[1], k.args)
                 if body is None:
                     continue
                 self._register(k.name, body, f"{k.name} eliminated algebraically")
                 return True
         return False
 
-    def _to_placeholders(self, e, name, args):
-        """Express `e` over the placeholders of `name`: actual argument
-        atoms map to placeholder symbols; any other atom outside surviving
-        kernels blocks the substitution."""
+    def _to_placeholders(self, e, args):
+        """Express `e` over the placeholders of a function of `args`: actual
+        argument atoms map to placeholder symbols; any other atom outside
+        surviving kernels blocks the substitution."""
         ph = _placeholders(len(args))
         mapping = {}
         for a, p in zip(args, ph):
@@ -441,94 +493,6 @@ class _ReducerState:
                            f"potential {h}: {g2} = {h}_pos{p1 + 1}")
             return True
         return False
-
-    # pass: g_xi + a*g = 0 with a free of xi -> g = exp(-a xi) h(rest)
-    def _pass_exponential(self, live):
-        for _, ks, form in live:
-            if len(ks) != 2 or ks[0].name != ks[1].name:
-                continue
-            i = 0 if sum(ks[0].dmidx) == 0 else 1  # the underived kernel
-            g, gk = ks[i], ks[1 - i]
-            if sum(g.dmidx) != 0 or sum(gk.dmidx) != 1:
-                continue
-            cs = _homogeneous(form)
-            if cs is None:
-                continue
-            c0, c1 = cs[i], cs[1 - i]
-            pos = multi_lower(gk.dmidx)[0]
-            body_a = self._to_placeholders(div(c0, c1), g.name, g.args)
-            if body_a is None:
-                continue
-            ph = _placeholders(len(g.args))
-            if not is_zero(diff_atom(body_a, ph[pos])):
-                continue
-            new = self.new_name()
-            self.args[new] = self.args[g.name][:pos] + self.args[g.name][pos + 1:]
-            hk = Fun(new, tuple(ph[:pos] + ph[pos + 1:]))
-            body = mul(exp_(neg(mul(body_a, ph[pos]))), hk)
-            self._register(g.name, body,
-                           f"{g.name} integrated: factor exp(-a*arg{pos + 1})")
-            return True
-        return False
-
-    # pass: transport g_xi + a*g_eta = 0 by characteristics
-    def _pass_transport(self, live):
-        for _, ks, form in live:
-            if len(ks) != 2:
-                continue
-            k1, k2 = ks
-            if k1.name != k2.name or sum(k1.dmidx) != 1 or sum(k2.dmidx) != 1:
-                continue
-            p1, p2 = multi_lower(k1.dmidx)[0], multi_lower(k2.dmidx)[0]
-            if p1 == p2:
-                continue
-            cs = _homogeneous(form)
-            if cs is None:
-                continue
-            c1, c2 = cs
-            name = k1.name
-            args = self.args[name]
-            orderings = sorted([(p1, p2, c1, c2), (p2, p1, c2, c1)],
-                               key=lambda o: o[0])
-            for (pj, pk, cj, ck) in orderings:
-                a = div(ck, cj)  # g_{pj} + a g_{pk} = 0
-                inv = self._invariant(a, args, pj, pk)
-                if inv is None:
-                    continue
-                new = self.new_name()
-                ph = _placeholders(len(args))
-                new_ph = []
-                new_args_actual = []
-                for i, arg in enumerate(args):
-                    if i == pk:
-                        continue
-                    if i == pj:
-                        new_ph.append(inv)
-                        new_args_actual.append(substitute(inv, dict(zip(ph, args))))
-                    else:
-                        new_ph.append(ph[i])
-                        new_args_actual.append(arg)
-                self.args[new] = tuple(new_args_actual)
-                body = Fun(new, tuple(new_ph))
-                self._register(name, body,
-                               f"{name} rides characteristics of args "
-                               f"{pj + 1},{pk + 1}; new function {new}")
-                return True
-        return False
-
-    def _invariant(self, a, args, pj, pk):
-        """Characteristic invariant of d(arg_pk)/d(arg_pj) = a, written over
-        placeholders.  Catalog: a a nonzero rational, and a = c * arg_pk."""
-        ph = _placeholders(len(args))
-        # a rational constant
-        if isinstance(a, Rat) and a.value != 0:
-            return sub(ph[pj], div(ph[pk], a))
-        # a = c * arg_pk with rational c
-        c = div(a, args[pk])
-        if isinstance(c, Rat) and c.value != 0:
-            return sub(ph[pj], div(log_(ph[pk]), c))
-        return None
-
 
 def _package_family(state, components, fname, constraint, ws):
     """Build a MultiplierFamily from reducer output: one surviving function

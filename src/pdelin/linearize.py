@@ -313,7 +313,8 @@ def composed_operator(cand):
 
 def _candidate_basis(cand, degree):
     """Monomials for the undetermined-coefficient solve of the dependent
-    part W: atoms and transcendental kernels harvested from the family."""
+    part W: atoms and transcendental kernels harvested from the family, X, Q
+    and the coefficients of the adjoint operator."""
     ws = cand.system.workspace
     atoms = list(ws.independents)
     max_order = 1 if ws.m == 1 else 0
@@ -324,7 +325,8 @@ def _candidate_basis(cand, degree):
     kernels = []
     seen = set()
     sources = list(cand.family.components) + list(cand.X) + \
-        [c for row in cand.Q for c in row]
+        [c for row in cand.Q for c in row] + \
+        [cand.compose(c) for c in cand.adjoint_op.coeffs.values()]
     inverted = set()
     for s in sources:
         for n in walk(s):

@@ -1,14 +1,16 @@
-"""Shared test utilities: workspaces for the bundled systems and a seeded
-random expression generator used by the property suites."""
+"""Shared test utilities: workspaces for the bundled systems, a seeded
+random expression generator used by the property suites, and a soundness
+oracle for the reducer's passes."""
 
 import pathlib
 import random
 import re
 from fractions import Fraction
 
+from pdelin import conslaw
 from pdelin.expr import (Add, ExpF, Jet, LogF, Mul, Rat, SPow, Sym,
-                         add, atoms_of, div, exp_, log_, monomials, mul, neg,
-                         pow_int, rat, sym_pow, walk)
+                         add, atoms_of, div, exp_, is_zero, log_, monomials,
+                         mul, neg, pow_int, rat, sym_pow, walk)
 from pdelin.grammar import to_text
 from pdelin.workspace import Workspace
 
@@ -35,6 +37,25 @@ def pipeline_workspace():
 
 def telegraph_workspace():
     return Workspace("xt", ["u1", "u2"])
+
+
+def check_reducer_steps(monkeypatch):
+    """Wrap every `_pass_*` method of the reducer so that each step it takes
+    must solve some equation the pass was given: under the rules after the
+    step, that equation reduces to 0.  Returns the list that collects the
+    name of the pass behind each step."""
+    taken = []
+    state = conslaw._ReducerState
+    for name in [n for n in vars(state) if n.startswith("_pass_")]:
+        def checked(self, live, name=name, original=getattr(state, name)):
+            if not original(self, live):
+                return False
+            assert any(is_zero(self.rules.reduce(e)) for e, _, _ in live), \
+                self.steps[-1]
+            taken.append(name)
+            return True
+        monkeypatch.setattr(state, name, checked)
+    return taken
 
 
 def random_expression(rng, atoms, depth=4, allow_exp=True):

@@ -4,15 +4,15 @@ divergence testing and flux reconstruction."""
 import pytest
 
 import corpus
-from helpers import random_expression, seeded
+from helpers import check_reducer_steps, random_expression, seeded
 from pdelin import conslaw
 from pdelin.conslaw import (DeterminingSystem, MultiplierAnsatz,
                             MultiplierFamily, determining_system,
                             reconstruct_fluxes, reduce_determining_system,
                             reduce_family_constraints, verify_multipliers)
 from pdelin.errors import NotADivergenceError
-from pdelin.expr import (Fun, Jet, Sym, add, equal, exp_, is_zero, mul, neg,
-                         rat, sub, total_derivative)
+from pdelin.expr import (Fun, Jet, Sym, add, equal, exp_, fun_kernels_of,
+                         is_zero, mul, neg, rat, sub, total_derivative)
 from pdelin.grammar import parse, to_text
 from pdelin.jets import PdeSystem, euler_operator
 from pdelin.linearize import family_fluxes
@@ -158,6 +158,37 @@ def test_reducer_integrates_an_unknown_to_a_constant(rows, steps, component):
     assert res.case == "I" and res.residual_equations == []
     state = conslaw._ReducerState(["f"], args, rows)
     state.run()
+    assert to_text(state.component("f")) == component
+
+
+@pytest.mark.parametrize("row, steps, component", [
+    ("f_{1}(x,t,u1) + f_{2}(x,t,u1) + 2*f_{3}(x,t,u1)",
+     ["f rides characteristics of args 1,2,3; new function f1"],
+     "f1(x - 1/2*u1, t - 1/2*u1)"),
+    # d(t)/d(x) = t: the invariant is x - log(t)
+    ("f_{1}(x,t) + t*f_{2}(x,t)",
+     ["f rides characteristics of args 1,2; new function f1"],
+     "f1(x - log(t))"),
+    ("f_{1}(x,t) + f_{2}(x,t) + 3*f(x,t)",
+     ["f rides characteristics of args 1,2; factor exp(-a*arg2); "
+      "new function f1"], "f1(-t + x)*exp(-3*t)"),
+    # along the characteristics of pivot t the ratio x varies, so that pivot
+    # is refused (exp(-x*t)*h(x - t) is no solution); pivot x takes the row
+    ("f_{1}(x,t) + f_{2}(x,t) + x*f(x,t)",
+     ["f rides characteristics of args 2,1; factor exp(-a*arg1); "
+      "new function f1"], "f1(t - x)*exp(-1/2*x^2)"),
+    # x*t varies along the characteristics of either pivot: no step
+    ("f_{1}(x,t) + f_{2}(x,t) + x*t*f(x,t)", [], "f(x, t)"),
+    ("f_{1}(x) + x*f(x)", ["f integrated: factor exp(-a*arg1); constant c1"],
+     "c1*exp(-1/2*x^2)")])
+def test_reducer_integrates_by_characteristics(monkeypatch, row, steps,
+                                               component):
+    check_reducer_steps(monkeypatch)
+    ws = corpus.burgers()[0]
+    row = parse(row, ws)
+    state = conslaw._ReducerState(["f"], fun_kernels_of(row)[0].args, [row])
+    state.run()
+    assert state.steps == steps
     assert to_text(state.component("f")) == component
 
 

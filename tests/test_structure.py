@@ -6,7 +6,8 @@ Every module-level definition has a caller outside the tests, unless it is a
 named test oracle.  No function mutates module-level state; the two settings
 the README names are per context.  Every loop cap is a named constant.  Only
 the kernel builds a product or reads a node's cached views.  Only `jets` and
-the reducer rank jets."""
+the reducer rank jets.  The reducer runs every pass it defines, and has
+three."""
 
 import ast
 import pathlib
@@ -357,3 +358,23 @@ def test_only_the_kernel_builds_products_and_reads_views():
     # a product is its own monomial view, set once when `expr` builds it;
     # every other module reads a view through `monomials`
     assert {mod for mod, _ in _view_readers()} == {"expr"}
+
+
+# the reducer's passes: one method of characteristics for every first-order
+# linear row in one function, algebraic elimination and potentials
+REDUCER_PASSES = 3
+
+
+def test_reducer_runs_each_pass_it_defines():
+    tree = ast.parse((PACKAGE / "conslaw.py").read_text(encoding="utf-8"))
+    state = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "_ReducerState")
+    methods = {f.name: f for f in state.body
+               if isinstance(f, ast.FunctionDef)}
+    defined = {name for name in methods if name.startswith("_pass_")}
+    tuple_ = next(node.value for node in ast.walk(methods["run"])
+                  if isinstance(node, ast.Assign) and
+                  isinstance(node.value, ast.Tuple))
+    listed = [elt.attr for elt in tuple_.elts]
+    assert sorted(listed) == sorted(defined), (listed, sorted(defined))
+    assert len(defined) == REDUCER_PASSES, sorted(defined)
