@@ -12,12 +12,10 @@ document re-parses to an equal expression."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import datetime
 import hashlib
-import json
 import sys
-from importlib import resources
+import time
+from pathlib import Path
 
 from . import __version__
 from .conslaw import (MultiplierAnsatz, determining_system,
@@ -71,8 +69,8 @@ def _provenance(text):
     return {
         "tool": f"pdelin {__version__}",
         "input-sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "generated-at": datetime.datetime.now(datetime.timezone.utc)
-        .isoformat(timespec="seconds"),
+        "generated-at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00",
+                                      time.gmtime()),
     }
 
 
@@ -123,7 +121,7 @@ def _determining_system(wf, args, doc):
     with --ansatz-order overriding its order."""
     ansatz = wf.ansatz or MultiplierAnsatz()
     if args.ansatz_order is not None:
-        ansatz = dataclasses.replace(ansatz, order=args.ansatz_order)
+        ansatz = MultiplierAnsatz(args.ansatz_order, ansatz.restrict_to)
     try:
         det = determining_system(wf.system, ansatz)
     except WorkspaceError as exc:  # an ansatz order above the maximum
@@ -303,8 +301,7 @@ _COMMANDS = {"detsys": cmd_detsys, "linearize": cmd_linearize,
 
 
 def bundled_path(name):
-    ref = resources.files("pdelin").joinpath(f"corpus/{name}.ws")
-    return ref
+    return Path(__file__).parent / "corpus" / f"{name}.ws"
 
 
 def _read_input(path):
@@ -368,9 +365,11 @@ def main(argv=None):
         doc["status"] = "error"
         doc["message"] = f"{type(exc).__name__}: {exc}"
         code = EXIT_RESIDUAL
-    out = json.dumps(doc, indent=2, sort_keys=True) if args.json \
-        else _render_text(doc)
-    print(out)
+    if args.json:
+        import json
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        print(_render_text(doc))
     return code
 
 

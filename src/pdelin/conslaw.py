@@ -5,7 +5,6 @@ divergence testing and flux reconstruction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .constraints import KernelRules, LinearConstraints
@@ -18,17 +17,17 @@ from .expr import (KIND_PARAMETER, ExpF, Fun, Jet, Rat, Sym, add, atoms_of,
                    normalize_equation, pow_int, rat, solve_linear, sub,
                    substitute, substitute_kernels, total_derivative, walk)
 from .grammar import to_text
-from .jets import PdeSystem, euler_operator, higher_euler, jet_rank
+from .jets import euler_operator, higher_euler, jet_rank
 
 
-@dataclass
 class MultiplierAnsatz:
     """Jet order of the unknown multipliers; `restrict_to` can pin the
     argument list to a subset of the default atoms.  An order above the
     supported maximum is an input error (WorkspaceError)."""
 
-    order: int = None
-    restrict_to: tuple = None
+    def __init__(self, order=None, restrict_to=None):
+        self.order = order
+        self.restrict_to = restrict_to
 
     def resolve_order(self, sys):
         if self.order is not None:
@@ -58,7 +57,6 @@ class MultiplierAnsatz:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MultiplierFamily:
     """Concrete multiplier components built from arbitrary-function kernels,
     together with the linear system constraining those functions.
@@ -67,22 +65,24 @@ class MultiplierFamily:
     operator; `definitions` give each coordinate as an expression in the
     system variables (the X_i of the linearization theory)."""
 
-    components: list
-    function_names: list
-    coordinates: tuple
-    definitions: tuple
-    constraints: LinearConstraints | None
+    def __init__(self, components, function_names, coordinates, definitions,
+                 constraints):
+        self.components = components
+        self.function_names = function_names
+        self.coordinates = coordinates
+        self.definitions = definitions
+        self.constraints = constraints
 
     def reduce(self, e):
         return self.constraints.reduce(e) if self.constraints is not None else e
 
 
-@dataclass
 class VerificationReport:
-    ok: bool
-    residuals: list
-    singular_warnings: list = field(default_factory=list)
-    messages: list = field(default_factory=list)
+    def __init__(self, ok, residuals, singular_warnings=None, messages=None):
+        self.ok = ok
+        self.residuals = residuals
+        self.singular_warnings = singular_warnings or []
+        self.messages = messages or []
 
 
 def multiplier_combination(sys, fam):
@@ -114,13 +114,13 @@ def verify_multipliers(sys, fam):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DeterminingSystem:
-    system: PdeSystem
-    ansatz: MultiplierAnsatz
-    unknowns: list
-    arguments: tuple
-    equations: list  # (dependent index, parametric signature text, Expr)
+    def __init__(self, system, ansatz, unknowns, arguments, equations):
+        self.system = system
+        self.ansatz = ansatz
+        self.unknowns = unknowns
+        self.arguments = arguments
+        self.equations = equations  # (dependent index, signature, Expr)
 
     def check_family(self, candidates, constraints=None):
         """Substitute candidate expressions for the unknown multipliers into
@@ -203,12 +203,12 @@ def _split_parametric(e, arg_jets):
 COORDINATE_NAMES = ("X", "T", "Y", "Z")
 
 
-@dataclass
 class ReducerResult:
-    case: str                     # "II", "I", or "undetermined"
-    family: MultiplierFamily | None
-    residual_equations: list
-    steps: list
+    def __init__(self, case, family, residual_equations, steps):
+        self.case = case              # "II", "I", or "undetermined"
+        self.family = family          # a MultiplierFamily in case II
+        self.residual_equations = residual_equations
+        self.steps = steps
 
 
 def reduce_determining_system(det):

@@ -4,10 +4,8 @@ infinitesimal symmetries in evolutionary form."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .constraints import LinearConstraints
 from .errors import CyclicRuleError, ExprError, WorkspaceError
 from .expr import (add, clear_equation, derive_multi, diff_atom, is_zero,
                    jets_of, max_jet_order, mul, multi_binom, multi_diff,
@@ -219,22 +217,22 @@ def higher_euler(e, dep, K, ws):
     return add(*terms) if terms else rat(0)
 
 
-@dataclass
 class SymmetryGenerator:
     """Infinitesimal generator with components xi_i d/dx_i + eta^tau d/du^tau;
     components may carry arbitrary-function kernels constrained by a linear
-    system."""
+    system, a LinearConstraints."""
 
-    xi: tuple
-    eta: tuple
-    constraints: LinearConstraints | None = None
+    def __init__(self, xi, eta, constraints=None):
+        self.xi = xi
+        self.eta = eta
+        self.constraints = constraints
 
 
-@dataclass
 class SymmetryReport:
-    ok: bool
-    residuals: list
-    messages: list = field(default_factory=list)
+    def __init__(self, ok, residuals, messages=None):
+        self.ok = ok
+        self.residuals = residuals
+        self.messages = messages or []
 
 
 def verify_point_symmetry(sys, gen):

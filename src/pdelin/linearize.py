@@ -7,7 +7,6 @@ literal zero."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,12 +31,11 @@ from .probe import (DomainError, default_probe_seed, probe_agree,
 from .workspace import Workspace
 
 
-@dataclass
 class Rejection:
-    reason: str
+    def __init__(self, reason):
+        self.reason = reason
 
 
-@dataclass
 class LinearizationCandidate:
     """A matched family.  W, the mapping and the target are computed on
     first use, once per candidate.  L~* composed with X(x,U) has one
@@ -47,16 +45,17 @@ class LinearizationCandidate:
     (not the chain rule itself), and `verify_linearization` reads the rows
     that confirmation computed."""
 
-    family: MultiplierFamily          # in arbitrary-function (v) form
-    system: object                    # the source PdeSystem
-    coords: tuple                     # formal coordinate symbols X_i
-    X: tuple                          # coordinate definitions X_i(x, U[, dU])
-    Q: list                           # Q[nu][mu]
-    chain_rule: ChainRule             # d/dX_i over the source jet space
-    constraint_op: LinearOperator     # L~ (m rows, M cols) over coords
-    vnames: list
-    # (W, adjoint_rows(W)) of the last W applied
-    _rows: tuple = field(default=None, init=False, repr=False)
+    def __init__(self, family, system, coords, X, Q, chain_rule,
+                 constraint_op, vnames):
+        self.family = family          # in arbitrary-function (v) form
+        self.system = system          # the source PdeSystem
+        self.coords = coords          # formal coordinate symbols X_i
+        self.X = X                    # coordinate definitions X_i(x, U[, dU])
+        self.Q = Q                    # Q[nu][mu]
+        self.chain_rule = chain_rule  # d/dX_i over the source jet space
+        self.constraint_op = constraint_op  # L~, m x M, over coords
+        self.vnames = vnames
+        self._rows = None             # (W, adjoint_rows(W)) of the last W
 
     @property
     def J(self):
@@ -475,12 +474,12 @@ def _solve_linear_system(equations, var_order):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AugmentedIdentity:
-    W: list
-    fluxes: list
-    remainder: object                 # multiplier combination - Div Gamma
-    residual: object                  # remainder - the constraint-row terms
+    def __init__(self, W, fluxes, remainder, residual):
+        self.W = W
+        self.fluxes = fluxes
+        self.remainder = remainder    # multiplier combination - Div Gamma
+        self.residual = residual      # remainder - the constraint-row terms
 
 
 def augmented_identity(cand):
@@ -583,13 +582,14 @@ def target_system(cand):
     return PdeSystem(tgt, eqs)
 
 
-@dataclass
 class LinearizationReport:
-    ok: bool
-    identity_residuals: list
-    mapping_checked: bool
-    mapping_ok: bool | None
-    messages: list = field(default_factory=list)
+    def __init__(self, ok, identity_residuals, mapping_checked, mapping_ok,
+                 messages=None):
+        self.ok = ok
+        self.identity_residuals = identity_residuals
+        self.mapping_checked = mapping_checked
+        self.mapping_ok = mapping_ok  # None when the mapping was not checked
+        self.messages = messages or []
 
 
 def verify_linearization(sys, cand):

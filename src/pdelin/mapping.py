@@ -5,8 +5,6 @@ factors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DegenerateError, ExprError
 from .expr import (Add, ExpF, Jet, LogF, Sym, add, atoms_of, clear_equation,
                    diff_atom, div, exp_, from_monomial, is_zero, jets_of, log_,
@@ -16,7 +14,6 @@ from .jets import PdeSystem
 from .linalg import adjugate, det
 from .linops import DerivativeTable
 from .probe import default_probe_seed, probe_nonzero_robust
-from .workspace import Workspace
 
 
 def jacobian_matrix(phi, independents):
@@ -54,20 +51,18 @@ class ChainRule:
         return div(self.numerator(h, variable), self.det)
 
 
-@dataclass
 class Transformation:
     """z = phi(x, u[, du]), w = psi(x, u[, du]); contact transformations
     additionally carry rho with w_{z_i} = rho_i and satisfy the contact
     condition D_x psi = rho . D_x phi."""
 
-    kind: str
-    source: Workspace
-    target: Workspace
-    phi: tuple
-    psi: tuple
-    rho: tuple | None = None
-
-    def __post_init__(self):
+    def __init__(self, kind, source, target, phi, psi, rho=None):
+        self.kind = kind
+        self.source = source
+        self.target = target
+        self.phi = phi
+        self.psi = psi
+        self.rho = rho
         if self.kind not in ("point", "contact"):
             raise ExprError(f"unknown transformation kind '{self.kind}'")
         if self.kind == "contact" and self.source.m != 1:
@@ -241,11 +236,11 @@ def _solve_for(e, y, unsolved):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MappingReport:
-    equations: list
-    system: PdeSystem | None
-    messages: list = field(default_factory=list)
+    def __init__(self, equations, system, messages=None):
+        self.equations = equations
+        self.system = system          # the PdeSystem, when the rows close
+        self.messages = messages or []
 
 
 def apply_transformation(sys, tr):

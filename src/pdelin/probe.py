@@ -9,12 +9,11 @@ denominators, sums combine over the least common multiple of the
 denominators.  exp, log and symbolic powers make enclosures: integer pairs
 [lo, hi] standing for [lo, hi] / 2**prec, a fixed-point grid on which every
 operation rounds lo down and hi up.  An exact value is a tuple and an
-enclosure a list, which tells the two apart.  exp and log run mpmath's
-low-level interval functions on those endpoints, read exactly as raw mpmath
-values, and their results are rounded outward back onto the grid; no mpmath
-context setting is read or written, and mpmath is imported only when the first
-transcendental is evaluated.  Precision starts at START_PRECISION bits and
-doubles until the result is narrower than 1e-40 or excludes zero; an enclosure
+enclosure a list, which tells the two apart.  exp and log sum Taylor series
+on integers after argument reduction (Brent & Zimmermann, Modern Computer
+Arithmetic, ch. 4), at guard bits beyond the grid, and round their results
+outward back onto it.  Precision starts at START_PRECISION bits and doubles
+until the result is narrower than 1e-40 or excludes zero; an enclosure
 through zero where a sign is needed (a reciprocal, a log argument, a
 symbolic-power base) is retried at double precision too.  Only the result
 becomes rational: a Fraction, or an Interval with rational endpoints.  When the
@@ -27,6 +26,7 @@ from __future__ import annotations
 import random
 from contextvars import ContextVar
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .errors import DomainError, ProbeUndecidedError, UncoveredKernelError
@@ -39,6 +39,13 @@ TARGET_WIDTH = Fraction(1, 10 ** 40)
 # until an enclosure decides; past MAX_PRECISION bits it gives up
 START_PRECISION = 80
 MAX_PRECISION = 4000
+
+# exp refuses an argument beyond MAX_EXP_ARGUMENT in absolute value: on the
+# grid, exp(x) is an integer of about 1.44 x bits
+MAX_EXP_ARGUMENT = 2 ** 6
+
+# working bits beyond the grid's that absorb the series' and the ln 2 error
+GUARD_BITS = 20
 
 # the inclusive range of numerators of random probe values
 PROBE_NUMERATORS = (-6, 6)
@@ -171,25 +178,85 @@ def _positive(v, what):
     return v
 
 
+def _exp(n, d, prec):
+    """[lo, hi] enclosing exp(n / d) on the grid, for d > 0."""
+    if abs(n) > MAX_EXP_ARGUMENT * d:
+        raise ProbeUndecidedError(
+            f"exp of an argument beyond MAX_EXP_ARGUMENT = {MAX_EXP_ARGUMENT}")
+    r = max(0, abs(n).bit_length() - d.bit_length() + 11)
+    g = GUARD_BITS + r
+    w = prec + g
+    a = (n << w) // d
+    s = t = 1 << w
+    k = 0
+    while t:
+        k += 1
+        t = (t * abs(a) >> (w + r)) // k
+        s += -t if a < 0 and k % 2 else t
+    lo, hi = s - 2 * k, s + 2 * k + 2
+    for _ in range(r):
+        lo, hi = lo * lo >> w, -(-hi * hi >> w)
+    return [lo >> g, -(-hi >> g)]
+
+
+def _atanh(num, den, w):
+    """[lo, hi] enclosing atanh(num / den) * 2**w, 0 <= num / den <= 1/3."""
+    s = p = t = (num << w) // den
+    t2 = t * t >> w
+    k = 0
+    while p:
+        k += 1
+        p = p * t2 >> w
+        s += p // (2 * k + 1)
+    return s, s + 2 * k + 2
+
+
+@lru_cache
+def _ln2(w):
+    """[lo, hi] enclosing ln 2 * 2**w = 2 atanh(1/3) * 2**w."""
+    return tuple(2 * b for b in _atanh(1, 3, w))
+
+
+def _log(p, q, prec):
+    """[lo, hi] enclosing log(p / q) on the grid, for p, q > 0."""
+    e = p.bit_length() - q.bit_length()
+    p, q = (p, q << e) if e >= 0 else (p << -e, q)
+    if 2 * p * p < q * q:
+        p, e = p << 1, e - 1
+    elif p * p >= 2 * q * q:
+        q, e = q << 1, e + 1
+    g = GUARD_BITS + abs(e).bit_length()
+    lo, hi = _atanh(abs(p - q), p + q, prec + g)
+    if p < q:
+        lo, hi = -hi, -lo
+    l2 = _ln2(prec + g)
+    return [2 * lo + e * l2[e < 0] >> g, -(-2 * hi - e * l2[e >= 0] >> g)]
+
+
 def _transcendental(name, v, prec):
-    """An enclosure of exp(v) or log(v) (`name` "exp" or "log") computed at
-    `prec` bits on raw mpmath endpoints: an enclosure's endpoints are read
-    exactly, an exact value is rounded outward, and the result's endpoints
-    are rounded outward onto the 2**-prec grid."""
-    import mpmath.libmp as libmp
+    """An enclosure of exp(v) or log(v) (`name` "exp" or "log") on the
+    2**-prec grid, a few ulps wide relative to the value above 1: one
+    evaluation of an exact v, or one per endpoint of an enclosure, on
+    integers at w = prec + g bits, rounded outward onto the grid.
+
+    exp(x): floor(x 2**w) / 2**w is halved r times, to s with |s| <= 2**-10.
+    The Taylor series of exp(s) 2**w is summed with floor division: each
+    term is low by under 1.001 ulps, and the sum stops at the k-th term,
+    the first to floor to 0, beyond which the tail is under 2 ulps; so the
+    sum is within 2k ulps, and 2 more cover the floored x.  Each of the r
+    squarings rounds lo down and hi up, at most doubles the width relative
+    to the value (absolute below 1) and adds 2 ulps; g = GUARD_BITS + r.
+
+    log(x): x = m 2**e with 1/2 <= m**2 < 2, and log x = 2 atanh(t) + e ln 2
+    with t = (m - 1)/(m + 1), |t| < 0.18.  atanh is odd, and its series at
+    floor(|t| 2**w) / 2**w, ratio under 1/9, is summed as above: each term
+    low by under 1.5 ulps, so the sum by under 2k, and 2 more cover the
+    floored t.  ln 2 = 2 atanh(1/3) is kept per working precision, and g =
+    GUARD_BITS + the bits of |e| absorbs e times its error."""
+    f = _exp if name == "exp" else _log
     if type(v) is tuple:
-        n, d = v
-        s = (libmp.from_rational(n, d, prec, libmp.round_floor),
-             libmp.from_rational(n, d, prec, libmp.round_ceiling))
-    else:
-        s = (libmp.from_man_exp(v[0], -prec), libmp.from_man_exp(v[1], -prec))
-    fn = libmp.mpi_exp if name == "exp" else libmp.mpi_log
-    lo, hi = fn(s, prec)
-    bad = (libmp.finf, libmp.fninf, libmp.fnan)
-    if lo in bad or hi in bad:
-        raise DomainError(f"non-finite value in interval evaluation of {name}")
-    return [libmp.to_fixed(lo, prec),
-            -libmp.to_fixed(libmp.mpf_neg(hi), prec)]
+        return f(*v, prec)
+    return [f(v[0], 1 << prec, prec)[0], f(v[1], 1 << prec, prec)[1]]
 
 
 def _eval(e, assignment, prec, memo):

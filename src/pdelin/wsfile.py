@@ -7,7 +7,6 @@ use the expression grammar, in the variables declared by [vars]."""
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .conslaw import MultiplierAnsatz, MultiplierFamily
 from .constraints import LinearConstraints
@@ -25,15 +24,18 @@ _ANSATZ_KEYS = ("order", "preset", "arguments")
 _PRESETS = ("general", "fixed-independents", "integrating-factor")
 
 
-@dataclass
 class WorkspaceFile:
-    workspace: Workspace
-    system: PdeSystem
-    equation_names: list
-    ansatz: MultiplierAnsatz | None = None
-    family: MultiplierFamily | None = None
-    transformation: Transformation | None = None
-    target: PdeSystem | None = None
+    """A loaded file; an optional section that is absent is None."""
+
+    def __init__(self, workspace, system, equation_names, ansatz=None,
+                 family=None, transformation=None, target=None):
+        self.workspace = workspace
+        self.system = system
+        self.equation_names = equation_names
+        self.ansatz = ansatz
+        self.family = family
+        self.transformation = transformation
+        self.target = target
 
 
 def _split_sections(text):

@@ -706,16 +706,32 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
                      "adjoint_rows": 2}
 
 
-@pytest.mark.parametrize("job, loads_mpmath", [
-    ("detsys pipeline", False), ("linearize burgers", True)])
-def test_mpmath_is_loaded_only_for_transcendentals(job, loads_mpmath):
-    # of the bundled jobs only `linearize burgers` probes exp or log
+# what a cold job must not load: mpmath (exp and log run on integers), and
+# stdlib modules that records, timestamps and the text output do without
+NOT_LOADED = ("mpmath", "dataclasses", "inspect", "datetime", "json")
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_cold_job_loads_only_what_it_needs(command, system):
     proc = fresh_python(
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "from pdelin.cli import main\n"
-        "assert 'mpmath' not in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(sys.argv[1:]) == 0\n"
-        "print('mpmath' in sys.modules)\n", *job.split())
+        "print(' '.join(sorted(set(sys.modules) - before)))\n",
+        command, system)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(loads_mpmath)
+    new = {m.split(".")[0] for m in proc.stdout.split()}
+    assert "pdelin" in new
+    assert not new & set(NOT_LOADED), sorted(new & set(NOT_LOADED))
+
+
+def test_json_output_is_valid_json():
+    proc = fresh_python(
+        "import sys; from pdelin.cli import main; sys.exit(main())",
+        "linearize", "burgers", "--json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["command"] == "linearize" and doc["status"] == "ok"

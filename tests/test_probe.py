@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from helpers import (burgers_workspace, random_expression,
@@ -14,8 +13,11 @@ from pdelin.expr import (add, canonicalize, exp_, log_, mul, pow_int, rat, sub,
                          sym_pow)
 from pdelin.grammar import parse, to_text
 from pdelin.probe import (Interval, numeric_probe, probe_is_zero,
-                          random_assignment)
+                          probe_nonzero_robust, random_assignment)
 from pdelin.workspace import Workspace
+
+# the reference for exp and log
+mpmath = pytest.importorskip("mpmath")
 
 ws = burgers_workspace()
 x, t = ws.independents
@@ -101,7 +103,7 @@ def test_each_transcendental_kernel_is_evaluated_once_per_precision(
                           z_: Fraction(-3, 2)})
     assert precisions == [80, 160]
     # the enclosure is the one that evaluating every occurrence gives
-    assert (v.lo, v.hi) == (Fraction(-3, 2 ** 159), Fraction(3, 2 ** 159))
+    assert (v.lo, v.hi) == (Fraction(-1, 2 ** 159), Fraction(1, 2 ** 159))
 
 
 def test_tiny_values_stay_decidable():
@@ -244,3 +246,92 @@ def test_probe_reads_and_writes_no_mpmath_setting(monkeypatch):
     assert touched == []
     monkeypatch.undo()
     assert (mpmath.mp.prec, mpmath.iv.prec) == before
+
+
+# every precision the probe steps through, START_PRECISION doubled past
+# MAX_PRECISION
+PRECISIONS = [80 << i for i in range(7)]
+
+
+def _reference_cases(rng, prec):
+    """Seeded exp and log arguments at `prec` bits: exact rationals (tiny,
+    near 0 or 1, large of either sign) and enclosures on the grid."""
+    cap = probe.MAX_EXP_ARGUMENT
+    sign = rng.choice((-1, 1))
+    cases = {
+        "exp": [Fraction(sign * rng.randint(1, 9), 2 ** rng.randint(20, 300)),
+                Fraction(rng.randint(-50, 50), rng.randint(7, 60)),
+                Fraction(rng.randint(cap * 2, cap * 7), 7),
+                Fraction(-rng.randint(cap * 2, cap * 7), 7)],
+        "log": [Fraction(rng.randint(1, 9), 2 ** rng.randint(20, 300)),
+                1 + Fraction(sign * rng.randint(1, 9),
+                             2 ** rng.randint(20, 300)),
+                Fraction(rng.randint(1, 50), rng.randint(1, 50)),
+                Fraction(rng.randint(2 ** 60, 2 ** 200), rng.randint(1, 99))],
+    }
+    for name, xs in cases.items():
+        yield from ((name, (x.numerator, x.denominator)) for x in xs)
+    c = rng.randint(-cap << prec, cap << prec)
+    yield "exp", [c, c + rng.randint(0, 4)]
+    c = rng.randint(1, 40 << prec)
+    yield "log", [c, c + rng.randint(0, 4)]
+
+
+@pytest.mark.parametrize("guard", [probe.GUARD_BITS, 0],
+                         ids=["guarded", "unguarded"])
+def test_exp_and_log_enclose_the_mpmath_value(monkeypatch, guard):
+    # the guard bits only narrow an enclosure: without them every error
+    # bound of the series, the squarings and ln 2 must still hold
+    monkeypatch.setattr(probe, "GUARD_BITS", guard)
+    rng = seeded(59)
+    for prec in PRECISIONS:
+        for name, v in _reference_cases(rng, prec):
+            lo, hi = probe._transcendental(name, v, prec)
+            a, b = ((Fraction(*v),) * 2 if type(v) is tuple else
+                    (Fraction(v[0], 2 ** prec), Fraction(v[1], 2 ** prec)))
+            f = mpmath.exp if name == "exp" else mpmath.log
+            with mpmath.workprec(2 * prec + 64):
+                fa, fb = (f(mpmath.mpf(x.numerator) / x.denominator)
+                          for x in (a, b))
+                assert mpmath.ldexp(lo, -prec) <= fa, (name, v, prec)
+                assert fb <= mpmath.ldexp(hi, -prec), (name, v, prec)
+                if guard:
+                    # a few ulps, relative to the value above 1
+                    assert hi - lo <= (fb - fa) * 2 ** prec + 2 ** 8 * max(
+                        1, abs(fa), abs(fb)), (name, v, prec)
+
+
+def test_exp_beyond_the_cap_is_undecided():
+    cap = probe.MAX_EXP_ARGUMENT
+    assert isinstance(numeric_probe(exp_(x), {x: Fraction(cap)}), Interval)
+    for value in (Fraction(cap + 1), Fraction(-cap - 1)):
+        with pytest.raises(ProbeUndecidedError, match="MAX_EXP_ARGUMENT"):
+            numeric_probe(exp_(x), {x: value})
+    # an enclosure beyond the cap: exp(exp(5)), exp(5) being about 148
+    with pytest.raises(ProbeUndecidedError, match="MAX_EXP_ARGUMENT"):
+        numeric_probe(exp_(exp_(x)), {x: Fraction(5)})
+
+
+def test_log_of_an_enclosure_below_zero_is_a_domain_error():
+    # exp(0) - 3 is an enclosure entirely below zero, not a sign to retry
+    with pytest.raises(DomainError, match="log of a nonpositive value"):
+        numeric_probe(log_(add(exp_(x), rat(-3))), {x: Fraction(0)})
+
+
+def test_robust_probe_gives_up_when_every_point_is_outside_the_domain(
+        monkeypatch):
+    # -u1^2 - 1 < 0 at every point, so each probe raises DomainError
+    raised = []
+    real = probe.numeric_probe
+
+    def counting(e, assignment):
+        try:
+            return real(e, assignment)
+        except DomainError:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(probe, "numeric_probe", counting)
+    e = log_(sub(rat(-1), pow_int(u1, 2)))
+    assert probe_nonzero_robust(e) is False
+    assert len(raised) == probe.MAX_ROBUST_PROBE_POINTS
