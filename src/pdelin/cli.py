@@ -12,10 +12,19 @@ document re-parses to an equal expression."""
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from pathlib import Path
+
+# CPython's built-in SHA-256, the one hashlib itself falls back to: hashlib
+# maps OpenSSL, about 3 MB that no job needs
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .conslaw import (MultiplierAnsatz, determining_system,
@@ -68,7 +77,7 @@ def _render_text(doc, indent=0):
 def _provenance(text):
     return {
         "tool": f"pdelin {__version__}",
-        "input-sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "input-sha256": sha256(text.encode()).hexdigest(),
         "generated-at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00",
                                       time.gmtime()),
     }

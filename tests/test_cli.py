@@ -1,6 +1,7 @@
 """Command-line surface: corpus runs, exit codes, determinism, document
 round-trips, and the documented rejection paths."""
 
+import hashlib
 import json
 import os
 import random
@@ -11,8 +12,9 @@ import sys
 
 import pytest
 
-from helpers import COMMANDS, SYSTEMS, check_reducer_steps
-from pdelin import linearize, mapping
+from helpers import (COMMANDS, GENERATED_AT, SYSTEMS, check_reducer_steps,
+                     reference_document)
+from pdelin import cli, linearize, mapping
 from pdelin.cli import bundled_path, main
 from pdelin.grammar import parse
 from pdelin.linops import LinearOperator
@@ -706,26 +708,60 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
                      "adjoint_rows": 2}
 
 
-# what a cold job must not load: mpmath (exp and log run on integers), and
-# stdlib modules that records, timestamps and the text output do without
-NOT_LOADED = ("mpmath", "dataclasses", "inspect", "datetime", "json")
+# what a cold job must not load: mpmath (exp and log run on integers),
+# stdlib modules that records, timestamps and the text output do without,
+# and hashlib, whose OpenSSL the input digest does without
+NOT_LOADED = ("mpmath", "dataclasses", "inspect", "datetime", "json",
+              "hashlib", "_hashlib", "_blake2")
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_cold_job_loads_only_what_it_needs(command, system):
     proc = fresh_python(
-        "import contextlib, io, sys\n"
+        "import contextlib, io, os, sys\n"
         "before = set(sys.modules)\n"
         "from pdelin.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(sys.argv[1:]) == 0\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n",
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "if os.path.exists('/proc/self/maps'):\n"
+        "    with open('/proc/self/maps') as fh:\n"
+        "        print('maps', *sorted({line.split()[-1] for line in fh}))\n",
         command, system)
     assert proc.returncode == 0, proc.stderr
-    new = {m.split(".")[0] for m in proc.stdout.split()}
+    modules, _, maps = proc.stdout.partition("\n")
+    new = {m.split(".")[0] for m in modules.split()}
     assert "pdelin" in new
     assert not new & set(NOT_LOADED), sorted(new & set(NOT_LOADED))
+    if not maps.startswith("maps"):
+        pytest.skip("no /proc/self/maps: the mapped libraries go unchecked")
+    names = [os.path.basename(path) for path in maps.split()[1:]]
+    assert not [n for n in names if n.startswith(("libcrypto", "libssl"))]
+
+
+@pytest.mark.parametrize("text", [
+    *(bundled_path(name).read_text(encoding="utf-8") for name in SYSTEMS),
+    "", "# ü\n[vars]\n"], ids=[*SYSTEMS, "empty", "non-ascii"])
+def test_input_digest_is_sha256_of_the_utf8_text(text):
+    assert (cli._provenance(text)["input-sha256"]
+            == hashlib.sha256(text.encode()).hexdigest())
+
+
+def test_digest_without_the_builtin_sha256_falls_back_to_hashlib():
+    # an interpreter built without _sha256 and _sha2 hashes through hashlib:
+    # the same function, so the same document
+    proc = fresh_python(
+        "import sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "from pdelin.cli import main, sha256\n"
+        "import hashlib\n"
+        "assert sha256 is hashlib.sha256\n"
+        "sys.exit(main(sys.argv[1:]))\n",
+        "detsys", "burgers")
+    assert proc.returncode == 0, proc.stderr
+    assert (GENERATED_AT.sub("", proc.stdout)
+            == reference_document("detsys", "burgers"))
 
 
 def test_json_output_is_valid_json():

@@ -222,32 +222,6 @@ def test_enclosure_is_sound_at_default_precision(kernel, reference):
     assert got.lo <= value + eps and value - eps <= got.hi
 
 
-def test_probe_reads_and_writes_no_mpmath_setting(monkeypatch):
-    before = (mpmath.mp.prec, mpmath.iv.prec)
-    touched = []
-    for ctx in (mpmath.mp, mpmath.iv):
-        prec = type(ctx).prec
-
-        def get(self, prec=prec):
-            touched.append("read")
-            return prec.fget(self)
-
-        def put(self, value, prec=prec):
-            touched.append("write")
-            prec.fset(self, value)
-
-        monkeypatch.setattr(type(ctx), "prec", property(get, put))
-    ws2 = burgers_workspace()
-    p = ws2.declare_parameter("p")
-    for e, asg in ((exp_(mul(rat(3, 2), x)), {x: Fraction(1)}),
-                   (log_(u1), {u1: Fraction(7, 2)}),
-                   (sym_pow(u1, p), {u1: Fraction(2), p: Fraction(1, 3)})):
-        assert isinstance(numeric_probe(e, asg), Interval)
-    assert touched == []
-    monkeypatch.undo()
-    assert (mpmath.mp.prec, mpmath.iv.prec) == before
-
-
 # every precision the probe steps through, START_PRECISION doubled past
 # MAX_PRECISION
 PRECISIONS = [80 << i for i in range(7)]
