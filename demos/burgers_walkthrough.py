@@ -11,7 +11,7 @@ Run:  python3 demos/burgers_walkthrough.py
 """
 
 from pdelin import Workspace, parse, to_text
-from pdelin.conslaw import MultiplierAnsatz, determining_system, reduce_determining_system
+from pdelin.conslaw import determining_system, reduce_determining_system
 from pdelin.expr import is_zero
 from pdelin.jets import PdeSystem
 from pdelin.linearize import (augmented_identity, build_mapping,
@@ -27,7 +27,7 @@ for name, g in zip(system.names, system.equations):
     print(f"  {name}:  {to_text(g)} = 0")
 
 print("\n1. determining system for multipliers L1, L2 of order 0:")
-det = determining_system(system, MultiplierAnsatz(order=0))
+det = determining_system(system, 0)
 for sigma, sig, eq in det.equations:
     print(f"  [E_{ws.dependents[sigma]}, coefficient of {sig}]  "
           f"{to_text(eq)} = 0")

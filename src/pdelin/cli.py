@@ -27,9 +27,8 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .conslaw import (MultiplierAnsatz, determining_system,
-                      reduce_determining_system, reduce_family_constraints,
-                      verify_multipliers)
+from .conslaw import (determining_system, reduce_determining_system,
+                      reduce_family_constraints, verify_multipliers)
 from .errors import (ExprError, ExtractionError, ParseError, PdelinError,
                      WorkspaceError)
 from .expr import is_zero, set_max_terms
@@ -107,13 +106,13 @@ def _family_doc(fam):
     return doc
 
 
-def _resolve_family(wf, args, doc):
+def _resolve_family(wf, doc):
     """The family from the file, or one derived by reducing the determining
     system; first-order constraint blocks of a provided family are
     integrated by characteristics."""
     if wf.family is not None:
         return _file_family(wf, doc)
-    res = _reduce(_determining_system(wf, args, doc), doc)
+    res = _reduce(_determining_system(wf, doc), doc)
     if res.family is None:
         # case I decides the route; an undetermined run decides nothing
         verdict = ("the given system does not linearize along this route"
@@ -125,15 +124,12 @@ def _resolve_family(wf, args, doc):
     return res.family
 
 
-def _determining_system(wf, args, doc):
-    """The determining system of the file's [ansatz] (or the default one),
-    with --ansatz-order overriding its order."""
-    ansatz = wf.ansatz or MultiplierAnsatz()
-    if args.ansatz_order is not None:
-        ansatz = MultiplierAnsatz(args.ansatz_order, ansatz.restrict_to)
+def _determining_system(wf, doc):
+    """The determining system at the file's [ansatz] order, or the default."""
     try:
-        det = determining_system(wf.system, ansatz)
-    except WorkspaceError as exc:  # an ansatz order above the maximum
+        det = determining_system(wf.system, wf.ansatz_order)
+    except WorkspaceError as exc:
+        # an order above the maximum, or a system outside the class handled
         raise CliFailure(EXIT_INPUT, str(exc))
     deps = wf.workspace.dependents
     doc["determining-system"] = {
@@ -168,9 +164,9 @@ def _file_family(wf, doc):
     return fam
 
 
-def cmd_detsys(wf, args, doc):
+def cmd_detsys(wf, doc):
     sysm = wf.system
-    det = _determining_system(wf, args, doc)
+    det = _determining_system(wf, doc)
     if wf.family is not None:
         fam = _file_family(wf, doc)
     else:
@@ -191,13 +187,15 @@ def cmd_detsys(wf, args, doc):
     return EXIT_OK
 
 
-def cmd_linearize(wf, args, doc):
-    fam = _resolve_family(wf, args, doc)
+def cmd_linearize(wf, doc):
+    fam = _resolve_family(wf, doc)
     cand = match_multiplier_form(fam, wf.system)
     if isinstance(cand, Rejection):
         doc["match"] = {"rejected": cand.reason}
-        raise CliFailure(EXIT_REJECTED, f"not linearizable as presented: "
-                                        f"{cand.reason}")
+        raise CliFailure(EXIT_REJECTED, (
+            f"not linearizable as presented: {cand.reason}" if cand.decided
+            else f"{cand.reason}, so whether the given system linearizes is "
+                 "not decided"))
     doc["match"] = {
         "X": {c.name: to_text(d) for c, d in zip(cand.coords, cand.X)},
         "jacobian": to_text(cand.J),
@@ -243,7 +241,7 @@ def _transformation_doc(tr):
     return doc
 
 
-def cmd_verify(wf, args, doc):
+def cmd_verify(wf, doc):
     did = False
     code = EXIT_OK
     if wf.family is not None:
@@ -336,8 +334,6 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("file", help="workspace file (or a bundled name: "
                                      "burgers, pipeline, telegraph)")
-    parser.add_argument("--ansatz-order", type=int, default=None,
-                        help="multiplier jet order for the determining system")
     parser.add_argument("--json", action="store_true",
                         help="emit the result document as JSON")
     parser.add_argument("--max-terms", type=int, default=200000,
@@ -346,8 +342,6 @@ def main(argv=None):
                         help="seed for numeric probe points")
     try:
         args = parser.parse_args(argv)
-        if args.ansatz_order is not None and args.ansatz_order < 0:
-            parser.error("--ansatz-order must be nonnegative")
     except SystemExit as exc:
         # keep exit code 2 reserved for rejected linearizations
         raise SystemExit(EXIT_INPUT if exc.code not in (0, None) else 0)
@@ -364,7 +358,7 @@ def main(argv=None):
         except (WorkspaceError, ParseError) as exc:
             raise CliFailure(EXIT_INPUT, str(exc))
         doc["system"] = _system_doc(wf)
-        code = _COMMANDS[args.command](wf, args, doc)
+        code = _COMMANDS[args.command](wf, doc)
     except CliFailure as fail:
         doc["status"] = {EXIT_REJECTED: "rejected", EXIT_INPUT: "error",
                          EXIT_RESIDUAL: "error"}.get(fail.code, "error")

@@ -20,36 +20,26 @@ from .grammar import to_text
 from .jets import euler_operator, higher_euler, jet_rank
 
 
-class MultiplierAnsatz:
-    """Jet order of the unknown multipliers; `restrict_to` can pin the
-    argument list to a subset of the default atoms.  An order above the
-    supported maximum is an input error (WorkspaceError)."""
-
-    def __init__(self, order=None, restrict_to=None):
-        self.order = order
-        self.restrict_to = restrict_to
-
-    def resolve_order(self, sys):
-        if self.order is not None:
-            return self.order
-        return 1 if sys.m == 1 else 0
-
-    def arguments(self, sys):
-        if self.restrict_to is not None:
-            return tuple(self.restrict_to)
-        ws = sys.workspace
-        ell = self.resolve_order(sys)
-        if sys.m == 1 and ell > 2:
-            raise WorkspaceError(
-                "scalar contact case allows multiplier order at most 2")
-        if sys.m >= 2 and ell > 1:
-            raise WorkspaceError(
-                "multicomponent point case allows multiplier order at most 1")
-        args = list(ws.independents)
-        jets = [ws.jet(dep, K) for dep in ws.dependents
-                for K in multi_indices((ell,) * ws.n, ell)]
-        jets.sort(key=lambda j: jet_rank(ws, j))
-        return tuple(args + jets)
+def multiplier_arguments(sys, order=None):
+    """The arguments of multipliers of jet order `order` (by default 1 for
+    one dependent variable, 0 for several): the independents, then in
+    increasing rank every jet up to that order that no prolonged leading
+    rule solves for.  An order above the supported maximum is an input
+    error (WorkspaceError)."""
+    ws = sys.workspace
+    if order is None:
+        order = 1 if ws.m == 1 else 0
+    if ws.m == 1 and order > 2:
+        raise WorkspaceError(
+            "scalar contact case allows multiplier order at most 2")
+    if ws.m >= 2 and order > 1:
+        raise WorkspaceError(
+            "multicomponent point case allows multiplier order at most 1")
+    ruled = sys.prolonged_rules(order)
+    jets = [j for dep in ws.dependents
+            for K in multi_indices((order,) * ws.n, order)
+            if (j := ws.jet(dep, K)) not in ruled]
+    return (*ws.independents, *sorted(jets, key=lambda j: jet_rank(ws, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +105,8 @@ def verify_multipliers(sys, fam):
 
 
 class DeterminingSystem:
-    def __init__(self, system, ansatz, unknowns, arguments, equations):
+    def __init__(self, system, unknowns, arguments, equations):
         self.system = system
-        self.ansatz = ansatz
         self.unknowns = unknowns
         self.arguments = arguments
         self.equations = equations  # (dependent index, signature, Expr)
@@ -140,11 +129,12 @@ class DeterminingSystem:
         return out
 
 
-def determining_system(sys, ansatz):
-    """Form E_{U^sigma}(Lambda_nu G^nu), substitute the prolonged
+def determining_system(sys, order=None):
+    """Form E_{U^sigma}(Lambda_nu G^nu) for multipliers of jet order
+    `order` (see `multiplier_arguments`), substitute the prolonged
     leading-solve rules, and split over parametric jet monomials."""
     ws = sys.workspace
-    args = ansatz.arguments(sys)
+    args = multiplier_arguments(sys, order)
     names = [f"L{nu + 1}" for nu in range(len(sys.equations))]
     lam = [Fun(nm, args) for nm in names]
     s = add(*[mul(l, g) for l, g in zip(lam, sys.equations)])
@@ -165,13 +155,18 @@ def determining_system(sys, ansatz):
             continue
         seen.add(eqn.key)
         cleaned.append((sigma, sig, eqn))
-    return DeterminingSystem(system=sys, ansatz=ansatz, unknowns=names,
-                             arguments=args, equations=cleaned)
+    return DeterminingSystem(system=sys, unknowns=names, arguments=args,
+                             equations=cleaned)
 
 
 def _split_parametric(e, arg_jets):
     """Collect coefficients of each monomial in jets outside the ansatz
-    arguments.  The expression must be polynomial in those jets."""
+    arguments.  An expression not polynomial in those jets is outside the
+    class handled: an input error (WorkspaceError) naming the jet."""
+    def outside(jet, how):
+        return WorkspaceError("the determining system is not polynomial in the "
+                              f"parametric jet {to_text(jet)}: it occurs {how}")
+
     groups = {}
     for coeff, fmap in monomials(e):
         par = {}
@@ -179,13 +174,12 @@ def _split_parametric(e, arg_jets):
         for k, n in fmap.items():
             if isinstance(k, Jet) and k not in arg_jets:
                 if n < 0:
-                    raise ExprError(f"parametric jet {k!r} occurs with negative power")
+                    raise outside(k, "with a negative power")
                 par[k] = n
             else:
                 for a in walk(k):
                     if isinstance(a, Jet) and a not in arg_jets:
-                        raise ExprError(
-                            f"parametric jet {a!r} occurs inside kernel {k!r}")
+                        raise outside(a, f"inside {to_text(k)}")
                 rest[k] = n
         sig = monomial_signature(par)
         group = groups.setdefault(sig, (par, []))
@@ -305,9 +299,9 @@ class _ReducerState:
     def arity(self, name):
         return len(self.args[name])
 
-    def new_name(self, base="f"):
+    def new_name(self):
         self.fresh += 1
-        return f"{base}{self.fresh}"
+        return f"f{self.fresh}"
 
     def component(self, name):
         return self.rules.reduce(Fun(name, self.args[name]))

@@ -130,10 +130,6 @@ class Fun(Expr):
         self.dmidx = dmidx
         self._finish((3, name, dmidx, tuple(a.key for a in args)))
 
-    @property
-    def order(self):
-        return sum(self.dmidx)
-
     def bump(self, pos):
         d = list(self.dmidx)
         d[pos] += 1

@@ -36,7 +36,8 @@ def leading_solve(ws, equation):
 
 
 class PdeSystem:
-    """A declared system {G^nu[u] = 0} with optional leading-solve overrides.
+    """A declared system {G^nu[u] = 0}, each equation solved for its
+    highest-ranked jet that it is linear in.
 
     In increasing rank of their leading jets, each equation is reduced on the
     prolonged rules of those before it and solved again, and its rule is
@@ -45,22 +46,14 @@ class PdeSystem:
     jet, is an error.  This is the only reduction of equations against each
     other's leading jets; `reduced` reads it off the final rules."""
 
-    def __init__(self, workspace, equations, leading=None, names=None):
+    def __init__(self, workspace, equations, names=None):
         self.workspace = workspace
         self.equations = list(equations)
         self.names = list(names) if names else [f"G{i+1}" for i in range(len(equations))]
         self.order = max((max_jet_order(g) for g in self.equations), default=0)
-        leading = leading or {}
 
         def solve(i, g):
-            if i in leading:
-                found = solve_linear(g, leading[i])
-                if found is None:
-                    raise ExprError(f"equation {self.names[i]} is not linear "
-                                    f"in {leading[i]!r}")
-                jet, solved = leading[i], found[1]
-            else:
-                jet, solved = leading_solve(workspace, g)
+            jet, solved = leading_solve(workspace, g)
             if not is_zero(substitute(g, {jet: solved})):
                 raise ExprError(f"leading solve for {self.names[i]} does not close")
             return jet, solved
@@ -100,10 +93,6 @@ class PdeSystem:
     @property
     def m(self):
         return self.workspace.m
-
-    @property
-    def n(self):
-        return self.workspace.n
 
     def prolonged_rules(self, order):
         return prolong_rules(self.rules, order, self.workspace, complete=True)

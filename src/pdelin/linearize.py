@@ -32,8 +32,11 @@ from .workspace import Workspace
 
 
 class Rejection:
-    def __init__(self, reason):
+    """Why a family fails the match; not `decided` when the match gave up."""
+
+    def __init__(self, reason, decided=True):
         self.reason = reason
+        self.decided = decided
 
 
 class LinearizationCandidate:
@@ -229,8 +232,8 @@ def match_multiplier_form(fam, sys):
     try:
         fam = to_first_order_system(fam, sys)
     except ExprError as exc:
-        return Rejection(f"family is not of the required arbitrary-function "
-                         f"form: {exc}")
+        return Rejection(f"the family's component system did not close "
+                         f"({exc})", decided=False)
     ws = sys.workspace
     M = len(sys.equations)
     coords = fam.coordinates

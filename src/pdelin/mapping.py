@@ -158,18 +158,13 @@ def invert_transformation(tr):
 
 
 def _solve_atoms(pairs, unknowns):
-    """Solve lhs == rhs for every (lhs, rhs) pair by sequential solving.
-    Identity pairs alias their atom outright; then each pass solves one
-    unknown atom from one equation and substitutes its value into the
-    values found before.  Returns the solution dict atom -> expression, or
-    None when an unknown stays unsolved or an equation does not vanish
-    under the solution."""
+    """Solve lhs == rhs for every (lhs, rhs) pair by sequential solving:
+    each pass solves one unknown atom from one equation and substitutes its
+    value into the values found before.  Returns the solution dict atom ->
+    expression, or None when an unknown stays unsolved or an equation does
+    not vanish under the solution."""
     solution = {}
     remaining = list(unknowns)
-    for lhs, rhs in pairs:
-        if lhs == rhs and lhs in remaining:
-            solution[lhs] = rhs
-            remaining.remove(lhs)
     equations = [sub(lhs, rhs) for lhs, rhs in pairs]
     while remaining:
         found = None

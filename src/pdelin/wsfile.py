@@ -1,38 +1,40 @@
 """Workspace files: the `[section]` / `key = value` input format.
 
-Sections: [vars], [system], optional [leading], [ansatz], [multipliers],
+Sections: [vars], [system], optional [ansatz], [multipliers],
 [transformation], [target].  Unknown sections or keys are errors.  Values
-use the expression grammar, in the variables declared by [vars]."""
+use the expression grammar, in the variables declared by [vars].  [ansatz]
+sets the multipliers' jet order; their arguments and the jets each equation
+is solved for follow from the system."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .conslaw import MultiplierAnsatz, MultiplierFamily
+from .conslaw import MultiplierFamily
 from .constraints import LinearConstraints
 from .errors import ExprError, WorkspaceError
-from .expr import Jet, Sym, fun_kernels_of, is_atom, substitute
+from .expr import Sym, fun_kernels_of, is_atom, substitute
 from .grammar import parse
 from .jets import PdeSystem
 from .mapping import Transformation
 from .workspace import Workspace
 
-_SECTIONS = ("vars", "system", "leading", "ansatz", "multipliers",
-             "transformation", "target")
+_SECTIONS = ("vars", "system", "ansatz", "multipliers", "transformation",
+             "target")
 _VARS_KEYS = ("independents", "dependents", "parameters", "coordinates")
-_ANSATZ_KEYS = ("order", "preset", "arguments")
+_ANSATZ_KEYS = ("order", "preset")
 _PRESETS = ("general", "fixed-independents", "integrating-factor")
 
 
 class WorkspaceFile:
     """A loaded file; an optional section that is absent is None."""
 
-    def __init__(self, workspace, system, equation_names, ansatz=None,
+    def __init__(self, workspace, system, equation_names, ansatz_order=None,
                  family=None, transformation=None, target=None):
         self.workspace = workspace
         self.system = system
         self.equation_names = equation_names
-        self.ansatz = ansatz
+        self.ansatz_order = ansatz_order
         self.family = family
         self.transformation = transformation
         self.target = target
@@ -106,45 +108,21 @@ def load_workspace_text(text):
     with _section(headers, "system"):
         equations = [parse(value, ws) for _, value, _ in sections["system"]]
 
-    leading = {}
-    for key, value, lineno in sections.get("leading", []):
-        if key not in eq_names:
-            raise WorkspaceError(f"line {lineno}: [leading] names unknown "
-                                 f"equation '{key}'")
-        with _section(headers, "leading"):
-            jet = parse(value, ws)
-        if not isinstance(jet, Jet):
-            raise WorkspaceError(f"line {lineno}: leading value must be a jet")
-        leading[eq_names.index(key)] = jet
     with _section(headers, "system"):
-        system = PdeSystem(ws, equations, leading=leading, names=eq_names)
+        system = PdeSystem(ws, equations, names=eq_names)
 
     out = WorkspaceFile(workspace=ws, system=system, equation_names=eq_names)
 
-    if "ansatz" in sections:
-        order = None
-        restrict = None
-        for key, value, lineno in sections["ansatz"]:
-            if key not in _ANSATZ_KEYS:
-                raise WorkspaceError(f"line {lineno}: unknown [ansatz] key '{key}'")
-            if key == "order":
-                if not value.isdecimal():
-                    raise WorkspaceError(f"line {lineno}: ansatz order must be "
-                                         f"a nonnegative integer, not '{value}'")
-                order = int(value)
-            elif key == "arguments":
-                restrict = []
-                for nm in _names(value):
-                    atom = ws.lookup(nm)
-                    if atom is None or not isinstance(atom, (Sym, Jet)):
-                        raise WorkspaceError(
-                            f"line {lineno}: ansatz argument '{nm}' is not "
-                            "a declared variable")
-                    restrict.append(atom)
-                restrict = tuple(restrict)
-            elif value not in _PRESETS:  # a preset is checked but selects nothing
-                raise WorkspaceError(f"line {lineno}: unknown preset '{value}'")
-        out.ansatz = MultiplierAnsatz(order=order, restrict_to=restrict)
+    for key, value, lineno in sections.get("ansatz", []):
+        if key not in _ANSATZ_KEYS:
+            raise WorkspaceError(f"line {lineno}: unknown [ansatz] key '{key}'")
+        if key == "order":
+            if not value.isdecimal():
+                raise WorkspaceError(f"line {lineno}: ansatz order must be "
+                                     f"a nonnegative integer, not '{value}'")
+            out.ansatz_order = int(value)
+        elif value not in _PRESETS:  # a preset is checked but selects nothing
+            raise WorkspaceError(f"line {lineno}: unknown preset '{value}'")
 
     if "multipliers" in sections:
         with _section(headers, "multipliers"):

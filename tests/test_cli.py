@@ -201,6 +201,55 @@ def test_undetermined_reduction_is_not_a_verdict(tmp_path, capsys):
         "given system linearizes is not decided")
 
 
+@pytest.mark.parametrize("g1, how", [("u_t - exp(u_xx)", "inside exp(u_xx)"),
+                                     ("u_t - u_xx^(-1)", "with a negative power")])
+def test_out_of_class_systems_are_input_errors(tmp_path, capsys, g1, how):
+    # the default order-1 multipliers leave u_xx parametric, and the
+    # determining system is not polynomial in it, so it cannot be split over
+    # its monomials
+    text = f"[vars]\nindependents = x, t\ndependents = u\n[system]\nG1 = {g1}\n"
+    for command in ("detsys", "linearize"):
+        assert run(tmp_path, text, command, "--json") == 3
+        assert json.loads(capsys.readouterr().out)["message"] == (
+            "the determining system is not polynomial in the parametric jet "
+            f"u_xx: it occurs {how}")
+
+
+def test_failed_component_closure_is_not_a_verdict(tmp_path, capsys):
+    # the rotated Burgers system linearizes, but its derived family has
+    # three kernels for two equations: the match gives up, which decides
+    # nothing
+    text = burgers_variant(*UNSOLVED_VARIANTS["rotation"][0])
+    assert run(tmp_path, text, "linearize", "--json") == 2
+    assert json.loads(capsys.readouterr().out)["message"] == (
+        "the family's component system did not close (family has 3 distinct "
+        "kernels but the system has 2 equations; cannot form the component "
+        "system), so whether the given system linearizes is not decided")
+
+
+def test_extraction_failure_exits_2(tmp_path, capsys):
+    # v_t = v_xx matches with X = (x, t), but no W of degree up to the cap
+    # solves the augmented identity of inviscid Burgers
+    text = """
+[vars]
+independents = x, t
+dependents   = u
+coordinates  = X, T
+[system]
+G1 = u_t - u*u_x
+[multipliers]
+L1 = v(X, T)
+X = x
+T = t
+row1 = v_{2}(X,T) - v_{1,1}(X,T)
+"""
+    assert run(tmp_path, text, "linearize", "--json") == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "rejected"
+    assert doc["message"].startswith("dependent-part extraction failed: ")
+    assert "MAX_W_DEGREE" in doc["message"]
+
+
 def test_corrupted_w_rejected(tmp_path, capsys):
     code = run(tmp_path, CORRUPTED_W, "verify")
     assert code == 4
@@ -342,12 +391,6 @@ def test_leading_rules_are_reduced_against_each_other(tmp_path, capsys):
 def test_unknown_keys_are_errors():
     with pytest.raises(WorkspaceError):
         load_workspace_text(BURGERS.replace("order = 0", "ordre = 0"))
-
-
-def test_leading_override(tmp_path, capsys):
-    text = BURGERS.replace("[ansatz]", "[leading]\nG2 = u2_t\n[ansatz]")
-    assert run(tmp_path, text, "detsys") == 0
-    capsys.readouterr()
 
 
 def test_verify_needs_content(tmp_path, capsys):
@@ -579,7 +622,7 @@ def test_usage_errors_exit_3():
         main(["bogus", "x"])
     assert ei.value.code == 3
     with pytest.raises(SystemExit) as ei:
-        main(["detsys", "burgers", "--ansatz-order", "-1"])
+        main(["detsys", "burgers", "--no-such-flag"])
     assert ei.value.code == 3
     with pytest.raises(SystemExit) as ei:
         main(["--help"])
@@ -630,17 +673,21 @@ def test_bad_input_exits_3_without_traceback(tmp_path, case):
     assert proc.returncode == 3, proc.stdout
 
 
-def test_ansatz_order_keeps_ansatz_arguments(tmp_path, capsys):
-    # --ansatz-order overrides the order only; the [ansatz] arguments stay,
-    # for detsys and linearize alike
-    text = BURGERS.replace("order = 0", "order = 0\narguments = x, u1, u2")
-    unknowns = {}
-    for command in ("detsys", "linearize"):
-        run(tmp_path, text, command, "--ansatz-order", "0", "--json")
-        doc = json.loads(capsys.readouterr().out)
-        unknowns[command] = doc["determining-system"]["unknowns"]
-    assert unknowns["detsys"] == unknowns["linearize"]
-    assert set(unknowns["detsys"].values()) == {"function of (x, u1, u2)"}
+def test_removed_knobs_are_input_errors(tmp_path, capsys):
+    # the leading jets and the multiplier arguments follow from the system,
+    # and [ansatz] order is the one way to set the order; each removed
+    # override once loaded and ran
+    for text, message in (
+            (BURGERS.replace("[ansatz]", "[leading]\nG2 = u2_t\n[ansatz]"),
+             "line 8: unknown section [leading]"),
+            (BURGERS.replace("order = 0", "order = 0\narguments = x, u1"),
+             "line 10: unknown [ansatz] key 'arguments'")):
+        assert run(tmp_path, text, "detsys", "--json") == 3
+        assert json.loads(capsys.readouterr().out)["message"] == message
+    with pytest.raises(SystemExit) as ei:
+        main(["detsys", "burgers", "--ansatz-order", "0"])
+    assert ei.value.code == 3
+    assert "unrecognized arguments: --ansatz-order 0" in capsys.readouterr().err
 
 
 STAGES = ("extract_dependent_part", "build_mapping", "target_system")

@@ -6,9 +6,9 @@ import pytest
 import corpus
 from helpers import check_reducer_steps, random_expression, seeded
 from pdelin import conslaw
-from pdelin.conslaw import (DeterminingSystem, MultiplierAnsatz,
-                            MultiplierFamily, determining_system,
-                            reconstruct_fluxes, reduce_determining_system,
+from pdelin.conslaw import (DeterminingSystem, MultiplierFamily,
+                            determining_system, reconstruct_fluxes,
+                            reduce_determining_system,
                             reduce_family_constraints, verify_multipliers)
 from pdelin.errors import NotADivergenceError
 from pdelin.expr import (Fun, Jet, Sym, add, equal, exp_, fun_kernels_of,
@@ -27,23 +27,32 @@ def div_of(fluxes, ws):
 
 
 def test_single_equation_transport():
-    # G = u_x with Lambda(x): the split system is dLambda/dx = 0
+    # G = u_x with Lambda(x, t, u): on u_x = 0 the split system is
+    # dLambda/dx = 0
     ws = Workspace("xt", ["u"])
     sys = PdeSystem(ws, [parse("u_x", ws)])
-
-    class XOnly(MultiplierAnsatz):
-        def arguments(self, sys):
-            return (sys.workspace.independents[0],)
-
-    det = determining_system(sys, XOnly(order=0))
+    det = determining_system(sys, 0)
     assert len(det.equations) == 1
-    eq = det.equations[0][2]
-    assert equal(eq, Fun("L1", (ws.independents[0],), (1,)))
+    assert to_text(det.equations[0][2]) == "L1_{1}(x, t, u)"
+
+
+def test_multiplier_arguments_drop_ruled_jets():
+    # u_t is solved for, so neither it nor its derivatives are arguments of
+    # the multipliers: the kernels of the split system keep the arguments
+    # the ansatz names
+    ws = Workspace("xt", ["u"])
+    sys = PdeSystem(ws, [parse("u_t - u_x^2", ws)])
+    det = determining_system(sys, 1)
+    assert [to_text(a) for a in det.arguments] == ["x", "t", "u", "u_x"]
+    assert {k.args for _, _, eq in det.equations
+            for k in fun_kernels_of(eq)} == {det.arguments}
+    assert [to_text(a) for a in conslaw.multiplier_arguments(sys, 2)] == [
+        "x", "t", "u", "u_x", "u_xx"]
 
 
 def test_burgers_family_satisfies_split_system():
     ws, sys = corpus.burgers()
-    det = determining_system(sys, MultiplierAnsatz(order=0))
+    det = determining_system(sys, 0)
     fam = corpus.burgers_family_f(ws)
     cands = {"L1": fam.components[0], "L2": fam.components[1]}
     residuals = det.check_family(cands, fam.constraints)
@@ -52,7 +61,7 @@ def test_burgers_family_satisfies_split_system():
 
 def test_telegraph_family_satisfies_split_system():
     ws, sys = corpus.telegraph()
-    det = determining_system(sys, MultiplierAnsatz(order=0))
+    det = determining_system(sys, 0)
     fam = corpus.telegraph_family_potential(ws)
     cands = {"L1": fam.components[0], "L2": fam.components[1]}
     residuals = det.check_family(cands, fam.constraints)
@@ -61,7 +70,7 @@ def test_telegraph_family_satisfies_split_system():
 
 def test_reducer_burgers_full_integration():
     ws, sys = corpus.burgers()
-    det = determining_system(sys, MultiplierAnsatz(order=0))
+    det = determining_system(sys, 0)
     res = reduce_determining_system(det)
     assert res.case == "II"
     fam = res.family
@@ -84,7 +93,7 @@ def test_reducer_reports_its_pass_cap(monkeypatch):
     # Burgers needs more than one pass and stays well inside the default
     # cap; with the cap at 1 the run ends by naming it
     ws, sys = corpus.burgers()
-    det = determining_system(sys, MultiplierAnsatz(order=0))
+    det = determining_system(sys, 0)
     assert not any("pass cap" in s for s in reduce_determining_system(det).steps)
     monkeypatch.setattr(conslaw, "MAX_REDUCER_PASSES", 1)
     steps = reduce_determining_system(det).steps
@@ -94,7 +103,7 @@ def test_reducer_reports_its_pass_cap(monkeypatch):
 
 def test_reducer_telegraph_reaches_potential():
     ws, sys = corpus.telegraph()
-    det = determining_system(sys, MultiplierAnsatz(order=0))
+    det = determining_system(sys, 0)
     res = reduce_determining_system(det)
     assert res.case == "undetermined"
     assert any("potential" in s for s in res.steps)
@@ -134,7 +143,7 @@ def test_reducer_leaves_an_inhomogeneous_transport_row_alone():
         "f_{2}(x,t,u1,u2) + u1*f_{3}(x,t,u1,u2)",
         "u1^2*f_{3,3}(x,t,u1,u2) + 2*u1*f_{3}(x,t,u1,u2)"
         " - f_{4,4}(x,t,u1,u2)")]
-    det = DeterminingSystem(sys, MultiplierAnsatz(), ["f"], args,
+    det = DeterminingSystem(sys, ["f"], args,
                             [(0, "1", row) for row in rows])
     steps = reduce_determining_system(det).steps
     assert steps == ["f rides characteristics of args 2,3; new function f1"]
@@ -151,7 +160,7 @@ def test_reducer_integrates_an_unknown_to_a_constant(rows, steps, component):
     ws, sys = corpus.burgers()
     args = tuple(ws.independents)
     rows = [parse(r, ws) for r in rows]
-    det = DeterminingSystem(sys, MultiplierAnsatz(), ["f"], args,
+    det = DeterminingSystem(sys, ["f"], args,
                             [(0, "1", row) for row in rows])
     res = reduce_determining_system(det)
     assert res.steps == steps
@@ -342,8 +351,7 @@ def test_splitting_completeness_corpora():
             (corpus.pipeline, corpus.pipeline_family, ("L1",))):
         ws, sys = make_sys()
         fam = make_fam(ws)
-        det = determining_system(sys, MultiplierAnsatz(
-            order=1 if sys.m == 1 else 0))
+        det = determining_system(sys)
         cands = dict(zip(names, fam.components))
         residuals = det.check_family(cands, fam.constraints)
         assert all(is_zero(r) for r in residuals), to_text(

@@ -9,8 +9,8 @@ import pytest
 
 import corpus
 from helpers import seeded
-from pdelin.conslaw import (MultiplierAnsatz, MultiplierFamily,
-                            determining_system, reduce_determining_system)
+from pdelin.conslaw import (MultiplierFamily, determining_system,
+                            reduce_determining_system)
 from pdelin.constraints import LinearConstraints
 from pdelin.errors import ExtractionError
 from pdelin.expr import (Fun, Jet, add, derive_multi, equal, exp_, is_zero,
@@ -470,7 +470,7 @@ def test_rescaling_closure():
 
 def test_end_to_end_from_determining_system():
     ws, sys = corpus.burgers()
-    det = determining_system(sys, MultiplierAnsatz(order=0))
+    det = determining_system(sys, 0)
     res = reduce_determining_system(det)
     assert res.case == "II"
     cand = match_multiplier_form(res.family, sys)

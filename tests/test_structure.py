@@ -7,14 +7,16 @@ named test oracle.  No function mutates module-level state; the two settings
 the README names are per context.  Every loop cap is a named constant.  Only
 the kernel builds a product or reads a node's cached views.  Only `jets` and
 the reducer rank jets.  The reducer runs every pass it defines, and has
-three."""
+three.  Every knob a user can set is listed here and in the README."""
 
 import ast
 import pathlib
+import re
 import threading
 from collections import Counter
 
 from helpers import burgers_workspace
+from pdelin import wsfile
 from pdelin.errors import ExprError
 from pdelin.expr import add, mul, rat, set_max_terms
 from pdelin.probe import default_probe_seed, set_default_probe_seed
@@ -378,3 +380,45 @@ def test_reducer_runs_each_pass_it_defines():
     listed = [elt.attr for elt in tuple_.elts]
     assert sorted(listed) == sorted(defined), (listed, sorted(defined))
     assert len(defined) == REDUCER_PASSES, sorted(defined)
+
+
+# every knob a user can set: the flags of `pdelin`, the sections of a
+# workspace file and the keys of [ansatz]; a knob joins this list, and the
+# README, only with a caller
+KNOBS = {
+    "flags": {"--json", "--max-terms", "--seed"},
+    "sections": {"vars", "system", "ansatz", "multipliers", "transformation",
+                 "target"},
+    "ansatz keys": {"order", "preset"},
+}
+
+
+def _readme_knobs():
+    """The flags of the README's "Flags:" sentence, and the sections and
+    [ansatz] keys of its workspace-file example."""
+    text = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    flags = text[text.index("Flags:"):]
+    flags = flags[:flags.index(".\n")]
+    example = text[text.index("```ini"):]
+    example = example[:example.index("```", 3)]
+    keys = {}
+    for line in example.splitlines()[1:]:
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = keys.setdefault(line[1:-1], set())
+        elif line:
+            section.add(line.split("=", 1)[0].strip())
+    return {"flags": set(re.findall(r"--[a-z-]+", flags)),
+            "sections": set(keys), "ansatz keys": keys["ansatz"]}
+
+
+def test_every_knob_is_listed_and_documented():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    flags = {node.args[0].value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and
+             getattr(node.func, "attr", None) == "add_argument" and
+             node.args[0].value.startswith("--")}
+    code = {"flags": flags, "sections": set(wsfile._SECTIONS),
+            "ansatz keys": set(wsfile._ANSATZ_KEYS)}
+    assert code == KNOBS
+    assert _readme_knobs() == KNOBS
