@@ -193,8 +193,10 @@ def _split_parametric(e, arg_jets):
 # ---------------------------------------------------------------------------
 
 
-# names tried, in order, for the coordinates of a packaged family
-COORDINATE_NAMES = ("X", "T", "Y", "Z")
+# names tried, in order, for the coordinates of a packaged family; each
+# becomes an independent of the linear target, so each is one letter
+COORDINATE_NAMES = ("X", "T", "Y", "Z", *"ABCDEFGHIJKLMNOPQRSUVW",
+                    *"abcdefghijklmnopqrstuvwxyz")
 
 
 class ReducerResult:
@@ -276,7 +278,7 @@ MAX_REDUCER_PASSES = 64
 def _homogeneous(form):
     """The coefficients of a linear form with no kernel-free part, else
     None."""
-    return form[0] if form is not None and is_zero(form[1]) else None
+    return form[0] if is_zero(form[1]) else None
 
 
 class _ReducerState:
@@ -395,7 +397,11 @@ class _ReducerState:
             body = Fun(new, tuple(new_ph))
         else:
             body = Sym(f"c{len(self.rules) + 1}", "parameter")
-        factor = "" if c0 is None else f"factor exp(-a*arg{pk + 1})"
+        # with a = c0/c_pk: exp(-a*arg) when a is free of arg_pk, else the
+        # antiderivative theta that the body holds
+        factor = "" if c0 is None else (
+            f"factor exp(-int a d arg{pk + 1})" if ph[pk] in atoms_of(a)
+            else f"factor exp(-a*arg{pk + 1})")
         if len(firsts) > 1:
             along = ",".join(str(p + 1) for p in sorted(firsts) if p != pk)
             step = (f"rides characteristics of args {along},{pk + 1}; " +
@@ -425,12 +431,17 @@ class _ReducerState:
     # pass: solve one equation algebraically for an underived kernel; the
     # only pass that accepts a kernel-free part
     def _pass_algebraic(self, live):
-        for eq, ks, form in live:
+        # a live equation is linear in its kernels: the determining
+        # equations are linear in the multipliers, constraint rows are linear,
+        # and so is every rule
+        for eq, ks, _ in live:
             for k in ks:
-                if sum(k.dmidx) != 0 or form is None:
+                if sum(k.dmidx) != 0:
                     continue
                 if any(kk != k and kk.name == k.name for kk in ks):
                     continue
+                # None when k's coefficient cancels once cleared of
+                # denominators
                 solved = solve_linear(eq, k)
                 if solved is None:
                     continue
@@ -470,14 +481,12 @@ class _ReducerState:
             cs = _homogeneous(form)
             if cs is None or not is_zero(add(*cs)):
                 continue
-            c1 = cs[0]
-            if not (is_zero(sub(c1, rat(1))) or is_zero(add(c1, rat(1)))):
+            # a live equation is normalized, so the leading kernel's
+            # coefficient is positive: the form is g1_{p1} - g2_{p2} = 0 when
+            # it is 1; introduce h with g1 = h_{p2}, g2 = h_{p1}
+            if not is_zero(sub(cs[0], rat(1))):
                 continue
-            # c*(g1_{p1} - g2_{p2}) = 0: closed form, introduce h with
-            # g1 = h_{p2}, g2 = h_{p1}
             g1, g2 = k1.name, k2.name
-            if is_zero(add(c1, rat(1))):
-                g1, g2, p1, p2 = g2, g1, p2, p1
             h = self.new_name()
             self.args[h] = self.args[g1]
             ph = _placeholders(len(self.args[g1]))
@@ -493,41 +502,22 @@ def _package_family(state, components, fname, constraint, ws):
     of n composite arguments with a single linear constraint."""
     defs = state.args[fname]
     declared = {s.name for s in ws.independents} | set(ws.dependents)
-
-    def fresh_names():
-        for nm in COORDINATE_NAMES:
-            if nm not in declared:
-                yield nm
-        i = 1
-        while True:
-            nm = f"X{i}"
-            if nm not in declared:
-                yield nm
-            i += 1
-
-    names_iter = fresh_names()
-    coord_syms = tuple(Sym(next(names_iter), "coordinate") for _ in defs)
+    names = [nm for nm in COORDINATE_NAMES if nm not in declared]
+    coord_syms = tuple(Sym(nm, "coordinate") for nm in names[:len(defs)])
     formal = _formalize(constraint, fname, defs, coord_syms)
     if formal is None:
         return None
-    try:
-        cons = LinearConstraints({fname: coord_syms}, [formal])
-    except ExprError:
-        return None
     return MultiplierFamily(components=components, function_names=[fname],
                             coordinates=coord_syms, definitions=tuple(defs),
-                            constraints=cons)
+                            constraints=LinearConstraints({fname: coord_syms},
+                                                          [formal]))
 
 
 def _formalize(eq, fname, defs, coord_syms):
     """Re-express an instantiated constraint over formal coordinates.
     Coefficients must be rational or literally match a coordinate
     definition."""
-    repl = {}
-    for k in fun_kernels_of(eq):
-        if k.name != fname or tuple(k.args) != tuple(defs):
-            return None
-        repl[k] = Fun(fname, coord_syms, k.dmidx)
+    repl = {k: Fun(fname, coord_syms, k.dmidx) for k in fun_kernels_of(eq)}
     e = substitute_kernels(eq, repl)
     for i, d in enumerate(defs):
         if isinstance(d, (Sym, Jet)):
@@ -630,23 +620,18 @@ def _homotopy_fluxes(e, ws):
                     continue
                 d = derive_multi(body, ws.independents, J, total_derivative)
                 raw[i] = add(raw[i], mul(rat(K[i], sum(K)), d))
+    # each monomial holds u0 or a derivative of it and no jet at a negative
+    # power (base would have divided by zero), so its jet degree is at least
+    # 1; a zero flux is the one monomial 0
     fluxes = []
     for r in raw:
-        parts = []
-        for coeff, fmap in monomials(r):
-            deg = sum(nn for kk, nn in fmap.items() if isinstance(kk, Jet))
-            if deg <= 0:
-                return None
-            parts.append(from_monomial(coeff / deg, dict(fmap)))
-        fluxes.append(add(*parts) if parts else rat(0))
-    if not is_zero(base):
-        extra = [rat(0)] * n
-        left = _absorb_jet_free(base, extra, ws)
-        while left is not None and not is_zero(left):
-            left = _absorb_jet_free(left, extra, ws)
-        if left is None:
-            return None
-        fluxes = [add(f, x) for f, x in zip(fluxes, extra)]
+        fluxes.append(add(*[
+            from_monomial(coeff / sum(nn for kk, nn in fmap.items()
+                                      if isinstance(kk, Jet)), fmap)
+            for coeff, fmap in monomials(r) if coeff]))
+    # an exact antiderivative in one variable leaves nothing of base
+    if not is_zero(base) and _absorb_jet_free(base, fluxes, ws) is None:
+        return None
     return fluxes
 
 

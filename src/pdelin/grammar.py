@@ -16,6 +16,8 @@ Jet suffixes: `u1_xx`, `u1_xt` -- letters after `_` name independent
 variables, repetition is order, letter order irrelevant.  Derivatives of
 arbitrary functions: `f_{1}(...)`, `f_{1,2}(...)` by argument position.
 Rationals are written `p/q`; `pow(base, p)` carries symbolic exponents.
+Parentheses nest at most MAX_NESTING deep and an integer literal has at most
+MAX_LITERAL_DIGITS digits; deeper or longer input is a ParseError.
 
 `to_text` emits the same grammar deterministically and `parse(to_text(e))`
 canonicalizes equal to `e`.
@@ -30,6 +32,13 @@ from .expr import (Add, ExpF, Fun, Jet, LogF, Rat, SPow, Sym, add, exp_,
 _LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _DIGITS = set("0123456789")
 
+# input limits, checked by the lexer before the parser recurses: each level
+# of parentheses costs the parser and the printer a few stack frames, and
+# CPython's `int` refuses to read more digits than its default
+# int_max_str_digits
+MAX_NESTING = 64
+MAX_LITERAL_DIGITS = 4300
+
 
 class _Lexer:
     def __init__(self, text):
@@ -41,13 +50,20 @@ class _Lexer:
 
     def _run(self):
         t, n = self.text, len(self.text)
-        i = 0
+        i = depth = 0
         while i < n:
             c = t[i]
             if c.isspace():
                 i += 1
                 continue
             if c in "+-*/^(),":
+                if c == "(":
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise ParseError("parentheses nested deeper than "
+                                         f"MAX_NESTING = {MAX_NESTING}", i)
+                elif c == ")":
+                    depth -= 1
                 self.tokens.append((c, c, i))
                 i += 1
                 continue
@@ -55,6 +71,10 @@ class _Lexer:
                 j = i
                 while j < n and t[j] in _DIGITS:
                     j += 1
+                if j - i > MAX_LITERAL_DIGITS:
+                    raise ParseError("integer literal longer than "
+                                     f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}"
+                                     " digits", i)
                 self.tokens.append(("int", t[i:j], i))
                 i = j
                 continue
@@ -142,11 +162,13 @@ class _Parser:
                 return factors[0] if len(factors) == 1 else mul(*factors)
 
     def unary(self):
-        k, _, _ = self.lx.peek()
-        if k == "-":
+        # a run of signs is read in a loop, not by recursion
+        negate = False
+        while self.lx.peek()[0] == "-":
             self.lx.next()
-            return neg(self.unary())
-        return self.power()
+            negate = not negate
+        e = self.power()
+        return neg(e) if negate else e
 
     def power(self):
         e = self.atom()
@@ -235,8 +257,6 @@ class _Parser:
                     dm[p - 1] += 1
             return Fun(name, tuple(a), tuple(dm))
         if suffix is not None:
-            if suffix[0] != "letters":
-                raise ParseError("derivative-position suffix requires arguments", pos)
             if not self.ws.is_dependent(name):
                 raise UndeclaredIdentifierError(name, pos)
             orders = {}
@@ -261,8 +281,28 @@ def parse(text, workspace):
 # ---------------------------------------------------------------------------
 
 
+# `str` refuses an int past CPython's int_max_str_digits (at least 640), so
+# a longer one is written in blocks of _BLOCK_DIGITS digits
+_BLOCK_DIGITS = 600
+_BLOCK = 10 ** _BLOCK_DIGITS
+_SHORT_BITS = _BLOCK.bit_length() - 1
+
+
+def _int_text(n):
+    """The decimal text of an int n >= 0."""
+    if n.bit_length() <= _SHORT_BITS:
+        return str(n)
+    blocks = []
+    while n >= _BLOCK:
+        n, r = divmod(n, _BLOCK)
+        blocks.append(f"{r:0{_BLOCK_DIGITS}d}")
+    return str(n) + "".join(reversed(blocks))
+
+
 def _fmt_fraction(q):
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if q.denominator == 1:
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 def _fmt_kernel(e):
@@ -284,16 +324,15 @@ def _fmt_kernel(e):
         return "log(" + to_text(e.arg) + ")"
     if isinstance(e, SPow):
         return "pow(" + to_text(e.base) + ", " + to_text(e.expo) + ")"
-    if isinstance(e, Add):
-        return "(" + to_text(e) + ")"
-    raise ValueError(f"not a kernel: {e!r}")
+    return "(" + to_text(e) + ")"  # a sum
 
 
 def _fmt_power(base, n):
     s = _fmt_kernel(base)
     if n == 1:
         return s
-    return f"{s}^{n}" if n > 0 else f"{s}^({n})"
+    t = _int_text(abs(n))
+    return f"{s}^{t}" if n > 0 else f"{s}^(-{t})"
 
 
 def _fmt_monomial(e):

@@ -132,9 +132,6 @@ def prolong_rules(rules, order, ws, complete=False):
         if conflict is None:
             return out
         jet, solved = leading_solve(ws, conflict)
-        if jet in base_rules:
-            raise CyclicRuleError(
-                f"integrability condition re-solves ruled jet {jet!r}")
         base_rules[jet] = substitute(solved, out)
     raise CyclicRuleError("rule completion did not stabilize: round cap "
                           f"MAX_COMPLETION_ROUNDS = {MAX_COMPLETION_ROUNDS} "
@@ -245,12 +242,9 @@ def verify_point_symmetry(sys, gen):
         action_terms = []
         for tau, dep in enumerate(ws.dependents):
             for j in jets_of(g, dep):
-                coeff = diff_atom(g, j)
-                if is_zero(coeff):
-                    continue
                 d = derive_multi(chars[tau], ws.independents,
                                  ws.jet_vector(j), total_derivative)
-                action_terms.append(mul(d, coeff))
+                action_terms.append(mul(d, diff_atom(g, j)))
         action = add(*action_terms) if action_terms else rat(0)
         reduced = sys.reduce_on_solutions(action)
         if gen.constraints is not None:

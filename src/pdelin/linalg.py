@@ -21,8 +21,6 @@ def det(mat):
 
 def adjugate(mat):
     n = len(mat)
-    if n == 1:
-        return [[rat(1)]]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

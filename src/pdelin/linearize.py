@@ -197,9 +197,8 @@ def to_first_order_system(fam, sys):
                           exclude=(i, pos))
             if rhs is None:
                 continue
+            # rhs holds no v_i_pos (it is excluded), so the row is not 0
             row = sub(Fun(vnames[i], coords, unit), rhs)
-            if is_zero(row):
-                continue
             canon = normalize_equation(row)
             if canon.key in seen:
                 continue
@@ -212,8 +211,6 @@ def to_first_order_system(fam, sys):
     repl = {}
     for c in fam.components:
         for k in fun_kernels_of(c, name):
-            if k.dmidx not in named:
-                raise ExprError("component holds an unnamed kernel")
             repl[k] = Fun(vnames[named[k.dmidx]], k.args)
     comps = [substitute_kernels(c, repl) for c in fam.components]
     return MultiplierFamily(components=comps, function_names=vnames,

@@ -102,9 +102,6 @@ def contact_rho(chain, psi):
     phi_i: rho_i = d psi / dX_i under the chain rule of phi.  An expanded
     sum never cancels against its inverse, so when the Jacobian is a sum
     rho_i is the exact monomial quotient by it where one exists."""
-    if is_zero(chain.det):
-        raise DegenerateError("contact condition is degenerate: the "
-                              "Jacobian vanishes")
     nums = [chain.numerator(psi, v) for v in chain.variables]
     if isinstance(chain.det, Add):
         return [_monomial_quotient(n, chain.det) or div(n, chain.det)
@@ -213,16 +210,13 @@ def _solve_for(e, y, unsolved):
         solved = solve_linear(e, k)
         if solved is None or not all(_free_of(x, unsolved) for x in solved):
             continue
+        # a = d arg/d y is free of y, so y occurs in arg only as a*y
         d = sub(k.arg, mul(a, y))
-        if not _free_of(d, [y]):
-            continue
+        # the target holds the target atom, so it is not zero: log_ is safe
         target = solved[1]
-        try:
-            if isinstance(k, ExpF):
-                return div(sub(log_(target), d), a)
-            return div(sub(exp_(target), d), a)
-        except ExprError:
-            continue
+        if isinstance(k, ExpF):
+            return div(sub(log_(target), d), a)
+        return div(sub(exp_(target), d), a)
     return None
 
 
@@ -253,8 +247,6 @@ def apply_transformation(sys, tr):
     jac = tr.jacobian()
     if is_zero(jac) or not probe_nonzero_robust(jac):
         raise DegenerateError("transformation Jacobian vanishes")
-    if tr.kind == "contact" and not check_contact_condition(tr):
-        raise ExprError("contact condition violated")
     inv, solution = invert_transformation(tr)
     if inv is None:
         raise ExprError("no closed-form inverse available for this transformation")
@@ -263,8 +255,6 @@ def apply_transformation(sys, tr):
     # D_{x_i} over the target jet space, from the old x as functions of z
     chain = ChainRule([solution[xi] for xi in src.independents],
                       tgt.independents, src.independents)
-    if is_zero(chain.det):
-        raise DegenerateError("inverse Jacobian matrix is singular")
     old = DerivativeTable([solution[src.lookup(d)] for d in src.dependents],
                           src.independents, chain)
     if tr.kind == "contact":

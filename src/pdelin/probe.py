@@ -31,7 +31,7 @@ from math import lcm
 
 from .errors import DomainError, ProbeUndecidedError, UncoveredKernelError
 from .expr import (Add, ExpF, Expr, LogF, Mul, Rat, SPow, atoms_of,
-                   is_atom, is_zero, monomials, walk)
+                   is_atom, monomials, walk)
 
 TARGET_WIDTH = Fraction(1, 10 ** 40)
 
@@ -71,9 +71,6 @@ class Interval:
     def __init__(self, lo, hi):
         self.lo = lo
         self.hi = hi
-
-    def __repr__(self):
-        return f"Interval({float(self.lo)}, {float(self.hi)})"
 
     @property
     def width(self):
@@ -281,12 +278,10 @@ def _eval(e, assignment, prec, memo):
         return _mul([(c.numerator, c.denominator)] +
                     [_ipow(_eval(k, assignment, prec, memo), n, prec)
                      for k, n in fmap.items()], prec)
-    if isinstance(e, (ExpF, LogF, SPow)):
-        v = memo.get(e)
-        if v is None:
-            v = memo[e] = _eval_kernel(e, assignment, prec, memo)
-        return v
-    raise UncoveredKernelError(f"cannot evaluate node {type(e).__name__}")
+    v = memo.get(e)  # an exp, log or symbolic power
+    if v is None:
+        v = memo[e] = _eval_kernel(e, assignment, prec, memo)
+    return v
 
 
 def _eval_kernel(e, assignment, prec, memo):
@@ -409,8 +404,6 @@ MAX_ROBUST_PROBE_POINTS = 12
 def probe_nonzero_robust(e, seed=None):
     """True when `e` probes nonzero at one of up to MAX_ROBUST_PROBE_POINTS
     random points drawn from `seed` (default: the base probe seed + 5)."""
-    if is_zero(e):
-        return False
     rng = random.Random(default_probe_seed() + 5 if seed is None else seed)
     for _ in range(MAX_ROBUST_PROBE_POINTS):
         try:

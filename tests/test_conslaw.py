@@ -184,11 +184,14 @@ def test_reducer_integrates_an_unknown_to_a_constant(rows, steps, component):
     # along the characteristics of pivot t the ratio x varies, so that pivot
     # is refused (exp(-x*t)*h(x - t) is no solution); pivot x takes the row
     ("f_{1}(x,t) + f_{2}(x,t) + x*f(x,t)",
-     ["f rides characteristics of args 2,1; factor exp(-a*arg1); "
+     ["f rides characteristics of args 2,1; factor exp(-int a d arg1); "
       "new function f1"], "f1(t - x)*exp(-1/2*x^2)"),
     # x*t varies along the characteristics of either pivot: no step
     ("f_{1}(x,t) + f_{2}(x,t) + x*t*f(x,t)", [], "f(x, t)"),
-    ("f_{1}(x) + x*f(x)", ["f integrated: factor exp(-a*arg1); constant c1"],
+    # a = x depends on the argument it integrates over: the factor is
+    # exp(-int a d arg1) = exp(-1/2*x^2), not exp(-a*arg1)
+    ("f_{1}(x) + x*f(x)",
+     ["f integrated: factor exp(-int a d arg1); constant c1"],
      "c1*exp(-1/2*x^2)")])
 def test_reducer_integrates_by_characteristics(monkeypatch, row, steps,
                                                component):

@@ -426,3 +426,28 @@ def test_multi_unit_and_lower():
     assert multi_lower((0, 2, 1)) == (1, (0, 1, 1))
     for i in range(3):
         assert multi_lower(multi_unit(i, 3)) == (i, (0, 0, 0))
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("pow(1, a)", "1"),
+    ("pow(exp(x), a)", "exp(a*x)"),
+    ("pow(pow(x, a), u)", "pow(x, a*u)"),
+    ("pow(x^2, a)", "pow(x, 2*a)"),
+    ("log(1)", "0"),
+    # the symbolic powers merge to x, which cancels the plain x^(-1)
+    ("pow(x, 1/2 + a)*pow(x, 1/2 - a)/x", "1"),
+    ("u^-2", "u^(-2)")])
+def test_constructor_rules(text, canonical):
+    pws = Workspace("xt", ["u"], ["a"])
+    assert to_text(parse(text, pws)) == canonical
+
+
+def test_derivative_of_a_variable_exponent():
+    pws = Workspace("xt", ["u"])
+    px = pws.independents[0]
+    assert to_text(total_derivative(parse("pow(u, x)", pws), px)) == (
+        "x*u^(-1)*u_x*pow(u, x) + log(u)*pow(u, x)")
+    with pytest.raises(ExprError, match="direction must be a symbol"):
+        total_derivative(px, pws.lookup("u"))
+    with pytest.raises(ExprError, match="bad derivative multi-index"):
+        Fun("f", (px,), (1, 0))

@@ -309,3 +309,23 @@ def test_robust_probe_gives_up_when_every_point_is_outside_the_domain(
     e = log_(sub(rat(-1), pow_int(u1, 2)))
     assert probe_nonzero_robust(e) is False
     assert len(raised) == probe.MAX_ROBUST_PROBE_POINTS
+
+
+def test_an_integer_valued_exponent_of_an_enclosure():
+    # pow(log(u), x) at x = 0 is the zeroth power of an enclosure of log 3
+    ws = Workspace("xt", ["u"])
+    x = ws.independents[0]
+    e = parse("pow(log(u), x)", ws)
+    assert numeric_probe(e, {ws.lookup("u"): 3, x: 0}) == 1
+    # an assignment may hold floats, read exactly
+    assert numeric_probe(x, {x: 0.5}) == Fraction(1, 2)
+
+
+def test_a_log_argument_enclosed_through_zero_raises_the_precision():
+    # exp(x) - 1 - x at x = 10^-30 is about 5*10^-61: at the starting
+    # precision its enclosure reaches below zero, and log needs more bits
+    ws = Workspace("xt", ["u"])
+    x = ws.independents[0]
+    v = numeric_probe(parse("log(exp(x) - 1 - x)", ws),
+                      {x: Fraction(1, 10 ** 30)})
+    assert -139 < v.lo <= v.hi < -138

@@ -7,7 +7,8 @@ named test oracle.  No function mutates module-level state; the two settings
 the README names are per context.  Every loop cap is a named constant.  Only
 the kernel builds a product or reads a node's cached views.  Only `jets` and
 the reducer rank jets.  The reducer runs every pass it defines, and has
-three.  Every knob a user can set is listed here and in the README."""
+three.  Every knob a user can set is listed here and in the README.  Every
+`Rejection` reason is quoted by some test."""
 
 import ast
 import pathlib
@@ -422,3 +423,26 @@ def test_every_knob_is_listed_and_documented():
             "ansatz keys": set(wsfile._ANSATZ_KEYS)}
     assert code == KNOBS
     assert _readme_knobs() == KNOBS
+
+
+def _strings(node):
+    """The string literals in an AST; adjacent literals arrive joined."""
+    return [n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def test_every_rejection_is_quoted_by_a_test():
+    # an exit-2 rejection claims that a condition of the theory fails, so
+    # some test reaches each one and quotes it: the longest literal
+    # fragment of its reason appears in a string of some test file
+    quoted = [s for path in sorted(PACKAGE.parent.parent.glob("tests/test_*.py"))
+              for s in _strings(ast.parse(path.read_text(encoding="utf-8")))]
+    silent = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "Rejection":
+                fragment = max(_strings(node.args[0]), key=len)
+                if not any(fragment in s for s in quoted):
+                    silent.append((path.stem, node.lineno, fragment))
+    assert not silent, silent
