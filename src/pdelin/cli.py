@@ -29,8 +29,8 @@ except ImportError:
 from . import __version__
 from .conslaw import (determining_system, reduce_determining_system,
                       reduce_family_constraints, verify_multipliers)
-from .errors import (ExprError, ExtractionError, ParseError, PdelinError,
-                     WorkspaceError)
+from .errors import (ExprError, ExtractionError, NotADivergenceError,
+                     ParseError, PdelinError, WorkspaceError)
 from .expr import is_zero, set_max_terms
 from .grammar import to_text
 from .linearize import (Rejection, augmented_identity, family_fluxes,
@@ -259,7 +259,7 @@ def cmd_verify(wf, doc):
         if rep.ok:
             try:
                 fluxes, flux_residual = family_fluxes(wf.system, fam)
-            except ExprError as exc:
+            except (ExprError, NotADivergenceError) as exc:
                 messages.append(f"fluxes unavailable: {exc}")
             else:
                 vdoc["fluxes"] = [to_text(f) for f in fluxes]
@@ -308,7 +308,7 @@ _COMMANDS = {"detsys": cmd_detsys, "linearize": cmd_linearize,
 
 
 def bundled_path(name):
-    return Path(__file__).parent / "corpus" / f"{name}.ws"
+    return Path(__file__).parent.joinpath("corpus", f"{name}.ws")
 
 
 def _read_input(path):

@@ -5,8 +5,6 @@ divergence testing and flux reconstruction."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .constraints import KernelRules, LinearConstraints
 from .errors import ExprError, NotADivergenceError, WorkspaceError
 from .expr import (KIND_PARAMETER, ExpF, Fun, Jet, Rat, Sym, add, atoms_of,
@@ -14,8 +12,9 @@ from .expr import (KIND_PARAMETER, ExpF, Fun, Jet, Rat, Sym, add, atoms_of,
                    fun_kernels_of, is_zero, jets_of, linear_form, log_,
                    monomial_signature, monomials, mul, multi_diff,
                    multi_indices, multi_lower, multi_unit, neg,
-                   normalize_equation, pow_int, rat, solve_linear, sub,
-                   substitute, substitute_kernels, total_derivative, walk)
+                   normalize_equation, pow_int, quotient, rat, solve_linear,
+                   sub, substitute, substitute_kernels, total_derivative,
+                   walk)
 from .grammar import to_text
 from .jets import euler_operator, higher_euler, jet_rank
 
@@ -184,7 +183,7 @@ def _split_parametric(e, arg_jets):
         sig = monomial_signature(par)
         group = groups.setdefault(sig, (par, []))
         group[1].append(from_monomial(coeff, rest))
-    return [("1" if not par else to_text(from_monomial(Fraction(1), par)),
+    return [("1" if not par else to_text(from_monomial(1, par)),
              add(*monos)) for par, monos in groups.values()]
 
 
@@ -593,9 +592,12 @@ def _homotopy_fluxes(e, ws):
     Upsilon_i = sum_sigma sum_{K, K_i >= 1} (K_i/|K|)
                 D^(K - e_i)[ u^sigma E^(K)(e) ], followed by the exact
     lambda-integration (each monomial divided by its jet degree)."""
+    # a jet inside a kernel, or at a negative power where setting the jets
+    # to 0 would divide by zero, is outside the formula
     for _, fmap in monomials(e):
-        for k in fmap.keys():
-            if not isinstance(k, Jet) and any(isinstance(a, Jet) for a in walk(k)):
+        for k, n in fmap.items():
+            if (n < 0 if isinstance(k, Jet) else
+                    any(isinstance(a, Jet) for a in walk(k))):
                 return None
     jet_zero = {j: rat(0) for j in jets_of(e)}
     base = substitute(e, jet_zero)
@@ -621,13 +623,13 @@ def _homotopy_fluxes(e, ws):
                 d = derive_multi(body, ws.independents, J, total_derivative)
                 raw[i] = add(raw[i], mul(rat(K[i], sum(K)), d))
     # each monomial holds u0 or a derivative of it and no jet at a negative
-    # power (base would have divided by zero), so its jet degree is at least
-    # 1; a zero flux is the one monomial 0
+    # power, so its jet degree is at least 1; a zero flux is the one
+    # monomial 0
     fluxes = []
     for r in raw:
         fluxes.append(add(*[
-            from_monomial(coeff / sum(nn for kk, nn in fmap.items()
-                                      if isinstance(kk, Jet)), fmap)
+            from_monomial(quotient(coeff, sum(nn for kk, nn in fmap.items()
+                                              if isinstance(kk, Jet))), fmap)
             for coeff, fmap in monomials(r) if coeff]))
     # an exact antiderivative in one variable leaves nothing of base
     if not is_zero(base) and _absorb_jet_free(base, fluxes, ws) is None:
@@ -730,7 +732,7 @@ def _antiderivative(s, x):
         fm = {k: v for k, v in fmap.items() if k != x}
         if expk is None:
             fm[x] = n + 1
-            parts.append(from_monomial(coeff / (n + 1), fm))
+            parts.append(from_monomial(quotient(coeff, n + 1), fm))
             continue
         a = diff_atom(expk.arg, x)
         if is_zero(a) or not is_zero(diff_atom(a, x)) or jets_of(a) \

@@ -17,8 +17,10 @@ through the smart constructors (`add`, `mul`, `pow_int`, `sym_pow`, `exp_`,
 * positive integer powers of sums are expanded; negative ones are kept as
   opaque denominator kernels with rational content factored out;
 * a sum that is identically zero as a rational expression in its kernels
-  collapses to the literal 0 (denominators are cleared internally before
-  deciding).
+  collapses to the literal 0: a sum with a sum kernel in a denominator has
+  its denominators cleared to decide, unless its image under a modular
+  homomorphism is nonzero, which proves it nonzero first;
+* coefficients are ints when integral and Fractions otherwise.
 
 A canonical expression is therefore either a rational constant, a single
 monomial (coefficient times kernels raised to integer powers), or a sorted
@@ -72,6 +74,7 @@ class Rat(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
+        value = _coefficient(value)
         self.value = value
         self._finish((0, value.numerator, value.denominator))
 
@@ -174,6 +177,7 @@ class Mul(Expr):
     __slots__ = ()
 
     def __init__(self, coeff, fmap):
+        coeff = _coefficient(coeff)
         keys = tuple(k.key if n == 1 else (7, n, k.key)
                      for k, n in fmap.items())
         if coeff != 1:
@@ -191,13 +195,38 @@ class Add(Expr):
         self._prim = None
 
 
-ZERO = Rat(Fraction(0))
-ONE = Rat(Fraction(1))
-MINUS_ONE = Rat(Fraction(-1))
+def _coefficient(q):
+    """A coefficient in its one form: an int when integral, else a Fraction;
+    any other type is an error, never a float that prints as 0.5."""
+    if type(q) is int or type(q) is Fraction:
+        return _integral(q)
+    raise ExprError(f"a coefficient must be an int or a Fraction, not "
+                    f"{type(q).__name__}")
+
+
+def _integral(q):
+    """An int or Fraction result of coefficient arithmetic back in its one
+    form: a Fraction with denominator 1 becomes an int."""
+    return q.numerator if type(q) is not int and q.denominator == 1 else q
+
+
+def quotient(a, b):
+    """a / b for int or Fraction coefficients: an int when integral, else a
+    Fraction.  Every coefficient quotient goes through here."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _integral(Fraction(a, b))
+
+
+ZERO = Rat(0)
+ONE = Rat(1)
+MINUS_ONE = Rat(-1)
 
 
 def rat(p, q=1):
-    return Rat(Fraction(p, q))
+    return Rat(quotient(p, q))
 
 
 def is_zero(e):
@@ -209,7 +238,7 @@ def is_one(e):
 
 
 def is_integer(e):
-    return isinstance(e, Rat) and e.value.denominator == 1
+    return isinstance(e, Rat) and type(e.value) is int
 
 
 def is_atom(e):
@@ -219,7 +248,8 @@ def is_atom(e):
 # ---------------------------------------------------------------------------
 # monomial bookkeeping
 #
-# A monomial is (coeff: Fraction, fmap: dict[kernel Expr -> int exponent]).
+# A monomial is (coeff, fmap: dict[kernel Expr -> int exponent]), its
+# coefficient an int when integral and a Fraction otherwise.
 # Kernels are atoms, ExpF, LogF, SPow, or canonical Add nodes (the latter only
 # with negative exponents, as denominators).  A `Mul` node is a monomial: it
 # keeps the (coeff, fmap) it was built from as its view.
@@ -234,7 +264,7 @@ def _mono_of(e):
     same view at once; they store equal values."""
     view = e._mono
     if view is None:
-        view = (e.value, {}) if isinstance(e, Rat) else (ONE.value, {e: 1})
+        view = (e.value, {}) if isinstance(e, Rat) else (1, {e: 1})
         e._mono = view
     return view
 
@@ -268,7 +298,7 @@ def _content(monos):
     for c, _ in monos:
         num = gcd(num, c.numerator)
         den = lcm(den, c.denominator)
-    content = Fraction(num, den)
+    content = quotient(num, den)
     lead = min(monos, key=lambda m: _mono_sort_key(*m))
     return -content if lead[0] < 0 else content
 
@@ -287,20 +317,21 @@ def from_monomial(coeff, fmap):
 
 def _collect(monos):
     """Collect a list of monomials into {signature: (coeff, fmap)} with zero
-    drop."""
+    drop; a monomial met once is kept as the very tuple it came in."""
     acc = {}
-    for coeff, fmap in monos:
+    for m in monos:
+        coeff, fmap = m
         if coeff == 0:
             continue
         sig = monomial_signature(fmap)
         if sig in acc:
-            c = acc[sig][0] + coeff
+            c = _integral(acc[sig][0] + coeff)
             if c == 0:
                 del acc[sig]
             else:
                 acc[sig] = (c, fmap)
         else:
-            acc[sig] = (coeff, fmap)
+            acc[sig] = m
     return acc
 
 
@@ -308,7 +339,7 @@ def _mono_mul(*monos):
     """The product of monomials: exponents merge, then `_normalize_fmap`
     merges exp factors and symbolic powers.  Sums may be left with positive
     exponents; `_expand` distributes them."""
-    coeff = ONE.value
+    coeff = 1
     fmap = {}
     for c, f in monos:
         if c != 1:
@@ -316,8 +347,8 @@ def _mono_mul(*monos):
         for k, n in f.items():
             fmap[k] = fmap.get(k, 0) + n
     if coeff == 0:
-        return coeff, {}
-    return _normalize_fmap(coeff, fmap)
+        return 0, {}
+    return _normalize_fmap(_integral(coeff), fmap)
 
 
 def _expand(monos):
@@ -377,8 +408,8 @@ def _normalize_fmap(coeff, fmap):
     if exp_parts:
         merged.append(exp_(add(*exp_parts)))
     for e in merged:
-        c, f = (Fraction(1), {e: 1}) if isinstance(e, Add) else _mono_of(e)
-        coeff *= c
+        c, f = (1, {e: 1}) if isinstance(e, Add) else _mono_of(e)
+        coeff = _integral(coeff * c)
         for k, n in f.items():
             m = plain.get(k, 0) + n
             if m == 0:
@@ -418,7 +449,7 @@ def _clear(parts):
             raise ExprError("denominator clearing did not finish: pass cap "
                             f"MAX_CLEARING_PASSES = {MAX_CLEARING_PASSES} "
                             "exhausted")
-        shift = (ONE.value, shifts)
+        shift = (1, shifts)
         parts = [_expand([_mono_mul(m, shift) for m in monos])
                  for monos in parts]
 
@@ -428,32 +459,121 @@ def _cleared_is_zero(monos):
     return _clear([monos]) == [[]]
 
 
+# the prime of the certificate's residues, 2^61 - 1
+CERTIFICATE_PRIME = (1 << 61) - 1
+_MASK64 = (1 << 64) - 1
+
+
+def _residues():
+    """The residues the certificate maps kernels to, in the order it meets
+    them: SplitMix64 outputs (Steele, Lea & Flood, OOPSLA 2014) reduced mod
+    the prime.  Fixed, so that a run repeats; they decide nothing printed."""
+    s = 0
+    while True:
+        s = (s + 0x9E3779B97F4A7C15) & _MASK64
+        z = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        yield (z ^ (z >> 31)) % CERTIFICATE_PRIME
+
+
+def _certified_nonzero(monos):
+    """True when a nonzero image proves a sum of monomials nonzero, so
+    that clearing its denominators, which could only find it nonzero, is
+    spared.  The image is under a ring homomorphism phi into the integers
+    mod CERTIFICATE_PRIME: symbols, jets, function kernels and logs map to
+    residues from `_residues`, a sum kernel to the image of its terms, exp
+    and symbolic powers to 1, a coefficient n/d to n*d^-1.  phi respects
+    every rewrite of `_clear` (the expansion of a sum kernel, exp(a)*exp(b)
+    -> exp(a + b), b^e*b^f -> b^(e + f)), so clearing to 0 multiplies the
+    sum by a D with phi(D) != 0 and reaches phi(D)*phi(S) = 0.  False (no
+    verdict) where phi fails to respect a rewrite or to exist: an exp whose
+    argument has a lone log monomial (exp(1/2*log(t))^2 -> t), a symbolic
+    power whose exponent has a constant monomial (pow(b, p + 1/2)*pow(b,
+    1/2 - p) -> b), and a coefficient denominator or a kernel under a
+    negative exponent that maps to 0, inside sum kernels too."""
+    image = _image(monos, {}, _residues())
+    return image is not None and image[0] != 0
+
+
+def _image(monos, images, residues):
+    """(num, den) with phi of a sum of monomials = num/den mod the prime,
+    den != 0; None where the certificate declines.  `images` keeps each
+    kernel's image for the call."""
+    p = CERTIFICATE_PRIME
+    num, den = 0, 1
+    for coeff, fmap in monos:
+        mn, md = coeff.numerator, coeff.denominator
+        for k, n in fmap.items():
+            x = images.get(k)
+            if x is None:
+                x = images[k] = _kernel_image(k, images, residues)
+                if x is None:
+                    return None
+            kn, kd = x if n > 0 else (x[1], x[0])
+            if n != 1:
+                kn, kd = pow(kn, abs(n), p), pow(kd, abs(n), p)
+            mn, md = mn * kn % p, md * kd % p
+        if not md:
+            return None
+        num, den = (num * md + mn * den) % p, den * md % p
+    return num, den
+
+
+def _kernel_image(k, images, residues):
+    """phi of one kernel as (num, den), or None where the certificate
+    declines."""
+    if isinstance(k, ExpF):
+        for _, f in monomials(k.arg):
+            if len(f) == 1:
+                (j, n), = f.items()
+                if n == 1 and isinstance(j, LogF):
+                    return None
+        return 1, 1
+    if isinstance(k, SPow):
+        if any(not f for _, f in monomials(k.expo)):
+            return None
+        return 1, 1
+    if isinstance(k, Add):
+        return _image(monomials(k), images, residues)
+    return next(residues), 1
+
+
 # ---------------------------------------------------------------------------
 # smart constructors
 # ---------------------------------------------------------------------------
 
 
-def _sum(monos):
-    """The canonical sum of a list of monomials."""
+def _sum(monos, nodes=None):
+    """The canonical sum of a list of monomials.  `nodes` maps the id of a
+    node's own view to the node: a monomial that leaves collection as that
+    very view keeps its node instead of being rebuilt.  Zero is decided by
+    clearing denominators, which runs only on a sum with a denominator sum
+    kernel that `_certified_nonzero` leaves unproven."""
+    nodes = nodes or {}
     if len(monos) == 1:
-        return from_monomial(*monos[0])
+        return nodes.get(id(monos[0])) or from_monomial(*monos[0])
     acc = _collect(monos)
     if not acc:
         return ZERO
     out = sorted(acc.values(), key=lambda m: _mono_sort_key(*m))
     if len(out) == 1:
-        return from_monomial(*out[0])
+        return nodes.get(id(out[0])) or from_monomial(*out[0])
     if any(isinstance(k, Add) and n < 0
-           for _, f in out for k, n in f.items()) and _cleared_is_zero(out):
+           for _, f in out for k, n in f.items()) and \
+            not _certified_nonzero(out) and _cleared_is_zero(out):
         return ZERO
-    return Add(tuple(from_monomial(c, f) for c, f in out))
+    return Add(tuple(nodes.get(id(m)) or from_monomial(*m) for m in out))
 
 
 def add(*terms):
     monos = []
+    nodes = {}
     for t in terms:
-        monos.extend(monomials(t))
-    return _sum(monos)
+        for node in t.terms if isinstance(t, Add) else (t,):
+            m = _mono_of(node)
+            monos.append(m)
+            nodes[id(m)] = node
+    return _sum(monos, nodes)
 
 
 def sub(a, b):
@@ -461,7 +581,7 @@ def sub(a, b):
 
 
 def neg(e):
-    return _scaled(e, MINUS_ONE.value)
+    return _scaled(e, -1)
 
 
 def _scaled(e, q):
@@ -469,9 +589,10 @@ def _scaled(e, q):
     change: the signatures of a canonical sum are distinct, so its term order
     never reaches a coefficient, and a nonzero sum stays nonzero."""
     if isinstance(e, Add):
-        return Add(tuple(from_monomial(q * c, f) for c, f in monomials(e)))
+        return Add(tuple(from_monomial(_integral(q * c), f)
+                         for c, f in monomials(e)))
     c, f = _mono_of(e)
-    return from_monomial(q * c, f)
+    return from_monomial(_integral(q * c), f)
 
 
 def mul(*factors):
@@ -494,7 +615,8 @@ def _extract_content(e):
     pair = e._prim
     if pair is None:
         content = _content(monomials(e))
-        pair = content, (e if content == 1 else _scaled(e, 1 / content))
+        pair = content, (e if content == 1 else
+                         _scaled(e, quotient(1, content)))
         e._prim = pair
     return pair
 
@@ -508,20 +630,25 @@ def pow_int(base, n):
     if isinstance(base, Rat):
         if base.value == 0 and n < 0:
             raise ExprError("division by zero")
-        return Rat(base.value ** n)
+        return Rat(_power(base.value, n))
     if isinstance(base, Mul):
         (c, fmap), = monomials(base)
-        return _product(c ** n, fmap, lambda k, m: pow_int(k, m * n))
+        return _product(_power(c, n), fmap, lambda k, m: pow_int(k, m * n))
     if isinstance(base, ExpF):
         return exp_(mul(rat(n), base.arg))
     if isinstance(base, SPow):
         return sym_pow(base.base, mul(rat(n), base.expo))
     if isinstance(base, Add):
         if n > 0:
-            return _sum(_expand([(Fraction(1), {base: n})]))
+            return _sum(_expand([(1, {base: n})]))
         c, prim = _extract_content(base)
-        return from_monomial(c ** n, {prim: n})
-    return Mul(ONE.value, {base: n})
+        return from_monomial(_power(c, n), {prim: n})
+    return Mul(1, {base: n})
+
+
+def _power(q, n):
+    """A nonzero coefficient raised to an integer."""
+    return _integral(q ** n) if n >= 0 else quotient(1, q ** -n)
 
 
 def _product(coeff, fmap, power):
@@ -552,10 +679,10 @@ def sym_pow(base, expo):
             (k, n), = fmap.items()
             return sym_pow(k, mul(rat(n), expo))
     # shed the integer-constant additive part of the exponent
-    const = Fraction(0)
+    const = 0
     rest = []
     for c, f in monomials(expo):
-        if not f and c.denominator == 1:
+        if not f and type(c) is int:
             const += c
         else:
             rest.append((c, f))
@@ -573,7 +700,7 @@ def exp_(arg):
     keep = []
     factors = []
     for c, f in monomials(arg):
-        if len(f) == 1 and c.denominator == 1:
+        if len(f) == 1 and type(c) is int:
             (k, n), = f.items()
             if isinstance(k, LogF) and n == 1:
                 factors.append(pow_int(k.arg, int(c)))
@@ -732,7 +859,7 @@ def normalize_equation(eq):
                 fm[k] = m
         parts.append((c, fm))
     scale = _content(parts)
-    return _sum([(c / scale, fm) for c, fm in parts])
+    return _sum([(quotient(c, scale), fm) for c, fm in parts])
 
 
 def clear_denominators(exprs):

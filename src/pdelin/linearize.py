@@ -7,7 +7,6 @@ literal zero."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cached_property
 
 from .conslaw import (MultiplierFamily, multiplier_combination,
@@ -19,7 +18,7 @@ from .expr import (Add, ExpF, Fun, Jet, LogF, Mul, SPow, add,
                    fun_kernels_of, is_zero, jets_of, linear_form,
                    monomial_signature, monomials, mul, multi_diff,
                    multi_lower, multi_unit, neg, normalize_equation, pow_int,
-                   rat, sub, substitute, substitute_kernels,
+                   quotient, rat, sub, substitute, substitute_kernels,
                    total_derivative, walk)
 from .jets import PdeSystem
 from .linalg import det
@@ -453,9 +452,9 @@ def _solve_linear_system(equations, var_order):
             f = r.get(v)
             if not f:
                 continue
-            f /= pr[v]
+            f = quotient(f, pr[v])
             for kk, val in pr.items():
-                nv = r.get(kk, Fraction(0)) - f * val
+                nv = r.get(kk, 0) - f * val
                 if nv == 0:
                     r.pop(kk, None)
                 else:
@@ -463,9 +462,9 @@ def _solve_linear_system(equations, var_order):
         pivots[v] = pr
     if any(rows):
         return None
-    sol = dict.fromkeys(var_order, Fraction(0))
+    sol = dict.fromkeys(var_order, 0)
     for v, r in pivots.items():
-        sol[v] = -r.get(None, Fraction(0)) / r[v]
+        sol[v] = quotient(-r.get(None, 0), r[v])
     return sol
 
 

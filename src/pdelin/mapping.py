@@ -8,8 +8,8 @@ from __future__ import annotations
 from .errors import DegenerateError, ExprError
 from .expr import (Add, ExpF, Jet, LogF, Sym, add, atoms_of, clear_equation,
                    diff_atom, div, exp_, from_monomial, is_zero, jets_of, log_,
-                   monomials, mul, multi_unit, solve_linear, sub, substitute,
-                   total_derivative, walk)
+                   monomials, mul, multi_unit, quotient, solve_linear, sub,
+                   substitute, total_derivative, walk)
 from .jets import PdeSystem
 from .linalg import adjugate, det
 from .linops import DerivativeTable
@@ -322,8 +322,9 @@ def _monomial_quotient(a, b):
     quotient-free canonical form)."""
     cb, fb = monomials(b)[0]
     for ca, fa in monomials(a):
-        r = from_monomial(ca / cb, {k: fa.get(k, 0) - fb.get(k, 0)
-                                    for k in {**fa, **fb}})
+        r = from_monomial(quotient(ca, cb),
+                          {k: fa.get(k, 0) - fb.get(k, 0)
+                           for k in {**fa, **fb}})
         if is_zero(sub(mul(r, b), a)):
             return r
     return None

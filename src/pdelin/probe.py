@@ -11,14 +11,15 @@ denominators.  exp, log and symbolic powers make enclosures: integer pairs
 operation rounds lo down and hi up.  An exact value is a tuple and an
 enclosure a list, which tells the two apart.  exp and log sum Taylor series
 on integers after argument reduction (Brent & Zimmermann, Modern Computer
-Arithmetic, ch. 4), at guard bits beyond the grid, and round their results
-outward back onto it.  Precision starts at START_PRECISION bits and doubles
-until the result is narrower than 1e-40 or excludes zero; an enclosure
-through zero where a sign is needed (a reciprocal, a log argument, a
-symbolic-power base) is retried at double precision too.  Only the result
-becomes rational: a Fraction, or an Interval with rational endpoints.  When the
-precision cap is reached first, the probe raises ProbeUndecidedError instead of
-answering.  This is the independent oracle backing the symbolic zero-tests.
+Arithmetic, ch. 4: exp halves its argument, log takes square roots), at
+guard bits beyond the grid, and round their results outward back onto it.
+Precision starts at START_PRECISION bits and doubles until the result is
+narrower than 1e-40 or excludes zero; an enclosure through zero where a sign
+is needed (a reciprocal, a log argument, a symbolic-power base) is retried
+at double precision too.  Only the result becomes rational: a Fraction, or
+an Interval with rational endpoints.  When the precision cap is reached
+first, the probe raises ProbeUndecidedError instead of answering.  This is
+the independent oracle backing the symbolic zero-tests.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import random
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import DomainError, ProbeUndecidedError, UncoveredKernelError
-from .expr import (Add, ExpF, Expr, LogF, Mul, Rat, SPow, atoms_of,
-                   is_atom, monomials, walk)
+from .expr import (Add, ExpF, Expr, Fun, Jet, LogF, Mul, Rat, SPow, Sym,
+                   atoms_of, monomials, walk)
 
 TARGET_WIDTH = Fraction(1, 10 ** 40)
 
@@ -46,6 +47,11 @@ MAX_EXP_ARGUMENT = 2 ** 6
 
 # working bits beyond the grid's that absorb the series' and the ln 2 error
 GUARD_BITS = 20
+
+# log takes one square root of its reduced argument per LOG_SQRT_BITS bits
+# of precision; each halves the series' argument, so a term gains 2 more
+# bits (below that precision a root costs more than the terms it saves)
+LOG_SQRT_BITS = 320
 
 # the inclusive range of numerators of random probe values
 PROBE_NUMERATORS = (-6, 6)
@@ -222,12 +228,23 @@ def _log(p, q, prec):
         p, e = p << 1, e - 1
     elif p * p >= 2 * q * q:
         q, e = q << 1, e + 1
-    g = GUARD_BITS + abs(e).bit_length()
-    lo, hi = _atanh(abs(p - q), p + q, prec + g)
+    r = prec // LOG_SQRT_BITS
+    g = GUARD_BITS + r + abs(e).bit_length()
+    w = prec + g
+    slack = 0
+    if r:
+        # p/q in [lo, hi] / 2**w, then its 2**r-th root
+        lo = (p << w) // q
+        hi = lo + 1
+        for _ in range(r):
+            lo, hi = isqrt(lo << w), isqrt((hi << w) - 1) + 1
+        p, q, slack = lo, 1 << w, -(-(hi - lo << w) // lo)
+    lo, hi = _atanh(abs(p - q), p + q, w)
     if p < q:
         lo, hi = -hi, -lo
-    l2 = _ln2(prec + g)
-    return [2 * lo + e * l2[e < 0] >> g, -(-2 * hi - e * l2[e >= 0] >> g)]
+    l2 = _ln2(w)
+    return [(2 * lo << r) + e * l2[e < 0] >> g,
+            -(-(2 * hi + slack << r) - e * l2[e >= 0] >> g)]
 
 
 def _transcendental(name, v, prec):
@@ -244,12 +261,20 @@ def _transcendental(name, v, prec):
     squarings rounds lo down and hi up, at most doubles the width relative
     to the value (absolute below 1) and adds 2 ulps; g = GUARD_BITS + r.
 
-    log(x): x = m 2**e with 1/2 <= m**2 < 2, and log x = 2 atanh(t) + e ln 2
-    with t = (m - 1)/(m + 1), |t| < 0.18.  atanh is odd, and its series at
-    floor(|t| 2**w) / 2**w, ratio under 1/9, is summed as above: each term
-    low by under 1.5 ulps, so the sum by under 2k, and 2 more cover the
-    floored t.  ln 2 = 2 atanh(1/3) is kept per working precision, and g =
-    GUARD_BITS + the bits of |e| absorbs e times its error."""
+    log(x): x = m 2**e with 1/2 <= m**2 < 2, and log x = 2**r 2 atanh(t)
+    + e ln 2 with y = m**(2**-r) and t = (y - 1)/(y + 1), |t| < 0.18.  r =
+    prec // LOG_SQRT_BITS square roots shrink t about 2**r times, so each
+    term of the series gains 2r more bits: m is enclosed by [lo, hi] / 2**w
+    (floor and floor + 1), and each root takes isqrt of lo 2**w, rounded
+    down, and of hi 2**w, rounded up, so y stays in [lo, hi] / 2**w.  The
+    series runs at y0 = lo / 2**w, and log y <= log y0 + (hi - lo) / lo
+    widens the upper end by ceil((hi - lo) 2**w / lo) ulps.  atanh is odd,
+    and its series at floor(|t| 2**w) / 2**w, ratio under 1/9, is summed as
+    above: each term low by under 1.5 ulps, so the sum by under 2k, and 2
+    more cover the floored t.  The enclosure of log y is then multiplied by
+    2**r exactly, errors included.  ln 2 = 2 atanh(1/3) is kept per working
+    precision, and g = GUARD_BITS + r + the bits of |e| absorbs the 2**r
+    and e times the ln 2 error."""
     f = _exp if name == "exp" else _log
     if type(v) is tuple:
         return f(*v, prec)
@@ -258,29 +283,32 @@ def _transcendental(name, v, prec):
 
 def _eval(e, assignment, prec, memo):
     """The value of `e` at `prec` bits, an exact pair or an enclosure;
-    `memo` keeps the value of each distinct exp, log and symbolic power met
-    at this precision."""
-    if isinstance(e, Rat):
+    `memo` keeps the value of each distinct atom, exp, log and symbolic
+    power met at this precision."""
+    t = type(e)
+    if t is Rat:
         v = e.value
         return v.numerator, v.denominator
-    if is_atom(e):
-        v = assignment.get(e)
-        if v is None:
-            raise UncoveredKernelError(f"assignment does not cover {e!r}")
-        if not isinstance(v, (int, Fraction)):
-            v = Fraction(v)
-        return v.numerator, v.denominator
-    if isinstance(e, Add):
-        return _add([_eval(t, assignment, prec, memo) for t in e.terms],
+    if t is Add:
+        return _add([_eval(u, assignment, prec, memo) for u in e.terms],
                     prec)
-    if isinstance(e, Mul):
+    if t is Mul:
         (c, fmap), = monomials(e)
         return _mul([(c.numerator, c.denominator)] +
                     [_ipow(_eval(k, assignment, prec, memo), n, prec)
                      for k, n in fmap.items()], prec)
-    v = memo.get(e)  # an exp, log or symbolic power
+    v = memo.get(e)
     if v is None:
-        v = memo[e] = _eval_kernel(e, assignment, prec, memo)
+        if t is Sym or t is Jet or t is Fun:
+            v = assignment.get(e)
+            if v is None:
+                raise UncoveredKernelError(f"assignment does not cover {e!r}")
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
+            v = v.numerator, v.denominator
+        else:
+            v = _eval_kernel(e, assignment, prec, memo)
+        memo[e] = v
     return v
 
 

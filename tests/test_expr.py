@@ -248,6 +248,35 @@ def test_product_keys_keep_their_format():
         (8, ((0, -1, 2), t.key, (7, 2, x.key)))
 
 
+def test_integral_coefficients_are_ints():
+    # a coefficient is an int when integral and a Fraction otherwise,
+    # whatever arithmetic made it; keys, hashes and text do not tell them
+    # apart, and any other type is refused rather than printed
+    half = rat(1, 2)
+    assert rat(4, 2).value == 2 and type(rat(4, 2).value) is int
+    assert type(Rat(Fraction(6, 3)).value) is int
+    assert rat(4, 2) == Rat(Fraction(2)) and hash(rat(4, 2)) == hash(rat(2))
+    cases = [mul(half, rat(2), x), add(mul(half, x), mul(half, x)),
+             pow_int(mul(half, x), -1), normalize_equation(mul(half, x)),
+             div(mul(rat(3), x), rat(3)), neg(pow_int(add(mul(half, x), half),
+                                                     -1))]
+    for e in cases:
+        for c, _ in monomials(e):
+            assert type(c) is (Fraction if c.denominator > 1 else int), \
+                to_text(e)
+    assert {type(c) for c, _ in monomials(add(mul(half, x), t))} == \
+        {Fraction, int}
+    assert to_text(div(x, rat(2))) == "1/2*x"
+    for bad in (0.5, 2.0, True, "1"):
+        with pytest.raises(ExprError, match="int or a Fraction"):
+            Rat(bad)
+        with pytest.raises(ExprError, match="int or a Fraction"):
+            Mul(bad, {x: 2})
+    assert expr.quotient(6, 3) == 2 and type(expr.quotient(6, 3)) is int
+    assert expr.quotient(Fraction(3, 2), Fraction(3, 4)) == 2
+    assert expr.quotient(1, 3) == Fraction(1, 3)
+
+
 def test_product_whose_exp_merges_into_a_sum_is_expanded():
     # squaring exp(y + 1/2*log(t + 1)) merges to (t + 1)*exp(2*y), a sum
     # that the product must distribute like any other

@@ -275,6 +275,32 @@ def test_exp_and_log_enclose_the_mpmath_value(monkeypatch, guard):
                         1, abs(fa), abs(fb)), (name, v, prec)
 
 
+def test_log_square_roots_are_accounted_without_series_slack(monkeypatch):
+    # the atanh series reports 2k + 2 ulps of error where it makes far
+    # less, which would hide an error of the square-root reduction; with a
+    # series enclosure one ulp wide and no guard bits, the rounding of the
+    # roots and the widening from the low root to the high one must hold
+    # on their own
+    def tight_atanh(num, den, w):
+        with mpmath.workprec(w + 64):
+            v = mpmath.ldexp(mpmath.atanh(mpmath.mpf(num) / den), w)
+            return int(mpmath.floor(v)), int(mpmath.ceil(v))
+
+    monkeypatch.setattr(probe, "GUARD_BITS", 0)
+    monkeypatch.setattr(probe, "_atanh", tight_atanh)
+    rng = seeded(61)
+    for prec in PRECISIONS:
+        cases = [(7, 2), (2, 7), (2 ** 300 + 1, 2 ** 300),
+                 (rng.randint(1, 2 ** 90), rng.randint(1, 2 ** 90))]
+        for num, den in cases:
+            lo, hi = probe._log(num, den, prec)
+            with mpmath.workprec(2 * prec + 64):
+                f = mpmath.log(mpmath.mpf(num) / den)
+                assert mpmath.ldexp(lo, -prec) <= f <= \
+                    mpmath.ldexp(hi, -prec), (num, den, prec)
+    assert 5120 // probe.LOG_SQRT_BITS > 1   # the roots are taken
+
+
 def test_exp_beyond_the_cap_is_undecided():
     cap = probe.MAX_EXP_ARGUMENT
     assert isinstance(numeric_probe(exp_(x), {x: Fraction(cap)}), Interval)

@@ -363,6 +363,35 @@ def test_only_the_kernel_builds_products_and_reads_views():
     assert {mod for mod, _ in _view_readers()} == {"expr"}
 
 
+# the functions allowed a true division: the probe formats an interval's
+# width as a float in its give-up message; coefficients divide only through
+# `expr.quotient`, which builds a Fraction and never a float
+TRUE_DIVIDERS = {("probe", "numeric_probe")}
+
+
+def _true_divisions():
+    """(module, enclosing function or None) of every `/` and `/=`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        def visit(node, func):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from visit(child, child.name)
+                    continue
+                if isinstance(child, (ast.BinOp, ast.AugAssign)) and \
+                        isinstance(child.op, ast.Div):
+                    yield path.stem, func
+                yield from visit(child, func)
+
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def test_coefficients_divide_only_through_the_quotient():
+    # `int / int` is a float: a coefficient quotient written with `/`
+    # leaks one into a node the first time both operands are integral
+    found = set(_true_divisions())
+    assert found <= TRUE_DIVIDERS, sorted(found - TRUE_DIVIDERS)
+
+
 # the reducer's passes: one method of characteristics for every first-order
 # linear row in one function, algebraic elimination and potentials
 REDUCER_PASSES = 3
