@@ -9,8 +9,6 @@ degenerate factors), 3 input error, 4 residual failure.  Results are printed
 as an indented key-value document or as JSON (--json); every expression in a
 document re-parses to an equal expression."""
 
-from __future__ import annotations
-
 import argparse
 import sys
 import time

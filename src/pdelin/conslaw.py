@@ -3,8 +3,6 @@ overdetermined linear system, a heuristic reducer (characteristics, algebraic
 elimination, potential introduction), multiplier family verification,
 divergence testing and flux reconstruction."""
 
-from __future__ import annotations
-
 from .constraints import KernelRules, LinearConstraints
 from .errors import ExprError, NotADivergenceError, WorkspaceError
 from .expr import (KIND_PARAMETER, ExpF, Fun, Jet, Rat, Sym, add, atoms_of,

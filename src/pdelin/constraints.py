@@ -10,8 +10,6 @@ coordinate atoms (symbols or zero-order jets), read once as one
 `LinearOperator`; each row is a rule for its highest-ranked kernel.
 """
 
-from __future__ import annotations
-
 from .errors import ExprError
 from .expr import (Fun, add, diff_atom, div, fun_kernels_of, mul, multi_diff,
                    neg, substitute, substitute_kernels)

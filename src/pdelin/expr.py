@@ -28,14 +28,13 @@ sum of monomials.  Zero-testing of `a - b` is the equality test used
 throughout the package.
 """
 
-from __future__ import annotations
-
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .errors import ExprError
+from .series import exp_grid, log_grid
 
 KIND_INDEPENDENT = "independent"
 KIND_PARAMETER = "parameter"
@@ -596,15 +595,17 @@ def _scaled(e, q):
 
 
 def mul(*factors):
-    monos = []
-    for f in factors:
-        if isinstance(f, Add):
-            # the primitive part, so (a+b)*(a+b)^-1 cancels before expanding
-            c, prim = _extract_content(f)
-            monos.append((c, {prim: 1}))
-        else:
-            monos.append(_mono_of(f))
-    return _sum(_expand([_mono_mul(*monos)]))
+    return _sum(_expand([_mono_mul(*[_factor(f) for f in factors])]))
+
+
+def _factor(e):
+    """The monomial a canonical expression enters a product as: a sum as
+    its content times its primitive part, so that (a+b)*(a+b)^-1 cancels
+    before expanding, anything else as its view."""
+    if isinstance(e, Add):
+        c, prim = _extract_content(e)
+        return c, {prim: 1}
+    return _mono_of(e)
 
 
 def _extract_content(e):
@@ -882,11 +883,13 @@ def clear_equation(e):
 # ---------------------------------------------------------------------------
 
 
-def _derive(e, leaf, kernel=None):
+def _derive(e, leaf, derive, kernel=None):
     """Generic derivation: `leaf` maps an atom (Sym/Jet/Fun) to its
     derivative, or returns None to request default handling (zero for
     symbols and jets, the chain rule through arguments for function
-    kernels).  A node equal to `kernel`, when given, is the variable."""
+    kernels); `derive` derives every kernel and argument below `e`, through
+    the caller's cache where it has one.  A node equal to `kernel`, when
+    given, is the variable."""
     if kernel is not None and e == kernel:
         return ONE
     if isinstance(e, Rat):
@@ -900,39 +903,39 @@ def _derive(e, leaf, kernel=None):
             return r
         parts = []
         for i, a in enumerate(e.args):
-            da = _derive(a, leaf, kernel)
+            da = derive(a)
             if not is_zero(da):
                 parts.append(mul(da, e.bump(i)))
         return add(*parts) if parts else ZERO
     if isinstance(e, ExpF):
-        return mul(_derive(e.arg, leaf, kernel), e)
+        return mul(derive(e.arg), e)
     if isinstance(e, LogF):
-        return mul(_derive(e.arg, leaf, kernel), pow_int(e.arg, -1))
+        return mul(derive(e.arg), pow_int(e.arg, -1))
     if isinstance(e, SPow):
-        db = _derive(e.base, leaf, kernel)
+        db = derive(e.base)
         terms = []
         if not is_zero(db):
             terms.append(mul(e.expo, sym_pow(e.base, sub(e.expo, ONE)), db))
-        dq = _derive(e.expo, leaf, kernel)
+        dq = derive(e.expo)
         if not is_zero(dq):
             terms.append(mul(dq, log_(e.base), e))
         return add(*terms) if terms else ZERO
-    if isinstance(e, Mul):
-        # the product rule over the factors k^n; d(k^n) is a product of its
-        # own, so a sum in dk is distributed before it meets the others
-        (c, fmap), = monomials(e)
-        terms = []
+    # the product rule over the factors k^n of every monomial of a product
+    # or a sum, into one sum of the products c*rest*d(k^n), each expanded
+    # on its own as `mul` expands it
+    monos = []
+    for c, fmap in monomials(e):
         for k, n in fmap.items():
-            df = _derive(k, leaf, kernel)
-            if is_zero(df):
+            dk = derive(k)
+            if is_zero(dk):
                 continue
-            if n != 1:
-                df = mul(rat(n), pow_int(k, n - 1), df)
-            rest = {j: m for j, m in fmap.items() if j is not k}
-            terms.append(mul(df, from_monomial(c, rest))
-                         if rest or c != 1 else df)
-        return terms[0] if len(terms) == 1 else add(*terms)
-    return add(*[_derive(t, leaf, kernel) for t in e.terms])  # a sum
+            dkn = [(n, {k: n - 1}), _factor(dk)]
+            if n != 1 and isinstance(dk, Add):
+                # d(k^n) = n*k^(n-1)*dk is a sum of its own, so that dk's
+                # primitive part cancels against k^(n-1) only
+                dkn = [_factor(_sum(_expand([_mono_mul(*dkn)])))]
+            monos.extend(_expand([_mono_mul((c, fmap), (1, {k: -n}), *dkn)]))
+    return _sum(monos)
 
 
 @lru_cache(maxsize=400000)
@@ -944,7 +947,7 @@ def diff_atom(e, atom):
         if a == atom:
             return ONE
         return None if isinstance(a, Fun) else ZERO
-    return _derive(e, leaf)
+    return _derive(e, leaf, lambda k: diff_atom(k, atom))
 
 
 @lru_cache(maxsize=400000)
@@ -961,7 +964,7 @@ def total_derivative(e, x):
             return None
         return a.bump(x.name)
 
-    return _derive(e, leaf)
+    return _derive(e, leaf, lambda k: total_derivative(k, x))
 
 
 def diff_kernel(e, kernel):
@@ -970,7 +973,11 @@ def diff_kernel(e, kernel):
     nodes equal to the kernel are the variable, everything else chains."""
     if isinstance(kernel, (Sym, Jet, Fun)):
         return diff_atom(e, kernel)
-    return _derive(e, lambda a: None, kernel)
+
+    def derive(k):
+        return _derive(k, lambda a: None, derive, kernel)
+
+    return derive(e)
 
 
 def solve_linear(e, kernel):
@@ -1073,5 +1080,9 @@ def multi_lower(K):
 
 
 def clear_caches():
+    """Empty the derivative caches and the probe's exp and log memos, so
+    that the next job starts cold."""
     diff_atom.cache_clear()
     total_derivative.cache_clear()
+    exp_grid.cache_clear()
+    log_grid.cache_clear()

@@ -23,8 +23,6 @@ MAX_LITERAL_DIGITS digits; deeper or longer input is a ParseError.
 canonicalizes equal to `e`.
 """
 
-from __future__ import annotations
-
 from .errors import ParseError, UndeclaredIdentifierError
 from .expr import (Add, ExpF, Fun, Jet, LogF, Rat, SPow, Sym, add, exp_,
                    is_integer, log_, monomials, mul, neg, pow_int, rat, sym_pow)
@@ -41,16 +39,20 @@ MAX_LITERAL_DIGITS = 4300
 
 
 class _Lexer:
+    """The tokens of a text, (kind, value, position), and `close`, the
+    index of the ')' token that matches each '(' token's index."""
+
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.tokens = []
+        self.close = {}
         self._run()
         self.i = 0
 
     def _run(self):
         t, n = self.text, len(self.text)
         i = depth = 0
+        opened = []
         while i < n:
             c = t[i]
             if c.isspace():
@@ -62,8 +64,11 @@ class _Lexer:
                     if depth > MAX_NESTING:
                         raise ParseError("parentheses nested deeper than "
                                          f"MAX_NESTING = {MAX_NESTING}", i)
+                    opened.append(len(self.tokens))
                 elif c == ")":
                     depth -= 1
+                    if opened:
+                        self.close[opened.pop()] = len(self.tokens)
                 self.tokens.append((c, c, i))
                 i += 1
                 continue
@@ -119,6 +124,9 @@ class _Parser:
     def __init__(self, text, workspace):
         self.lx = _Lexer(text)
         self.ws = workspace
+        # the node of each identifier, by (name, suffix), and of each
+        # parenthesised or called span, by its text, read so far
+        self.memo = {}
 
     def parse(self):
         e = self.expr()
@@ -144,11 +152,11 @@ class _Parser:
                 terms.append(self.term())
             elif k == "-":
                 self.lx.next()
-                terms.append(neg(self.term()))
+                terms.append(self.term(-1))
             else:
                 return terms[0] if len(terms) == 1 else add(*terms)
 
-    def term(self):
+    def term(self, sign=1):
         factors = [self.unary()]
         while True:
             k, _, _ = self.lx.peek()
@@ -159,7 +167,20 @@ class _Parser:
                 self.lx.next()
                 factors.append(pow_int(self.unary(), -1))
             else:
-                return factors[0] if len(factors) == 1 else mul(*factors)
+                break
+        if len(factors) == 1 and sign == 1:
+            return factors[0]
+        # the sign and the rational factors fold into one coefficient
+        coeff = sign
+        rest = []
+        for f in factors:
+            if isinstance(f, Rat):
+                coeff *= f.value
+            else:
+                rest.append(f)
+        if coeff != 1 or not rest:
+            rest.append(Rat(coeff))
+        return rest[0] if len(rest) == 1 else mul(*rest)
 
     def unary(self):
         # a run of signs is read in a loop, not by recursion
@@ -200,13 +221,34 @@ class _Parser:
         if k == "int":
             return rat(int(v))
         if k == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
+            return self.span(self.lx.i - 1, self.lx.i - 1, self.group)
         if k == "ident":
             name, suffix = v
             return self.ident(name, suffix, pos)
         raise ParseError("expected an expression", pos)
+
+    def group(self):
+        e = self.expr()
+        self.expect(")")
+        return e
+
+    def span(self, start, opening, parse):
+        """The node `parse()` reads from token `start` through the ')' that
+        matches the '(' token `opening`, kept by the text of that span: a
+        repeat of the text is skipped, not parsed again.  A span whose
+        parse raises is never kept, so an error is reported where its text
+        first occurs."""
+        close = self.lx.close.get(opening)
+        if close is None:
+            return parse()
+        tokens = self.lx.tokens
+        key = self.lx.text[tokens[start][2]:tokens[close][2] + 1]
+        e = self.memo.get(key)
+        if e is None:
+            e = self.memo[key] = parse()
+        else:
+            self.lx.i = close + 1
+        return e
 
     def args(self):
         self.expect("(")
@@ -223,39 +265,48 @@ class _Parser:
 
     def ident(self, name, suffix, pos):
         nk, _, _ = self.lx.peek()
-        is_call = nk == "(" or (suffix is not None and suffix[0] == "positions")
-        if is_call:
-            if suffix is None and name in ("exp", "log", "pow"):
-                a = self.args()
-                if name == "exp":
-                    if len(a) != 1:
-                        raise ParseError("exp takes one argument", pos)
-                    return exp_(a[0])
-                if name == "log":
-                    if len(a) != 1:
-                        raise ParseError("log takes one argument", pos)
-                    return log_(a[0])
-                if len(a) != 2:
-                    raise ParseError("pow takes two arguments", pos)
-                return sym_pow(a[0], a[1])
-            if self.ws.lookup(name) is not None:
-                raise ParseError(
-                    f"'{name}' is declared and cannot name an arbitrary function", pos)
+        if nk == "(" or (suffix is not None and suffix[0] == "positions"):
+            return self.span(self.lx.i - 1, self.lx.i,
+                             lambda: self.call(name, suffix, pos))
+        e = self.memo.get((name, suffix))
+        if e is None:
+            e = self.memo[name, suffix] = self.variable(name, suffix, pos)
+        return e
+
+    def call(self, name, suffix, pos):
+        if suffix is None and name in ("exp", "log", "pow"):
             a = self.args()
-            dm = [0] * len(a)
-            if suffix is not None:
-                body = suffix[1].strip()
-                if not body:
-                    raise ParseError("empty derivative-position list", pos)
-                for part in body.split(","):
-                    part = part.strip()
-                    if not part.isdecimal():
-                        raise ParseError(f"bad derivative position '{part}'", pos)
-                    p = int(part)
-                    if not 1 <= p <= len(a):
-                        raise ParseError(f"derivative position {p} out of range", pos)
-                    dm[p - 1] += 1
-            return Fun(name, tuple(a), tuple(dm))
+            if name == "exp":
+                if len(a) != 1:
+                    raise ParseError("exp takes one argument", pos)
+                return exp_(a[0])
+            if name == "log":
+                if len(a) != 1:
+                    raise ParseError("log takes one argument", pos)
+                return log_(a[0])
+            if len(a) != 2:
+                raise ParseError("pow takes two arguments", pos)
+            return sym_pow(a[0], a[1])
+        if self.ws.lookup(name) is not None:
+            raise ParseError(
+                f"'{name}' is declared and cannot name an arbitrary function", pos)
+        a = self.args()
+        dm = [0] * len(a)
+        if suffix is not None:
+            body = suffix[1].strip()
+            if not body:
+                raise ParseError("empty derivative-position list", pos)
+            for part in body.split(","):
+                part = part.strip()
+                if not part.isdecimal():
+                    raise ParseError(f"bad derivative position '{part}'", pos)
+                p = int(part)
+                if not 1 <= p <= len(a):
+                    raise ParseError(f"derivative position {p} out of range", pos)
+                dm[p - 1] += 1
+        return Fun(name, tuple(a), tuple(dm))
+
+    def variable(self, name, suffix, pos):
         if suffix is not None:
             if not self.ws.is_dependent(name):
                 raise UndeclaredIdentifierError(name, pos)

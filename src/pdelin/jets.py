@@ -2,8 +2,6 @@
 substitution rules, Euler (variational) operators, and verification of
 infinitesimal symmetries in evolutionary form."""
 
-from __future__ import annotations
-
 from functools import cached_property
 
 from .errors import CyclicRuleError, ExprError, WorkspaceError

@@ -1,7 +1,5 @@
 """Tiny exact matrix helpers over expressions (n stays small here)."""
 
-from __future__ import annotations
-
 from .expr import add, mul, neg, rat, sub
 
 

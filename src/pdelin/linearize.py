@@ -4,8 +4,6 @@ of the mapping from the augmented conservation-law identity, build the
 transformation, derive the linear target system, and verify everything to
 literal zero."""
 
-from __future__ import annotations
-
 import random
 from functools import cached_property
 

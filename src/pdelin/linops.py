@@ -8,8 +8,6 @@ zero-order jets; derivatives are formal partials with respect to those
 atoms, so the same machinery serves target systems in new variables and
 constraint operators over composite coordinates."""
 
-from __future__ import annotations
-
 from .errors import ExprError
 from .expr import (KIND_PARAMETER, Fun, Sym, add, atoms_of, derive_multi,
                    diff_atom, fun_kernels_of, is_zero, linear_form, mul,

@@ -3,8 +3,6 @@ space, inversion for the closed-form patterns the corpus needs (componentwise
 linear solves plus exp/log kernels), and comparison of systems up to nonzero
 factors."""
 
-from __future__ import annotations
-
 from .errors import DegenerateError, ExprError
 from .expr import (Add, ExpF, Jet, LogF, Sym, add, atoms_of, clear_equation,
                    diff_atom, div, exp_, from_monomial, is_zero, jets_of, log_,

@@ -9,30 +9,28 @@ denominators, sums combine over the least common multiple of the
 denominators.  exp, log and symbolic powers make enclosures: integer pairs
 [lo, hi] standing for [lo, hi] / 2**prec, a fixed-point grid on which every
 operation rounds lo down and hi up.  An exact value is a tuple and an
-enclosure a list, which tells the two apart.  exp and log sum Taylor series
-on integers after argument reduction (Brent & Zimmermann, Modern Computer
-Arithmetic, ch. 4: exp halves its argument, log takes square roots), at
-guard bits beyond the grid, and round their results outward back onto it.
-Precision starts at START_PRECISION bits and doubles until the result is
-narrower than 1e-40 or excludes zero; an enclosure through zero where a sign
-is needed (a reciprocal, a log argument, a symbolic-power base) is retried
-at double precision too.  Only the result becomes rational: a Fraction, or
-an Interval with rational endpoints.  When the precision cap is reached
-first, the probe raises ProbeUndecidedError instead of answering.  This is
-the independent oracle backing the symbolic zero-tests.
+enclosure a list, which tells the two apart; no operation changes a list it
+is given, because `series` hands the same memoised enclosure to every
+caller.  exp and log are the integer series of `series`, rounded outward
+onto the grid.  Precision starts at START_PRECISION bits and doubles until
+the result is narrower than 1e-40 or excludes zero; an enclosure through
+zero where a sign is needed (a reciprocal, a log argument, a symbolic-power
+base) is retried at double precision too.  Only the result becomes
+rational: a Fraction, or an Interval with rational endpoints.  When the
+precision cap is reached first, the probe raises ProbeUndecidedError
+instead of answering.  This is the independent oracle backing the symbolic
+zero-tests.
 """
-
-from __future__ import annotations
 
 import random
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 from .errors import DomainError, ProbeUndecidedError, UncoveredKernelError
 from .expr import (Add, ExpF, Expr, Fun, Jet, LogF, Mul, Rat, SPow, Sym,
                    atoms_of, monomials, walk)
+from .series import exp_grid, log_grid
 
 TARGET_WIDTH = Fraction(1, 10 ** 40)
 
@@ -40,18 +38,6 @@ TARGET_WIDTH = Fraction(1, 10 ** 40)
 # until an enclosure decides; past MAX_PRECISION bits it gives up
 START_PRECISION = 80
 MAX_PRECISION = 4000
-
-# exp refuses an argument beyond MAX_EXP_ARGUMENT in absolute value: on the
-# grid, exp(x) is an integer of about 1.44 x bits
-MAX_EXP_ARGUMENT = 2 ** 6
-
-# working bits beyond the grid's that absorb the series' and the ln 2 error
-GUARD_BITS = 20
-
-# log takes one square root of its reduced argument per LOG_SQRT_BITS bits
-# of precision; each halves the series' argument, so a term gains 2 more
-# bits (below that precision a root costs more than the terms it saves)
-LOG_SQRT_BITS = 320
 
 # the inclusive range of numerators of random probe values
 PROBE_NUMERATORS = (-6, 6)
@@ -181,101 +167,11 @@ def _positive(v, what):
     return v
 
 
-def _exp(n, d, prec):
-    """[lo, hi] enclosing exp(n / d) on the grid, for d > 0."""
-    if abs(n) > MAX_EXP_ARGUMENT * d:
-        raise ProbeUndecidedError(
-            f"exp of an argument beyond MAX_EXP_ARGUMENT = {MAX_EXP_ARGUMENT}")
-    r = max(0, abs(n).bit_length() - d.bit_length() + 11)
-    g = GUARD_BITS + r
-    w = prec + g
-    a = (n << w) // d
-    s = t = 1 << w
-    k = 0
-    while t:
-        k += 1
-        t = (t * abs(a) >> (w + r)) // k
-        s += -t if a < 0 and k % 2 else t
-    lo, hi = s - 2 * k, s + 2 * k + 2
-    for _ in range(r):
-        lo, hi = lo * lo >> w, -(-hi * hi >> w)
-    return [lo >> g, -(-hi >> g)]
-
-
-def _atanh(num, den, w):
-    """[lo, hi] enclosing atanh(num / den) * 2**w, 0 <= num / den <= 1/3."""
-    s = p = t = (num << w) // den
-    t2 = t * t >> w
-    k = 0
-    while p:
-        k += 1
-        p = p * t2 >> w
-        s += p // (2 * k + 1)
-    return s, s + 2 * k + 2
-
-
-@lru_cache
-def _ln2(w):
-    """[lo, hi] enclosing ln 2 * 2**w = 2 atanh(1/3) * 2**w."""
-    return tuple(2 * b for b in _atanh(1, 3, w))
-
-
-def _log(p, q, prec):
-    """[lo, hi] enclosing log(p / q) on the grid, for p, q > 0."""
-    e = p.bit_length() - q.bit_length()
-    p, q = (p, q << e) if e >= 0 else (p << -e, q)
-    if 2 * p * p < q * q:
-        p, e = p << 1, e - 1
-    elif p * p >= 2 * q * q:
-        q, e = q << 1, e + 1
-    r = prec // LOG_SQRT_BITS
-    g = GUARD_BITS + r + abs(e).bit_length()
-    w = prec + g
-    slack = 0
-    if r:
-        # p/q in [lo, hi] / 2**w, then its 2**r-th root
-        lo = (p << w) // q
-        hi = lo + 1
-        for _ in range(r):
-            lo, hi = isqrt(lo << w), isqrt((hi << w) - 1) + 1
-        p, q, slack = lo, 1 << w, -(-(hi - lo << w) // lo)
-    lo, hi = _atanh(abs(p - q), p + q, w)
-    if p < q:
-        lo, hi = -hi, -lo
-    l2 = _ln2(w)
-    return [(2 * lo << r) + e * l2[e < 0] >> g,
-            -(-(2 * hi + slack << r) - e * l2[e >= 0] >> g)]
-
-
 def _transcendental(name, v, prec):
     """An enclosure of exp(v) or log(v) (`name` "exp" or "log") on the
-    2**-prec grid, a few ulps wide relative to the value above 1: one
-    evaluation of an exact v, or one per endpoint of an enclosure, on
-    integers at w = prec + g bits, rounded outward onto the grid.
-
-    exp(x): floor(x 2**w) / 2**w is halved r times, to s with |s| <= 2**-10.
-    The Taylor series of exp(s) 2**w is summed with floor division: each
-    term is low by under 1.001 ulps, and the sum stops at the k-th term,
-    the first to floor to 0, beyond which the tail is under 2 ulps; so the
-    sum is within 2k ulps, and 2 more cover the floored x.  Each of the r
-    squarings rounds lo down and hi up, at most doubles the width relative
-    to the value (absolute below 1) and adds 2 ulps; g = GUARD_BITS + r.
-
-    log(x): x = m 2**e with 1/2 <= m**2 < 2, and log x = 2**r 2 atanh(t)
-    + e ln 2 with y = m**(2**-r) and t = (y - 1)/(y + 1), |t| < 0.18.  r =
-    prec // LOG_SQRT_BITS square roots shrink t about 2**r times, so each
-    term of the series gains 2r more bits: m is enclosed by [lo, hi] / 2**w
-    (floor and floor + 1), and each root takes isqrt of lo 2**w, rounded
-    down, and of hi 2**w, rounded up, so y stays in [lo, hi] / 2**w.  The
-    series runs at y0 = lo / 2**w, and log y <= log y0 + (hi - lo) / lo
-    widens the upper end by ceil((hi - lo) 2**w / lo) ulps.  atanh is odd,
-    and its series at floor(|t| 2**w) / 2**w, ratio under 1/9, is summed as
-    above: each term low by under 1.5 ulps, so the sum by under 2k, and 2
-    more cover the floored t.  The enclosure of log y is then multiplied by
-    2**r exactly, errors included.  ln 2 = 2 atanh(1/3) is kept per working
-    precision, and g = GUARD_BITS + r + the bits of |e| absorbs the 2**r
-    and e times the ln 2 error."""
-    f = _exp if name == "exp" else _log
+    2**-prec grid: one series evaluation of an exact v, or one per endpoint
+    of an enclosure, each enclosing its value from below and above."""
+    f = exp_grid if name == "exp" else log_grid
     if type(v) is tuple:
         return f(*v, prec)
     return [f(v[0], 1 << prec, prec)[0], f(v[1], 1 << prec, prec)[1]]

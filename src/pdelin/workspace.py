@@ -2,8 +2,6 @@
 aliases.  A workspace fixes which identifiers the parser accepts and the
 variable ordering used by rankings and jet suffixes."""
 
-from __future__ import annotations
-
 from .errors import WorkspaceError
 from .expr import KIND_COORDINATE, KIND_INDEPENDENT, KIND_PARAMETER, Jet, Sym
 

@@ -6,8 +6,6 @@ use the expression grammar, in the variables declared by [vars].  [ansatz]
 sets the multipliers' jet order; their arguments and the jets each equation
 is solved for follow from the system."""
 
-from __future__ import annotations
-
 from contextlib import contextmanager
 
 from .conslaw import MultiplierFamily

@@ -759,7 +759,7 @@ def test_linearize_builds_adjoint_and_chain_rule_once(monkeypatch, capsys,
 # stdlib modules that records, timestamps and the text output do without,
 # and hashlib, whose OpenSSL the input digest does without
 NOT_LOADED = ("mpmath", "dataclasses", "inspect", "datetime", "json",
-              "hashlib", "_hashlib", "_blake2")
+              "hashlib", "_hashlib", "_blake2", "__future__")
 
 
 @pytest.mark.parametrize("system", SYSTEMS)

@@ -5,7 +5,7 @@ import pytest
 from helpers import (burgers_workspace, pipeline_workspace, random_expression,
                      random_jets, random_sum_with_denominators, seeded)
 from pdelin.errors import ParseError, UndeclaredIdentifierError
-from pdelin.expr import Add, rat
+from pdelin.expr import Add, add, rat
 from pdelin.grammar import parse, to_text
 
 
@@ -105,3 +105,58 @@ def test_function_positions_validated():
         parse("f_{3}(x, t)", ws)
     with pytest.raises(ParseError):
         parse("f_{0}(x, t)", ws)
+
+
+def _unrepeated(text):
+    """The text with the n-th '(' followed by n spaces: no two spans are
+    spelled alike, so the parser reads each one afresh."""
+    first, *rest = text.split("(")
+    return first + "".join("(" + " " * i + part
+                           for i, part in enumerate(rest, 1))
+
+
+def test_repeated_spans_parse_to_a_fresh_parse():
+    # the parser keeps each identifier and each parenthesised or called
+    # span it has read, by its text
+    pws = pipeline_workspace()
+    sums = [
+        ["exp(u_x)*u", "exp(u_x)*u_t", "-2*exp(u_x)/(u + 1)", "(u + 1)^2",
+         "-log(u + 1)*(u + 1)", "pow(u_x, p)*pow(u_x, p)", "f(x, u)*f(x, u)"],
+        ["u_xt*u_tx/(u_x*u_x + 1)", "1/(u_x*u_x + 1)",
+         "-exp(-(u + 1)/2)*exp(-(u + 1)/2)", "v_{1}(x, t)*v_{1}(x, t)^2"],
+    ]
+    for terms in sums:
+        text = " + ".join(terms)
+        e = parse(text, pws)
+        assert e == parse(_unrepeated(text), pws), text
+        assert e == add(*[parse(term, pws) for term in terms]), text
+
+
+def test_an_error_in_a_repeated_span_is_reported_at_its_first_occurrence():
+    cases = [("exp(q) + exp(q)", UndeclaredIdentifierError, 4),
+             ("q*u1 + q*u1", UndeclaredIdentifierError, 0),
+             ("u1 + exp(u1, t) + exp(u1, t)", ParseError, 5),
+             ("x + (u1 + * 2) + (u1 + * 2)", ParseError, 10),
+             ("u1(x) + u1(x)", ParseError, 0)]
+    for text, error, position in cases:
+        with pytest.raises(error) as ei:
+            parse(text, ws)
+        assert ei.value.position == position, text
+
+
+def test_shuffled_factors_and_repeats_parse_to_one_node():
+    # terms and factors in any order, with repeated kernels, identifiers
+    # and rational factors that fold into one coefficient
+    rng = seeded(37)
+    pws = pipeline_workspace()
+    factors = ["3", "1/2", "exp(u_x)", "exp(u_x)", "(u + 1)", "1/(u + 1)",
+               "pow(u, p)", "u_t", "u_t", "-2", "f(x, u)", "log(u + 2)"]
+    terms = ["u_t*exp(u_x)", "-1/3*(u + 1)^-2", "pow(u, p)*u_x",
+             "exp(u_x)/(u + 1)", "2", "u_t*exp(u_x)"]
+    first = None
+    for _ in range(30):
+        rng.shuffle(factors)
+        rng.shuffle(terms)
+        e = parse("*".join(factors) + " + " + " + ".join(terms), pws)
+        assert first is None or e == first
+        first = e

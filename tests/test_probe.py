@@ -6,11 +6,11 @@ import pytest
 
 from helpers import (burgers_workspace, random_expression,
                      random_transcendental_expression, seeded, to_sympy)
-from pdelin import probe
+from pdelin import probe, series
 from pdelin.errors import (DomainError, ProbeUndecidedError,
                            UncoveredKernelError)
-from pdelin.expr import (add, canonicalize, exp_, log_, mul, pow_int, rat, sub,
-                         sym_pow)
+from pdelin.expr import (add, canonicalize, clear_caches, exp_, log_, mul,
+                         pow_int, rat, sub, sym_pow)
 from pdelin.grammar import parse, to_text
 from pdelin.probe import (Interval, numeric_probe, probe_is_zero,
                           probe_nonzero_robust, random_assignment)
@@ -230,7 +230,7 @@ PRECISIONS = [80 << i for i in range(7)]
 def _reference_cases(rng, prec):
     """Seeded exp and log arguments at `prec` bits: exact rationals (tiny,
     near 0 or 1, large of either sign) and enclosures on the grid."""
-    cap = probe.MAX_EXP_ARGUMENT
+    cap = series.MAX_EXP_ARGUMENT
     sign = rng.choice((-1, 1))
     cases = {
         "exp": [Fraction(sign * rng.randint(1, 9), 2 ** rng.randint(20, 300)),
@@ -251,12 +251,23 @@ def _reference_cases(rng, prec):
     yield "log", [c, c + rng.randint(0, 4)]
 
 
-@pytest.mark.parametrize("guard", [probe.GUARD_BITS, 0],
+@pytest.fixture
+def cold_series():
+    """The series module, its exp and log memos empty before and after the
+    test, so that a test patching it neither reads nor leaves values
+    computed under other settings."""
+    clear_caches()
+    yield series
+    clear_caches()
+
+
+@pytest.mark.parametrize("guard", [series.GUARD_BITS, 0],
                          ids=["guarded", "unguarded"])
-def test_exp_and_log_enclose_the_mpmath_value(monkeypatch, guard):
+def test_exp_and_log_enclose_the_mpmath_value(monkeypatch, cold_series,
+                                              guard):
     # the guard bits only narrow an enclosure: without them every error
     # bound of the series, the squarings and ln 2 must still hold
-    monkeypatch.setattr(probe, "GUARD_BITS", guard)
+    monkeypatch.setattr(cold_series, "GUARD_BITS", guard)
     rng = seeded(59)
     for prec in PRECISIONS:
         for name, v in _reference_cases(rng, prec):
@@ -275,7 +286,8 @@ def test_exp_and_log_enclose_the_mpmath_value(monkeypatch, guard):
                         1, abs(fa), abs(fb)), (name, v, prec)
 
 
-def test_log_square_roots_are_accounted_without_series_slack(monkeypatch):
+def test_log_square_roots_are_accounted_without_series_slack(monkeypatch,
+                                                             cold_series):
     # the atanh series reports 2k + 2 ulps of error where it makes far
     # less, which would hide an error of the square-root reduction; with a
     # series enclosure one ulp wide and no guard bits, the rounding of the
@@ -286,23 +298,23 @@ def test_log_square_roots_are_accounted_without_series_slack(monkeypatch):
             v = mpmath.ldexp(mpmath.atanh(mpmath.mpf(num) / den), w)
             return int(mpmath.floor(v)), int(mpmath.ceil(v))
 
-    monkeypatch.setattr(probe, "GUARD_BITS", 0)
-    monkeypatch.setattr(probe, "_atanh", tight_atanh)
+    monkeypatch.setattr(cold_series, "GUARD_BITS", 0)
+    monkeypatch.setattr(cold_series, "_atanh", tight_atanh)
     rng = seeded(61)
     for prec in PRECISIONS:
         cases = [(7, 2), (2, 7), (2 ** 300 + 1, 2 ** 300),
                  (rng.randint(1, 2 ** 90), rng.randint(1, 2 ** 90))]
         for num, den in cases:
-            lo, hi = probe._log(num, den, prec)
+            lo, hi = cold_series.log_grid(num, den, prec)
             with mpmath.workprec(2 * prec + 64):
                 f = mpmath.log(mpmath.mpf(num) / den)
                 assert mpmath.ldexp(lo, -prec) <= f <= \
                     mpmath.ldexp(hi, -prec), (num, den, prec)
-    assert 5120 // probe.LOG_SQRT_BITS > 1   # the roots are taken
+    assert 5120 // series.LOG_SQRT_BITS > 1   # the roots are taken
 
 
 def test_exp_beyond_the_cap_is_undecided():
-    cap = probe.MAX_EXP_ARGUMENT
+    cap = series.MAX_EXP_ARGUMENT
     assert isinstance(numeric_probe(exp_(x), {x: Fraction(cap)}), Interval)
     for value in (Fraction(cap + 1), Fraction(-cap - 1)):
         with pytest.raises(ProbeUndecidedError, match="MAX_EXP_ARGUMENT"):
@@ -355,3 +367,72 @@ def test_a_log_argument_enclosed_through_zero_raises_the_precision():
     v = numeric_probe(parse("log(exp(x) - 1 - x)", ws),
                       {x: Fraction(1, 10 ** 30)})
     assert -139 < v.lo <= v.hi < -138
+
+
+def _series_arguments(rng):
+    """Seeded exact arguments of exp (of either sign, up to the cap) and of
+    log (positive, tiny to large)."""
+    cap = series.MAX_EXP_ARGUMENT
+    for _ in range(6):
+        d = rng.randint(1, 2 ** rng.randint(1, 90))
+        yield "exp", (rng.randint(-cap * d, cap * d), d)
+        yield "log", (rng.randint(1, 2 ** rng.randint(1, 200)),
+                      rng.randint(1, 2 ** rng.randint(1, 200)))
+
+
+def test_memoised_series_values_equal_fresh_ones(cold_series):
+    rng = seeded(67)
+    args = list(_series_arguments(rng))
+    assert any(n < 0 for name, (n, _) in args if name == "exp")
+    fresh = {"exp": series.exp_grid.__wrapped__,
+             "log": series.log_grid.__wrapped__}
+    memo = {"exp": series.exp_grid, "log": series.log_grid}
+    for prec in PRECISIONS:
+        for name, (n, d) in args:
+            first = memo[name](n, d, prec)
+            assert memo[name](n, d, prec) is first, (name, n, d, prec)
+            assert first == fresh[name](n, d, prec), (name, n, d, prec)
+    info = series.exp_grid.cache_info()
+    assert info.hits == info.misses == 6 * len(PRECISIONS)
+    clear_caches()
+    assert series.exp_grid.cache_info().currsize == 0
+    assert series.log_grid.cache_info().currsize == 0
+
+
+def test_exp_beyond_the_cap_is_never_memoised(cold_series):
+    cap = series.MAX_EXP_ARGUMENT
+    for _ in range(2):
+        for n in (cap * 3 + 1, -cap * 3 - 1):
+            with pytest.raises(ProbeUndecidedError, match="MAX_EXP_ARGUMENT"):
+                series.exp_grid(n, 3, 80)
+    info = series.exp_grid.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+
+
+def test_memoised_enclosures_are_never_changed(monkeypatch, cold_series):
+    # every enclosure the series hand out is shared through the memo; after
+    # a batch of probes each must still hold the value it was handed out
+    # with, and the memo must still hand out that very list
+    handed = []
+
+    def recording(f):
+        def call(*args):
+            v = f(*args)
+            handed.append((f, args, v, list(v)))
+            return v
+        return call
+
+    monkeypatch.setattr(probe, "exp_grid", recording(series.exp_grid))
+    monkeypatch.setattr(probe, "log_grid", recording(series.log_grid))
+    ws2 = burgers_workspace()
+    p = ws2.declare_parameter("p")
+    exponents = [p, rat(1, 2), rat(-2, 3), rat(5, 3)]
+    rng = seeded(53)
+    for _ in range(30):
+        e = random_transcendental_expression(rng, [x, t, u1], exponents)
+        for _ in range(3):
+            numeric_probe(e, random_assignment(e, rng))
+    assert len({(f, args) for f, args, _, _ in handed}) < len(handed)
+    for f, args, v, snapshot in handed:
+        assert v == snapshot, (f, args)
+        assert f(*args) is v, (f, args)

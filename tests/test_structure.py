@@ -4,23 +4,28 @@ helpers, no module outside the kernel, the printer and the workspace reads a
 jet's (name, order) pairs, and no module-level import is left unused.
 Every module-level definition has a caller outside the tests, unless it is a
 named test oracle.  No function mutates module-level state; the two settings
-the README names are per context.  Every loop cap is a named constant.  Only
+the README names are per context, and `expr.clear_caches` empties every
+cache but the named constants.  Every loop cap is a named constant.  Only
 the kernel builds a product or reads a node's cached views.  Only `jets` and
 the reducer rank jets.  The reducer runs every pass it defines, and has
 three.  Every knob a user can set is listed here and in the README.  Every
 `Rejection` reason is quoted by some test."""
 
 import ast
+import importlib
 import pathlib
 import re
 import threading
 from collections import Counter
+from fractions import Fraction
 
 from helpers import burgers_workspace
 from pdelin import wsfile
 from pdelin.errors import ExprError
-from pdelin.expr import add, mul, rat, set_max_terms
-from pdelin.probe import default_probe_seed, set_default_probe_seed
+from pdelin.expr import (add, clear_caches, diff_atom, exp_, log_, mul, rat,
+                         set_max_terms, total_derivative)
+from pdelin.probe import (default_probe_seed, numeric_probe,
+                          set_default_probe_seed)
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "pdelin"
 
@@ -252,6 +257,41 @@ def test_settings_are_per_thread():
         th.join(timeout=60)
         assert not th.is_alive()
     assert seen == {1: (True, 1), 2: (False, 2)}
+
+
+# the caches `expr.clear_caches` keeps, each with why it may outlive a job
+KEPT_CACHES = {
+    "_ln2": "ln 2 at a working precision is a constant, the same in every "
+            "job",
+}
+
+
+def _caches():
+    """{name: function} of every module-level `functools.lru_cache` of the
+    package, each under the module that defines it."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"pdelin.{path.stem}")
+        out.update({name: fn for name, fn in vars(module).items()
+                    if hasattr(fn, "cache_clear") and
+                    fn.__module__ == module.__name__})
+    return out
+
+
+def test_clear_caches_empties_every_cache():
+    # a job that starts after clear_caches computes everything afresh,
+    # apart from the named constants
+    caches = _caches()
+    x, t = burgers_workspace().independents
+    e = mul(exp_(x), log_(add(t, rat(1))))
+    diff_atom(e, t)
+    total_derivative(e, x)
+    numeric_probe(e, {x: Fraction(1, 3), t: Fraction(2)})
+    filled = {name for name, fn in caches.items() if fn.cache_info().currsize}
+    clear_caches()
+    kept = {name for name, fn in caches.items() if fn.cache_info().currsize}
+    assert filled == set(caches), sorted(set(caches) - filled)
+    assert kept == set(KEPT_CACHES), sorted(kept ^ set(KEPT_CACHES))
 
 
 def _literal_range_loops():
